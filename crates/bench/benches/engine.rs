@@ -68,7 +68,7 @@ fn bench_engine_throughput(c: &mut Criterion) {
                         s.spawn(move || {
                             for i in 0..(batch as usize / n) {
                                 let q = &queries[(t + i) % queries.len()];
-                                engine.search(q, 5).unwrap();
+                                engine.request(q).k(5).run().unwrap();
                             }
                         });
                     }

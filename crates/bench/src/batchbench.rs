@@ -12,8 +12,8 @@
 //! decode-cache hit rate above 50% — so CI fails when the fusion win
 //! regresses, not just when the schema drifts.
 
+use crate::{num, obj, rows, text, uint, Fields, Kind, Schema};
 use serde_json::Value;
-use std::collections::BTreeMap;
 
 /// Bump when the JSON shape changes; CI pins the current value.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -49,15 +49,6 @@ pub struct BatchRow {
     pub decode_cache_hit_rate: f64,
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
-}
-
 /// Assembles the full `BENCH_batch.json` document.
 pub fn report(corpus: &str, k: usize, queries: usize, zipf_s: f64, rows: &[BatchRow]) -> Value {
     let row_values: Vec<Value> = rows
@@ -89,78 +80,63 @@ pub fn report(corpus: &str, k: usize, queries: usize, zipf_s: f64, rows: &[Batch
     ])
 }
 
-fn require<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
-    v.get(key).ok_or_else(|| format!("missing key: {key}"))
-}
+const ROW: Fields = &[
+    ("backend", Kind::Str),
+    ("algorithm", Kind::Str),
+    ("serial_total_us", Kind::Num),
+    ("fused_total_us", Kind::Num),
+    ("speedup", Kind::Num),
+    ("groups", Kind::UInt),
+    ("decode_cache_hits", Kind::UInt),
+    ("decode_cache_misses", Kind::UInt),
+    ("decode_cache_hit_rate", Kind::Num),
+];
 
-fn require_number(v: &Value, key: &str) -> Result<f64, String> {
-    require(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("{key} is not a number"))
-}
+const SCHEMA: Schema = Schema {
+    version: SCHEMA_VERSION,
+    fields: &[
+        ("corpus", Kind::Str),
+        ("k", Kind::UInt),
+        ("queries", Kind::UInt),
+        ("zipf_s", Kind::Num),
+        ("rows", Kind::Rows(ROW)),
+    ],
+    invariants,
+};
 
 /// Structural AND acceptance check for the artifact — the bench runs
 /// this before writing, and `ipm bench-check` runs it against the
 /// committed file.
 pub fn validate(v: &Value) -> Result<(), String> {
-    let version = require(v, "schema_version")?
-        .as_u64()
-        .ok_or("schema_version is not an integer")?;
-    if version != SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version} != expected {SCHEMA_VERSION}"
-        ));
-    }
-    require(v, "corpus")?
-        .as_str()
-        .ok_or("corpus is not a string")?;
-    require(v, "k")?.as_u64().ok_or("k is not an integer")?;
-    let queries = require(v, "queries")?
-        .as_u64()
-        .ok_or("queries is not an integer")?;
-    if queries < 2 {
+    SCHEMA.check(v)
+}
+
+/// What the field table cannot say: there is something to fuse, every
+/// row's aggregates are positive and its speedup is their ratio, and the
+/// block backend meets the acceptance bounds.
+fn invariants(v: &Value) -> Result<(), String> {
+    if uint(v, "queries") < 2 {
         return Err("queries < 2: nothing to fuse".into());
     }
-    require_number(v, "zipf_s")?;
-    let rows = require(v, "rows")?
-        .as_array()
-        .ok_or("rows is not an array")?;
+    let rows = rows(v, "rows");
     if rows.is_empty() {
         return Err("rows is empty".into());
     }
-    let mut block_seen = false;
     for row in rows {
-        let backend = require(row, "backend")?
-            .as_str()
-            .ok_or("backend not a string")?;
-        require(row, "algorithm")?
-            .as_str()
-            .ok_or("algorithm not a string")?;
-        let serial = require_number(row, "serial_total_us")?;
-        let fused = require_number(row, "fused_total_us")?;
+        let (serial, fused) = (num(row, "serial_total_us"), num(row, "fused_total_us"));
         if serial <= 0.0 || fused <= 0.0 {
             return Err("non-positive aggregate latency".into());
         }
-        let speedup = require_number(row, "speedup")?;
+        let speedup = num(row, "speedup");
         if (speedup - serial / fused).abs() > 1e-6 * speedup.abs().max(1.0) {
             return Err("speedup does not equal serial/fused".into());
         }
-        let groups = require(row, "groups")?
-            .as_u64()
-            .ok_or("groups not an integer")?;
-        require(row, "decode_cache_hits")?
-            .as_u64()
-            .ok_or("decode_cache_hits not an integer")?;
-        require(row, "decode_cache_misses")?
-            .as_u64()
-            .ok_or("decode_cache_misses not an integer")?;
-        let hit_rate = require_number(row, "decode_cache_hit_rate")?;
+        let hit_rate = num(row, "decode_cache_hit_rate");
         if !(0.0..=1.0).contains(&hit_rate) {
             return Err(format!("decode_cache_hit_rate out of range: {hit_rate}"));
         }
-        if backend == "block" {
-            block_seen = true;
-            if groups == 0 {
+        if text(row, "backend") == "block" {
+            if uint(row, "groups") == 0 {
                 return Err("block row formed no batch groups".into());
             }
             if fused > MAX_FUSED_RATIO * serial {
@@ -176,7 +152,7 @@ pub fn validate(v: &Value) -> Result<(), String> {
             }
         }
     }
-    if !block_seen {
+    if !rows.iter().any(|row| text(row, "backend") == "block") {
         return Err("rows has no block backend row".into());
     }
     Ok(())

@@ -8,8 +8,8 @@
 //! (unit-tested, and re-validated by the bench before it writes) so CI
 //! can fail on schema drift instead of silently shipping a stale file.
 
+use crate::{obj, ordered_percentiles, rows, text, Kind, Schema};
 use serde_json::Value;
-use std::collections::BTreeMap;
 
 /// Bump when the JSON shape changes; CI pins the current value.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -62,15 +62,6 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
     let rank = (q * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
 }
 
 /// Assembles the full `BENCH_blocklists.json` document.
@@ -126,91 +117,72 @@ pub fn report(
     ])
 }
 
-fn require<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
-    v.get(key).ok_or_else(|| format!("missing key: {key}"))
-}
-
-fn require_number(v: &Value, key: &str) -> Result<f64, String> {
-    require(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("{key} is not a number"))
-}
+const SCHEMA: Schema = Schema {
+    version: SCHEMA_VERSION,
+    fields: &[
+        ("corpus", Kind::Str),
+        ("k", Kind::UInt),
+        ("simd", Kind::Bool),
+        (
+            "latency_us",
+            Kind::Rows(&[
+                ("backend", Kind::Str),
+                ("algorithm", Kind::Str),
+                ("samples", Kind::UInt),
+                ("p50_us", Kind::Num),
+                ("p95_us", Kind::Num),
+            ]),
+        ),
+        (
+            "footprint",
+            Kind::Rows(&[
+                ("backend", Kind::Str),
+                ("size_bytes", Kind::UInt),
+                ("flat_bytes", Kind::UInt),
+                ("compression_ratio", Kind::Num),
+            ]),
+        ),
+        (
+            "kernels",
+            Kind::Rows(&[
+                ("kernel", Kind::Str),
+                ("path", Kind::Str),
+                ("ns_per_block", Kind::Num),
+            ]),
+        ),
+    ],
+    invariants,
+};
 
 /// Structural check for the artifact — the bench runs this before
-/// writing, and CI runs it (via the `validate` unit binary path of the
-/// bench itself) against the committed file.
+/// writing, and `ipm bench-check` runs it against the committed file.
 pub fn validate(v: &Value) -> Result<(), String> {
-    let version = require(v, "schema_version")?
-        .as_u64()
-        .ok_or("schema_version is not an integer")?;
-    if version != SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version} != expected {SCHEMA_VERSION}"
-        ));
-    }
-    require(v, "corpus")?
-        .as_str()
-        .ok_or("corpus is not a string")?;
-    require(v, "k")?.as_u64().ok_or("k is not an integer")?;
-    require(v, "simd")?.as_bool().ok_or("simd is not a bool")?;
-    let latency = require(v, "latency_us")?
-        .as_array()
-        .ok_or("latency_us is not an array")?;
+    SCHEMA.check(v)
+}
+
+/// What the field table cannot say: latencies were measured and their
+/// percentiles are ordered, the block backend's footprint is on record,
+/// and kernel rows name a known dispatch path next to a scalar reference.
+fn invariants(v: &Value) -> Result<(), String> {
+    let latency = rows(v, "latency_us");
     if latency.is_empty() {
         return Err("latency_us is empty".into());
     }
     for row in latency {
-        require(row, "backend")?
-            .as_str()
-            .ok_or("backend not a string")?;
-        require(row, "algorithm")?
-            .as_str()
-            .ok_or("algorithm not a string")?;
-        require(row, "samples")?
-            .as_u64()
-            .ok_or("samples not an integer")?;
-        require_number(row, "p50_us")?;
-        let p95 = require_number(row, "p95_us")?;
-        if p95 < require_number(row, "p50_us")? {
-            return Err("p95_us below p50_us".into());
-        }
+        ordered_percentiles(row, &["p50_us", "p95_us"])?;
     }
-    let footprint = require(v, "footprint")?
-        .as_array()
-        .ok_or("footprint is not an array")?;
-    let mut block_seen = false;
-    for row in footprint {
-        let backend = require(row, "backend")?
-            .as_str()
-            .ok_or("backend not a string")?;
-        block_seen |= backend == "block";
-        require(row, "size_bytes")?
-            .as_u64()
-            .ok_or("size_bytes not an integer")?;
-        require(row, "flat_bytes")?
-            .as_u64()
-            .ok_or("flat_bytes not an integer")?;
-        require_number(row, "compression_ratio")?;
-    }
-    if !block_seen {
+    let footprint = rows(v, "footprint");
+    if !footprint.iter().any(|row| text(row, "backend") == "block") {
         return Err("footprint has no block backend row".into());
     }
-    let kernels = require(v, "kernels")?
-        .as_array()
-        .ok_or("kernels is not an array")?;
-    let mut scalar_seen = false;
+    let kernels = rows(v, "kernels");
     for row in kernels {
-        require(row, "kernel")?
-            .as_str()
-            .ok_or("kernel not a string")?;
-        let path = require(row, "path")?.as_str().ok_or("path not a string")?;
+        let path = text(row, "path");
         if !matches!(path, "scalar" | "avx2") {
             return Err(format!("unknown kernel path: {path}"));
         }
-        scalar_seen |= path == "scalar";
-        require_number(row, "ns_per_block")?;
     }
-    if !kernels.is_empty() && !scalar_seen {
+    if !kernels.is_empty() && !kernels.iter().any(|row| text(row, "path") == "scalar") {
         return Err("kernels has no scalar reference row".into());
     }
     Ok(())

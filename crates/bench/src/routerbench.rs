@@ -18,6 +18,7 @@
 //! hedges won, wasted RPCs — so the artifact records not just that
 //! hedging helps but what it costs.
 
+use crate::{num, obj, ordered_percentiles, rows, text, uint, Kind, Schema};
 use ipm_obs::HistogramSnapshot;
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -92,15 +93,6 @@ impl RouterRow {
     }
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
-}
-
 /// Assembles the full `BENCH_router.json` document.
 pub fn report(corpus: &str, k: usize, delayed_shard_ms: u64, rows: &[RouterRow]) -> Value {
     let latency_rows: Vec<Value> = rows
@@ -130,81 +122,68 @@ pub fn report(corpus: &str, k: usize, delayed_shard_ms: u64, rows: &[RouterRow])
     ])
 }
 
-fn require<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
-    v.get(key).ok_or_else(|| format!("missing key: {key}"))
-}
-
-fn require_number(v: &Value, key: &str) -> Result<f64, String> {
-    require(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("{key} is not a number"))
-}
-
-fn require_u64(v: &Value, key: &str) -> Result<u64, String> {
-    require(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("{key} is not an integer"))
-}
+const SCHEMA: Schema = Schema {
+    version: SCHEMA_VERSION,
+    fields: &[
+        ("corpus", Kind::Str),
+        ("k", Kind::UInt),
+        ("delayed_shard_ms", Kind::UInt),
+        (
+            "latency_us",
+            Kind::Rows(&[
+                ("scenario", Kind::Str),
+                ("fanout", Kind::UInt),
+                ("hedging", Kind::Bool),
+                ("requests", Kind::UInt),
+                ("p50_us", Kind::Num),
+                ("p95_us", Kind::Num),
+                ("p99_us", Kind::Num),
+                ("mean_us", Kind::Num),
+                ("hedges_fired", Kind::UInt),
+                ("hedges_won", Kind::UInt),
+                ("wasted_rpcs", Kind::UInt),
+            ]),
+        ),
+    ],
+    invariants,
+};
 
 /// Structural and semantic check for the artifact — run before every
-/// write, and by CI against the committed file. Beyond shape it enforces
-/// the artifact's claims: percentiles are monotone, hedging-off cells
-/// fired no hedges, and in the `delayed` scenario the hedging-on p99 is
-/// no worse than the hedging-off p99 at the same fanout.
+/// write, and by CI against the committed file.
 pub fn validate(v: &Value) -> Result<(), String> {
-    let version = require_u64(v, "schema_version")?;
-    if version != SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version} != expected {SCHEMA_VERSION}"
-        ));
-    }
-    require(v, "corpus")?
-        .as_str()
-        .ok_or("corpus is not a string")?;
-    require_u64(v, "k")?;
-    let delayed_ms = require_u64(v, "delayed_shard_ms")?;
-    if delayed_ms == 0 {
+    SCHEMA.check(v)
+}
+
+/// The artifact's claims: percentiles are monotone, hedging-off cells
+/// fired no hedges, no cell won more hedges than it fired, and in the
+/// `delayed` scenario the hedging-on p99 is no worse than the
+/// hedging-off p99 at the same fanout.
+fn invariants(v: &Value) -> Result<(), String> {
+    if uint(v, "delayed_shard_ms") == 0 {
         return Err("delayed_shard_ms must be positive (the scenario needs a slow replica)".into());
     }
-    let rows = require(v, "latency_us")?
-        .as_array()
-        .ok_or("latency_us is not an array")?;
-    if rows.is_empty() {
+    let latency = rows(v, "latency_us");
+    if latency.is_empty() {
         return Err("latency_us is empty".into());
     }
     // (fanout → p99) per hedging setting, delayed scenario only.
     let mut delayed_on: BTreeMap<u64, f64> = BTreeMap::new();
     let mut delayed_off: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut saw_delayed = false;
-    for row in rows {
-        let scenario = require(row, "scenario")?
-            .as_str()
-            .ok_or("scenario not a string")?;
+    for row in latency {
+        let scenario = text(row, "scenario");
         if scenario != SCENARIO_UNIFORM && scenario != SCENARIO_DELAYED {
             return Err(format!("unknown scenario: {scenario}"));
         }
-        let fanout = require_u64(row, "fanout")?;
+        let fanout = uint(row, "fanout");
         if fanout == 0 {
             return Err("fanout must be at least 1".into());
         }
-        let hedging = require(row, "hedging")?
-            .as_bool()
-            .ok_or("hedging not a bool")?;
-        if require_u64(row, "requests")? == 0 {
+        if uint(row, "requests") == 0 {
             return Err("a latency row with zero requests".into());
         }
-        let p50 = require_number(row, "p50_us")?;
-        let p95 = require_number(row, "p95_us")?;
-        let p99 = require_number(row, "p99_us")?;
-        require_number(row, "mean_us")?;
-        if p95 < p50 || p99 < p95 {
-            return Err(format!(
-                "non-monotone percentiles: p50 {p50} / p95 {p95} / p99 {p99}"
-            ));
-        }
-        let fired = require_u64(row, "hedges_fired")?;
-        let won = require_u64(row, "hedges_won")?;
-        require_u64(row, "wasted_rpcs")?;
+        ordered_percentiles(row, &["p50_us", "p95_us", "p99_us"])?;
+        let hedging = row["hedging"] == true;
+        let (fired, won) = (uint(row, "hedges_fired"), uint(row, "hedges_won"));
         if !hedging && fired != 0 {
             return Err(format!(
                 "hedging-off row fired {fired} hedges (scenario {scenario}, fanout {fanout})"
@@ -214,16 +193,15 @@ pub fn validate(v: &Value) -> Result<(), String> {
             return Err(format!("hedges_won {won} exceeds hedges_fired {fired}"));
         }
         if scenario == SCENARIO_DELAYED {
-            saw_delayed = true;
             let slot = if hedging {
                 &mut delayed_on
             } else {
                 &mut delayed_off
             };
-            slot.insert(fanout, p99);
+            slot.insert(fanout, num(row, "p99_us"));
         }
     }
-    if !saw_delayed {
+    if delayed_on.is_empty() && delayed_off.is_empty() {
         return Err("artifact carries no delayed-scenario rows".into());
     }
     for (fanout, on_p99) in &delayed_on {

@@ -9,9 +9,9 @@
 //! shape is versioned and validated before the write (and the committed
 //! file is re-validated in CI), so schema drift fails loudly.
 
+use crate::{obj, ordered_percentiles, rows, uint, Kind, Schema};
 use ipm_obs::HistogramSnapshot;
 use serde_json::Value;
-use std::collections::BTreeMap;
 
 /// Bump when the JSON shape changes; CI pins the current value.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -57,15 +57,6 @@ impl ServingRow {
     }
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
-}
-
 /// Assembles the full `BENCH_serving.json` document.
 pub fn report(
     corpus: &str,
@@ -98,68 +89,50 @@ pub fn report(
     ])
 }
 
-fn require<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
-    v.get(key).ok_or_else(|| format!("missing key: {key}"))
-}
-
-fn require_number(v: &Value, key: &str) -> Result<f64, String> {
-    require(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("{key} is not a number"))
-}
+const SCHEMA: Schema = Schema {
+    version: SCHEMA_VERSION,
+    fields: &[
+        ("corpus", Kind::Str),
+        ("k", Kind::UInt),
+        ("workers", Kind::UInt),
+        ("queue_depth", Kind::UInt),
+        (
+            "latency_us",
+            Kind::Rows(&[
+                ("backend", Kind::Str),
+                ("clients", Kind::UInt),
+                ("samples", Kind::UInt),
+                ("p50_us", Kind::Num),
+                ("p95_us", Kind::Num),
+                ("p99_us", Kind::Num),
+                ("mean_us", Kind::Num),
+            ]),
+        ),
+    ],
+    invariants,
+};
 
 /// Structural check for the artifact — run before every write, and by CI
 /// against the committed file.
 pub fn validate(v: &Value) -> Result<(), String> {
-    let version = require(v, "schema_version")?
-        .as_u64()
-        .ok_or("schema_version is not an integer")?;
-    if version != SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version} != expected {SCHEMA_VERSION}"
-        ));
-    }
-    require(v, "corpus")?
-        .as_str()
-        .ok_or("corpus is not a string")?;
-    require(v, "k")?.as_u64().ok_or("k is not an integer")?;
-    require(v, "workers")?
-        .as_u64()
-        .ok_or("workers is not an integer")?;
-    require(v, "queue_depth")?
-        .as_u64()
-        .ok_or("queue_depth is not an integer")?;
-    let latency = require(v, "latency_us")?
-        .as_array()
-        .ok_or("latency_us is not an array")?;
+    SCHEMA.check(v)
+}
+
+/// What the field table cannot say: every cell had a client and samples,
+/// and its percentiles are ordered.
+fn invariants(v: &Value) -> Result<(), String> {
+    let latency = rows(v, "latency_us");
     if latency.is_empty() {
         return Err("latency_us is empty".into());
     }
     for row in latency {
-        require(row, "backend")?
-            .as_str()
-            .ok_or("backend not a string")?;
-        let clients = require(row, "clients")?
-            .as_u64()
-            .ok_or("clients not an integer")?;
-        if clients == 0 {
+        if uint(row, "clients") == 0 {
             return Err("clients must be at least 1".into());
         }
-        let samples = require(row, "samples")?
-            .as_u64()
-            .ok_or("samples not an integer")?;
-        if samples == 0 {
+        if uint(row, "samples") == 0 {
             return Err("a latency row with zero samples".into());
         }
-        let p50 = require_number(row, "p50_us")?;
-        let p95 = require_number(row, "p95_us")?;
-        let p99 = require_number(row, "p99_us")?;
-        require_number(row, "mean_us")?;
-        if p95 < p50 || p99 < p95 {
-            return Err(format!(
-                "non-monotone percentiles: p50 {p50} / p95 {p95} / p99 {p99}"
-            ));
-        }
+        ordered_percentiles(row, &["p50_us", "p95_us", "p99_us"])?;
     }
     Ok(())
 }

@@ -1,0 +1,679 @@
+//! The execution spine: every public entry point is a one-line way into
+//! `QueryEngine::serve` (or, for a single shard of someone else's
+//! scatter, `QueryEngine::execute_shard`), and every request walks the
+//! same five steps:
+//!
+//! ```text
+//! prologue     dead-on-arrival check, tracer, plan, delta snapshot,
+//!    │         base completeness
+//! cache probe  (skipped for routed requests) ── hit ──┐
+//!    │ miss                                           │
+//! list lease   backend × fanout, disk gate, cold      │
+//!    │         pool, IO read-back                     │
+//! run          fan-out │ fused hits │ scatter         │
+//!    │                                                │
+//! epilogue     trip → completeness, counters, cache insert, latency,
+//!              trace, response  <─────────────────────┘
+//! ```
+//!
+//! Local, fused-member and routed execution differ only in where the hits
+//! come from (`Source`) and in whether the result cache is probed.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Instant;
+
+use super::batch::{DecodeBinding, FusedHits};
+use super::live::{IndexState, LiveState};
+use super::obs::completeness_label;
+use super::{
+    BackendChoice, BatchItem, CacheKey, QueryEngine, ResultCache, SearchHit, SearchOptions,
+    SearchResponse, ShardExecParams,
+};
+use crate::budget::{ApproxReason, Budget, BudgetKind, Completeness, SearchError, Trip};
+use crate::parse::ParseError;
+use crate::plan::{
+    base_completeness, run_one_shard, run_query, run_query_on, seed_floor, ExecContext, ExecStats,
+    NraTuning, QueryPlan, RunReport, ShardExecutor, ShardOutcome, MAX_SHARDS,
+};
+use crate::query::{Operator, Query};
+use crate::request::SearchRequest;
+use crate::result::PhraseHit;
+use crate::scoring::estimated_interestingness;
+use ipm_corpus::PhraseId;
+use ipm_index::backend::ListBackend;
+use ipm_obs::{StageKind, TraceMeta, Tracer};
+use ipm_storage::{BlockImage, CachedBlockImage, IoStats};
+
+/// What a request fixes before it touches a list — computed once, by
+/// `QueryEngine::prologue`, for every entry point.
+struct Prepared<'a> {
+    start: Instant,
+    /// Algorithm, backend and the fanout this request executes at.
+    plan: QueryPlan,
+    /// The completeness of an undisturbed run (no trip, no lost shard).
+    base: Completeness,
+    ctx: ExecContext<'a>,
+}
+
+/// Where an uncached request's hits come from — the one thing local,
+/// fused-member and routed execution disagree on.
+pub(super) enum Source<'a> {
+    /// Lease this engine's own lists and run the planned fan-out over
+    /// them (through the batch's decoded-block cache, when bound).
+    Local(Option<&'a DecodeBinding<'a>>),
+    /// The batch group's shared scan already produced this member's hits.
+    Fused(FusedHits),
+    /// Scatter over external shard executors (a router's RPC clients).
+    Routed(&'a [&'a dyn ShardExecutor]),
+}
+
+/// What one uncached execution hands the epilogue.
+type Executed = (Vec<SearchHit>, ExecStats, Option<IoStats>, RunReport);
+
+/// The result cache paired with the key this request probes and fills.
+type Keyed<'a> = (&'a ResultCache, CacheKey);
+
+/// A caller of the list lease (`QueryEngine::lease`). The method is
+/// generic so each backend type monomorphises its own copy of the
+/// algorithm loops — the lease adds no dynamic dispatch to them.
+trait ListVisitor {
+    type Out;
+
+    /// `shards` holds one backend per shard of the leased fanout, in
+    /// ascending phrase-range order. `disk_text` reads a phrase's text
+    /// through the leased image's disk-resident phrase file (charging its
+    /// pool) and answers `None` on backends that carry no such file.
+    fn visit<B: ListBackend + Sync>(
+        self,
+        shards: &[&B],
+        disk_text: &dyn Fn(PhraseId) -> Option<String>,
+    ) -> Self::Out;
+}
+
+/// Local execution: the planned fan-out over all leased shards, then the
+/// hit texts — resolved inside the lease so the disk backend's final
+/// phrase lookups (the paper's last retrieval step) are still charged.
+struct LocalRun<'a> {
+    ctx: &'a ExecContext<'a>,
+    query: &'a Query,
+    k: usize,
+}
+
+impl ListVisitor for LocalRun<'_> {
+    type Out = (Vec<SearchHit>, ExecStats);
+
+    fn visit<B: ListBackend + Sync>(
+        self,
+        shards: &[&B],
+        disk_text: &dyn Fn(PhraseId) -> Option<String>,
+    ) -> Self::Out {
+        let (hits, stats) = run_query(self.ctx, shards, self.query, self.k);
+        // IO-budgeted (and budget-stopped) requests resolve result texts
+        // from the in-memory phrase table: the cap governs *list* IO, and
+        // the final phrase lookups must neither push a query past a cap
+        // it respected nor charge IO after a budget said stop.
+        let budget = self.ctx.budget;
+        let via_disk = !budget.has_io_budget() && !budget.is_tripped();
+        let text = |p| via_disk.then(|| disk_text(p)).flatten();
+        (resolve_hits(self.ctx, self.query.op, hits, text), stats)
+    }
+}
+
+/// `execute_shard`: one shard of the leased fanout, one fetch depth.
+struct OneShard<'a> {
+    ctx: &'a ExecContext<'a>,
+    query: &'a Query,
+    params: &'a ShardExecParams,
+}
+
+impl ListVisitor for OneShard<'_> {
+    type Out = ShardOutcome;
+
+    fn visit<B: ListBackend + Sync>(
+        self,
+        shards: &[&B],
+        _disk_text: &dyn Fn(PhraseId) -> Option<String>,
+    ) -> ShardOutcome {
+        let p = self.params;
+        let tuning = NraTuning {
+            lower_floor: p.floor,
+            batch_size: p.batch_size,
+        };
+        let backend = shards[p.shard.min(shards.len() - 1)];
+        run_one_shard(self.ctx, backend, self.query, p.fetch, tuning, None)
+    }
+}
+
+/// Renders hits into response rows under one `text_resolve` span. Texts
+/// come from `disk_text` where it answers, else from the miner's
+/// in-memory dictionary.
+fn resolve_hits(
+    ctx: &ExecContext<'_>,
+    op: Operator,
+    hits: Vec<PhraseHit>,
+    disk_text: impl Fn(PhraseId) -> Option<String>,
+) -> Vec<SearchHit> {
+    let span = ctx.tracer.span(StageKind::TextResolve);
+    let resolved = hits
+        .into_iter()
+        .map(|hit| SearchHit {
+            text: disk_text(hit.phrase).unwrap_or_else(|| ctx.miner.phrase_text(hit.phrase)),
+            interestingness: estimated_interestingness(op, hit.score),
+            hit,
+        })
+        .collect();
+    span.end();
+    resolved
+}
+
+impl QueryEngine {
+    /// Starts a budgeted, cancellable request for a query string — the
+    /// canonical API; `search_with`, `execute_with_budget` and
+    /// `execute_batch` are one-line entries into the same spine.
+    ///
+    /// ```text
+    /// engine.request("trade AND reserves")
+    ///     .k(10)
+    ///     .algorithm(Algorithm::Nra)
+    ///     .backend(BackendChoice::Disk)
+    ///     .shards(4)
+    ///     .deadline(Duration::from_millis(50))
+    ///     .io_budget(10_000)
+    ///     .cancel_token(token)
+    ///     .run()?;
+    /// ```
+    pub fn request(&self, input: impl Into<String>) -> SearchRequest<'_> {
+        SearchRequest::new(self, input.into())
+    }
+
+    /// [`QueryEngine::request`] for an already-parsed [`Query`].
+    pub fn request_query(&self, query: Query) -> SearchRequest<'_> {
+        SearchRequest::for_query(self, query)
+    }
+
+    /// Parses and serves a string query with explicit options and an
+    /// unlimited budget.
+    ///
+    /// # Errors
+    /// Returns the parse error for malformed input or unknown terms.
+    pub fn search_with(
+        &self,
+        input: &str,
+        k: usize,
+        options: &SearchOptions,
+    ) -> Result<SearchResponse, ParseError> {
+        let query = self.miner().parse_query_str(input)?;
+        Ok(self
+            .execute_with_budget(query, k, options, Budget::none())
+            .expect("an unlimited budget has no deadline to miss and no token to cancel"))
+    }
+
+    /// Serves an already-parsed query under an execution [`Budget`]:
+    /// planner, dead-on-arrival check, cache lookup, then the (possibly
+    /// sharded) executor with cooperative budget checks in every
+    /// algorithm loop. A single query is a batch item with no group.
+    ///
+    /// A budget that trips *during* execution yields `Ok` with
+    /// [`Completeness::Truncated`] — the anytime result at the stopping
+    /// point (such responses are never cached). Cache hits perform no
+    /// list work and satisfy any budget.
+    ///
+    /// # Errors
+    /// [`SearchError::DeadlineExceeded`] when the deadline expired before
+    /// execution started; [`SearchError::Cancelled`] when the cancel
+    /// token fired before or during execution.
+    pub fn execute_with_budget(
+        &self,
+        query: Query,
+        k: usize,
+        options: &SearchOptions,
+        budget: &Budget,
+    ) -> Result<SearchResponse, SearchError> {
+        let options = options.clone();
+        let item = BatchItem {
+            query,
+            k,
+            options,
+            budget,
+        };
+        self.serve(&self.live(), item, Source::Local(None))
+    }
+
+    /// Serves an already-parsed query by scattering it over `executors` —
+    /// one [`ShardExecutor`] per shard, typically a router's remote
+    /// `shard_exec` clients — and gathering under the same seeded-floor,
+    /// over-fetch and merge logic as the in-process fan-out: both paths
+    /// run the identical per-shard unit and the identical total-order
+    /// merge, which is what makes routed results bit-identical to
+    /// single-process sharded execution in the fully-resolved regime.
+    ///
+    /// Differences from [`QueryEngine::execute_with_budget`]: no result
+    /// cache (the shard tier ages independently of the router's epoch),
+    /// the NRA seed floor is computed from the router's own copy of the
+    /// lists (the floor is only consulted on the exact path, where the
+    /// untruncated lists match the memory lists entry for entry — the
+    /// value is identical on every node of the same corpus build), and
+    /// shards whose every replica failed degrade the response to
+    /// [`Completeness::Approximate`] with [`ApproxReason::ShardsMissing`]
+    /// instead of erroring — exact over the surviving partitions, honest
+    /// about the absent ones.
+    ///
+    /// # Errors
+    /// [`SearchError::DeadlineExceeded`] when the deadline expired before
+    /// execution started; [`SearchError::Cancelled`] when the budget's
+    /// cancel token fired.
+    pub fn execute_routed(
+        &self,
+        query: Query,
+        k: usize,
+        options: &SearchOptions,
+        budget: &Budget,
+        executors: &[&dyn ShardExecutor],
+    ) -> Result<SearchResponse, SearchError> {
+        let options = options.clone();
+        let item = BatchItem {
+            query,
+            k,
+            options,
+            budget,
+        };
+        self.serve(&self.live(), item, Source::Routed(executors))
+    }
+
+    /// Executes exactly one shard of a fanout-`params.fanout` scatter —
+    /// the server-side half of the wire-v5 `shard_exec` verb. The node
+    /// carves shard `params.shard` out of its own fanout-wide layout
+    /// (deterministic equal-width phrase-id ranges, so every node serving
+    /// the same corpus build derives the same partition) and runs the
+    /// same per-shard unit a local scoped thread runs: algorithm dispatch
+    /// plus, on NRA's exact path, resolution of the shard's own hits.
+    ///
+    /// Disk- and block-backed calls go through the same list lease as
+    /// local execution: they serialize on the engine's disk gate, start
+    /// from a cold simulated pool (paper §5.5) that then covers this
+    /// shard's run alone, and add their IO to
+    /// [`QueryEngine::io_totals`].
+    ///
+    /// A budget that trips *during* the run returns `Ok` with
+    /// [`ShardOutcome::tripped`] set — the anytime envelope at the
+    /// stopping point, which the router surfaces as a truncated response.
+    ///
+    /// # Errors
+    /// [`SearchError::DeadlineExceeded`] when the forwarded deadline
+    /// expired before execution started; [`SearchError::Cancelled`] when
+    /// the budget's cancel token fired.
+    pub fn execute_shard(
+        &self,
+        query: &Query,
+        options: &SearchOptions,
+        params: &ShardExecParams,
+        budget: &Budget,
+    ) -> Result<ShardOutcome, SearchError> {
+        let live = self.live();
+        let fanout = params.fanout.clamp(1, MAX_SHARDS);
+        let prep = self.prologue(&live, options, budget, Some(fanout), false)?;
+        let visitor = OneShard {
+            ctx: &prep.ctx,
+            query,
+            params,
+        };
+        let (mut out, _io) = self.lease(&live.index, options.backend, fanout, None, visitor);
+        if matches!(budget.trip_cause(), Some(Trip::Cancelled)) {
+            return Err(SearchError::Cancelled);
+        }
+        out.tripped = budget.is_tripped();
+        Ok(out)
+    }
+
+    /// The spine. `live` is the request's pinned snapshot of the serving
+    /// head — a consistent (epoch, index, delta) triple, so a concurrent
+    /// ingest or compaction never mixes generations within one request
+    /// (or one batch).
+    pub(super) fn serve(
+        &self,
+        live: &LiveState,
+        item: BatchItem<'_>,
+        source: Source<'_>,
+    ) -> Result<SearchResponse, SearchError> {
+        let BatchItem {
+            query,
+            k,
+            options,
+            budget,
+        } = item;
+        let routed_fanout = match &source {
+            Source::Routed(executors) => Some(executors.len().max(1)),
+            _ => None,
+        };
+        let prep = self.prologue(live, &options, budget, routed_fanout, true)?;
+        let ctx = &prep.ctx;
+        // Routed requests bypass the result cache: the shard tier ages
+        // independently of the router's epoch.
+        let cache = self.inner.cache.as_ref();
+        let keyed: Option<Keyed<'_>> = cache.filter(|_| routed_fanout.is_none()).map(|cache| {
+            let key = CacheKey::new(&query, k, &options, prep.plan.shards, live.epoch);
+            (cache, key)
+        });
+        if let Some((cache, key)) = &keyed {
+            let probe_span = ctx.tracer.span(StageKind::CacheProbe);
+            let cached = cache.get(key);
+            probe_span.end();
+            if let Some(hits) = cached {
+                self.inner.obs.cache_hits.inc();
+                return self.finish(live, prep, query, k, None, Err(hits));
+            }
+            self.inner.obs.cache_misses.inc();
+        }
+
+        let exec_span = ctx.tracer.span(StageKind::Execute);
+        let no_disk_text = |_| None;
+        let executed: Executed = match source {
+            Source::Local(decode) => {
+                let run = LocalRun {
+                    ctx,
+                    query: &query,
+                    k,
+                };
+                let plan = prep.plan;
+                let ((hits, stats), io) =
+                    self.lease(&live.index, plan.backend, plan.shards, decode, run);
+                (hits, stats, io, RunReport::default())
+            }
+            // No per-item IO: the shared scan's IO is a group quantity,
+            // accumulated once into the engine totals by the fused scan.
+            Source::Fused(fused) => {
+                let hits = resolve_hits(ctx, query.op, fused.hits, no_disk_text);
+                (hits, fused.stats, None, RunReport::default())
+            }
+            Source::Routed(executors) => {
+                // The NRA floor is seeded from the router's own copy of
+                // the lists, laid out at the scatter's fanout.
+                let seed = |fetch: usize| {
+                    let layout = self.sharded_index(&live.index, prep.plan.shards);
+                    let backends = layout.memory_backends();
+                    let refs: Vec<_> = backends.iter().collect();
+                    seed_floor(ctx, &refs, &query, fetch)
+                };
+                let (hits, stats, report) = run_query_on(ctx, executors, &seed, &query, k);
+                let hits = resolve_hits(ctx, query.op, hits, no_disk_text);
+                (hits, stats, None, report)
+            }
+        };
+        exec_span.end();
+        self.finish(live, prep, query, k, keyed, Ok(executed))
+    }
+
+    /// The prologue every entry point shares: dead-on-arrival check,
+    /// tracer selection, the resolved plan (`fanout` overrides the
+    /// planner's — a shard or a router executes at the coordinator's
+    /// fanout, not its own default), the delta snapshot, and the
+    /// completeness an undisturbed run will report.
+    fn prologue<'a>(
+        &self,
+        live: &'a LiveState,
+        options: &'a SearchOptions,
+        budget: &'a Budget,
+        fanout: Option<usize>,
+        traceable: bool,
+    ) -> Result<Prepared<'a>, SearchError> {
+        let start = Instant::now();
+        if let Some(err) = budget.dead_on_arrival() {
+            return Err(err);
+        }
+        // An explicitly traced request always collects; a configured
+        // slow-query log additionally forces collection for every query
+        // (its ring needs the trace of whichever query turns out slow).
+        let tracer = if traceable && (options.trace || self.inner.obs.slow.is_some()) {
+            Tracer::enabled()
+        } else {
+            Tracer::disabled()
+        };
+        let plan_span = tracer.span(StageKind::Plan);
+        let mut plan = QueryPlan::resolve(options, self.inner.default_shards);
+        if let Some(n) = fanout {
+            plan.shards = n;
+        }
+        let delta = if options.use_delta {
+            live.delta.clone().filter(|d| !d.is_empty())
+        } else {
+            None
+        };
+        let image_truncated = matches!(plan.backend, BackendChoice::Disk | BackendChoice::Block)
+            && self.inner.disk_fraction < 1.0;
+        let miner = &*live.index.miner;
+        // Whether the backends' id-ordered (probe) lists are complete (no
+        // build-time SMJ fraction froze a prefix).
+        let exact_probes = miner.config().smj_fraction.is_none_or(|f| f >= 1.0);
+        let base = base_completeness(
+            options,
+            image_truncated,
+            delta.is_some(),
+            exact_probes,
+            plan.shards,
+        );
+        plan_span.end();
+        Ok(Prepared {
+            start,
+            plan,
+            base,
+            ctx: ExecContext {
+                miner,
+                options,
+                image_truncated,
+                delta,
+                exact_probes,
+                budget,
+                tracer,
+            },
+        })
+    }
+
+    /// The list lease — the only place that picks the backend(s) for a
+    /// `(BackendChoice, fanout)` pair. It builds the lazily derived image
+    /// or shard layout, and for the simulated-IO backends takes the disk
+    /// gate, resets the pool(s) to the per-query cold cache (paper §5.5),
+    /// wraps block shards in the batch's decoded-block cache when
+    /// `decode` binds one, and after the visitor returns reads the
+    /// [`IoStats`] back and books them (engine totals, `ipm_io_*`) — once.
+    fn lease<V: ListVisitor>(
+        &self,
+        state: &IndexState,
+        backend: BackendChoice,
+        fanout: usize,
+        decode: Option<&DecodeBinding<'_>>,
+        visitor: V,
+    ) -> (V::Out, Option<IoStats>) {
+        let no_disk_text = |_| None;
+        let layout = (fanout > 1).then(|| self.sharded_index(state, fanout));
+        match (backend, &layout) {
+            (BackendChoice::Memory, _) => {
+                let backends = match &layout {
+                    Some(layout) => layout.memory_backends(),
+                    None => vec![state.miner.memory_backend()],
+                };
+                let refs: Vec<_> = backends.iter().collect();
+                (visitor.visit(&refs, &no_disk_text), None)
+            }
+            (BackendChoice::Disk, None) => {
+                let disk = self.disk_for(state);
+                self.charged(
+                    || disk.reset_io(),
+                    || disk.io_stats(),
+                    || visitor.visit(&[&*disk], &|p| disk.phrase_text(p)),
+                )
+            }
+            (BackendChoice::Disk, Some(layout)) => {
+                // On a sharded image the text lookup charges the shard
+                // owning the hit.
+                let image = self.sharded_disk(state, layout);
+                let refs: Vec<_> = image.shards().iter().collect();
+                self.charged(
+                    || image.reset_io(),
+                    || image.io_stats(),
+                    || visitor.visit(&refs, &|p| image.phrase_text(p)),
+                )
+            }
+            (BackendChoice::Block, _) => {
+                // The block image carries no phrase file: texts resolve
+                // from the in-memory dictionary and the IoStats are pure
+                // list traffic.
+                let unsharded;
+                let images: &[BlockImage] = match &layout {
+                    Some(layout) => self.sharded_block(state, layout).shards(),
+                    None => {
+                        unsharded = self.block_for(state);
+                        std::slice::from_ref(&*unsharded)
+                    }
+                };
+                let io_stats = || {
+                    images.iter().fold(IoStats::default(), |mut total, image| {
+                        total.accumulate(&image.io_stats());
+                        total
+                    })
+                };
+                let run = || match decode {
+                    Some(d) => {
+                        let cached: Vec<_> = images
+                            .iter()
+                            .map(|image| CachedBlockImage::new(image, d.cache, d.epoch, d.stats))
+                            .collect();
+                        let refs: Vec<_> = cached.iter().collect();
+                        visitor.visit(&refs, &no_disk_text)
+                    }
+                    None => {
+                        let refs: Vec<_> = images.iter().collect();
+                        visitor.visit(&refs, &no_disk_text)
+                    }
+                };
+                self.charged(
+                    || images.iter().for_each(BlockImage::reset_io),
+                    io_stats,
+                    run,
+                )
+            }
+        }
+    }
+
+    /// Runs `run` against simulated-IO images as one serialized, cold,
+    /// accounted unit: takes the disk gate (the simulated pools model one
+    /// device set, and per-query accounting is only meaningful for one
+    /// query at a time — shards of *one* query still run in parallel
+    /// inside `run`, each against its own pool), `reset`s the pool(s),
+    /// and afterwards reads the bill with `stats` and adds it — once — to
+    /// the engine's IO totals and the `ipm_io_*` metric series.
+    pub(super) fn charged<R>(
+        &self,
+        reset: impl FnOnce(),
+        stats: impl FnOnce() -> IoStats,
+        run: impl FnOnce() -> R,
+    ) -> (R, Option<IoStats>) {
+        let _serial = self.inner.disk_gate.lock().unwrap();
+        reset();
+        let out = run();
+        let io = stats();
+        self.inner.io_totals.lock().unwrap().accumulate(&io);
+        self.inner.obs.record_io(&io);
+        (out, Some(io))
+    }
+
+    /// The epilogue: turns a cache hit (`Err`) or an uncached execution
+    /// (`Ok`) into the response. For an execution it feeds the work
+    /// counters, settles completeness — lost shards outrank a tripped
+    /// budget, which outranks a shard-side trip — and caches the result
+    /// under its key unless a budget truncated it; for both it bumps the
+    /// served counter, observes latency and closes the trace.
+    fn finish(
+        &self,
+        live: &LiveState,
+        prep: Prepared<'_>,
+        query: Query,
+        k: usize,
+        keyed: Option<Keyed<'_>>,
+        ran: Result<Executed, Arc<Vec<SearchHit>>>,
+    ) -> Result<SearchResponse, SearchError> {
+        let obs = &self.inner.obs;
+        let Prepared {
+            start,
+            plan,
+            base,
+            ctx,
+        } = prep;
+        let budget = ctx.budget;
+        let (hits, io, completeness, served_from_cache) = match ran {
+            Err(cached) => (cached.as_ref().clone(), None, base, true),
+            Ok((hits, stats, io, report)) => {
+                obs.record_execution(plan.backend, &stats);
+                let completeness = match budget.trip_cause() {
+                    Some(Trip::Cancelled) => return Err(SearchError::Cancelled),
+                    _ if !report.missing.is_empty() => Completeness::Approximate {
+                        reason: ApproxReason::ShardsMissing {
+                            missing: report.missing.len() as u32,
+                        },
+                    },
+                    Some(trip) => {
+                        let kind = trip.budget_kind().expect("non-cancel trip maps to a kind");
+                        obs.record_trip(kind);
+                        Completeness::Truncated { budget_hit: kind }
+                    }
+                    // A shard's own deadline budget tripped even though
+                    // the coordinator's did not: the merge is an anytime
+                    // envelope.
+                    None if report.remote_tripped => Completeness::Truncated {
+                        budget_hit: BudgetKind::Deadline,
+                    },
+                    None => base,
+                };
+                if plan.shards > 1 {
+                    // lint-allow: relaxed-ordering — monotone query counter, read only by stats
+                    self.inner.sharded_queries.fetch_add(1, Ordering::Relaxed);
+                    obs.sharded_queries.inc();
+                }
+                // Truncated results reflect this request's budget, not
+                // the query — caching them would serve partial answers to
+                // unbudgeted callers.
+                if let Some((cache, key)) = keyed.filter(|_| !completeness.is_truncated()) {
+                    cache.insert(key, Arc::new(hits.clone()));
+                }
+                (hits, io, completeness, false)
+            }
+        };
+        // lint-allow: relaxed-ordering — monotone query counter, read only by stats
+        self.inner.served.fetch_add(1, Ordering::Relaxed);
+        obs.queries_served.inc();
+        let elapsed = start.elapsed();
+        obs.latency.observe(elapsed);
+        let meta = ctx.tracer.is_enabled().then(|| TraceMeta {
+            query: query.render(ctx.miner.corpus()),
+            algorithm: plan.algorithm.name(),
+            backend: plan.backend.name(),
+            k,
+            shards: plan.shards,
+            epoch: live.epoch,
+            served_from_cache,
+            completeness: completeness_label(&completeness),
+            budget_trip: budget.trip_cause().and_then(|t| match t {
+                Trip::Cancelled => Some("cancelled"),
+                t => t.budget_kind().map(BudgetKind::name),
+            }),
+        });
+        let trace = meta.and_then(|meta| ctx.tracer.finish(meta));
+        // The slow-query ring sees every collected trace; the response
+        // carries it only when the request asked.
+        if let (Some(slow), Some(trace)) = (&obs.slow, &trace) {
+            if slow.offer(trace) {
+                obs.slow_queries.inc();
+            }
+        }
+        Ok(SearchResponse {
+            query,
+            hits,
+            elapsed,
+            io,
+            served_from_cache,
+            shards: plan.shards,
+            completeness,
+            trace: trace.filter(|_| ctx.options.trace).map(Box::new),
+        })
+    }
+}

@@ -1,6 +1,6 @@
 //! Planner and sharded executor for the query engine.
 //!
-//! [`crate::engine::QueryEngine::execute`] is split in two:
+//! Query execution inside [`crate::engine::QueryEngine`] is split in two:
 //!
 //! * the **planner** ([`QueryPlan::resolve`]) turns a request's options
 //!   and the engine's defaults into an explicit plan — algorithm, backend,
@@ -52,6 +52,8 @@
 //! identical score sequences but may swap ids inside an exact-tie group
 //! at the boundary; whenever runs resolve fully (lists shorter than the
 //! prune batch — every test corpus) results are byte-identical.
+
+use std::sync::Arc;
 
 use crate::budget::{ApproxReason, Budget, Completeness, ShardBudget};
 use crate::delta::{DeltaIndex, DeltaOverlay};
@@ -208,7 +210,8 @@ impl BatchPlan {
 }
 
 /// Everything a shard worker needs besides its backend (shared read-only
-/// across the fan-out threads).
+/// across the fan-out threads). Built once per request by the engine's
+/// prologue; it owns the request's delta snapshot and trace collector.
 pub(crate) struct ExecContext<'a> {
     /// The miner (NRA tuning, corpus index for the exact arm and delta).
     pub miner: &'a PhraseMiner,
@@ -221,17 +224,17 @@ pub(crate) struct ExecContext<'a> {
     /// Delta corrections to apply — on *every* algorithm's path, via a
     /// [`DeltaOverlay`] wrapped around each shard backend (already
     /// snapshot and non-empty).
-    pub delta: Option<&'a DeltaIndex>,
+    pub delta: Option<Arc<DeltaIndex>>,
     /// The backends' id-ordered (probe) lists are complete, so a random
     /// probe returns the true `P(q|p)` — required for NRA score
     /// resolution. False when the miner froze a build-time SMJ fraction.
     pub exact_probes: bool,
     /// The request's execution budget, shared across every shard thread
-    /// (unlimited for the legacy shims — checks then cost one branch).
+    /// (unlimited for unbudgeted requests — checks then cost one branch).
     pub budget: &'a Budget,
     /// The request's trace collector (disabled for untraced queries —
     /// every span call is then a single branch).
-    pub tracer: &'a Tracer,
+    pub tracer: Tracer,
 }
 
 /// Aggregated work counters of one uncached execution, summed across
@@ -787,7 +790,7 @@ fn run_shard_with<B: ListBackend>(
     tuning: NraTuning,
     subset: Option<&ipm_index::postings::Postings>,
 ) -> (Vec<PhraseHit>, ExecStats) {
-    match ctx.delta {
+    match ctx.delta.as_deref() {
         Some(d) => {
             let overlay = DeltaOverlay::new(backend, d, ctx.miner.index());
             run_shard_backend(ctx, &overlay, query, fetch, tuning, subset)
@@ -869,7 +872,7 @@ fn run_shard_backend<B: ListBackend>(
             (out.hits, stats)
         }
         Algorithm::Exact => {
-            let hits = if let Some(d) = ctx.delta {
+            let hits = if let Some(d) = ctx.delta.as_deref() {
                 let materialized;
                 let s = match subset {
                     Some(s) => s,

@@ -27,15 +27,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ipm_corpus::hash::FxHashMap;
 use ipm_corpus::{Feature, PhraseId};
 use ipm_index::backend::ListBackend;
 use ipm_index::block::{BlockIdCursor, BlockScoreCursor, DecodedBlockProvider};
 use ipm_index::wordlists::ListEntry;
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
 
 use crate::blockimage::BlockImage;
+use crate::cache::{CacheConfig, ShardedLruCache};
 
 /// Lock shards: enough to keep batch members off each other's necks,
 /// small enough that a few thousand blocks still spread usefully.
@@ -47,16 +45,6 @@ struct BlockKey {
     epoch: u64,
     image: u64,
     offset: u64,
-}
-
-impl BlockKey {
-    fn shard(self) -> usize {
-        // Offsets are block-aligned-ish multiples of tens of bytes; mix
-        // before taking the top bits so neighbouring blocks spread.
-        let h = (self.offset ^ self.image.rotate_left(32) ^ self.epoch.rotate_left(17))
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 61) as usize % CACHE_SHARDS
-    }
 }
 
 /// Monotone hit / miss counters (cumulative, never reset).
@@ -108,46 +96,12 @@ impl DecodeStats {
     }
 }
 
-#[derive(Default)]
-struct Shard {
-    /// key -> (recency stamp, shared decoded entries)
-    map: FxHashMap<BlockKey, (u64, Arc<Vec<ListEntry>>)>,
-    /// stamp -> key, ascending: the front is the LRU victim.
-    order: BTreeMap<u64, BlockKey>,
-    clock: u64,
-}
-
-impl Shard {
-    fn touch(&mut self, key: BlockKey) -> Option<Arc<Vec<ListEntry>>> {
-        self.clock += 1;
-        let clock = self.clock;
-        let (stamp, entries) = self.map.get_mut(&key)?;
-        self.order.remove(&*stamp);
-        *stamp = clock;
-        let entries = entries.clone();
-        self.order.insert(clock, key);
-        Some(entries)
-    }
-
-    fn insert(&mut self, key: BlockKey, entries: Arc<Vec<ListEntry>>, capacity: usize) {
-        self.clock += 1;
-        if let Some((old, _)) = self.map.insert(key, (self.clock, entries)) {
-            self.order.remove(&old);
-        }
-        self.order.insert(self.clock, key);
-        while self.map.len() > capacity {
-            let Some((_, victim)) = self.order.pop_first() else {
-                break;
-            };
-            self.map.remove(&victim);
-        }
-    }
-}
-
-/// Sharded LRU of decoded blocks, sized in blocks. See the module docs
-/// for the keying and accounting contract.
+/// Sharded LRU of decoded blocks, sized in blocks: the workspace's one
+/// LRU ([`ShardedLruCache`]) instantiated over
+/// `BlockKey → Arc<Vec<ListEntry>>`, plus the weighted [`DecodeStats`].
+/// See the module docs for the keying and accounting contract.
 pub struct DecodedBlockCache {
-    shards: Vec<Mutex<Shard>>,
+    lru: ShardedLruCache<BlockKey, Arc<Vec<ListEntry>>>,
     per_shard_capacity: usize,
     stats: DecodeStats,
 }
@@ -156,11 +110,13 @@ impl DecodedBlockCache {
     /// A cache holding at most (roughly) `capacity_blocks` decoded blocks.
     /// Capacities below `CACHE_SHARDS` round up to one block per shard.
     pub fn new(capacity_blocks: usize) -> Self {
+        let per_shard_capacity = capacity_blocks.div_ceil(CACHE_SHARDS).max(1);
         Self {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
-            per_shard_capacity: capacity_blocks.div_ceil(CACHE_SHARDS).max(1),
+            lru: ShardedLruCache::new(CacheConfig {
+                shards: CACHE_SHARDS,
+                capacity_per_shard: per_shard_capacity,
+            }),
+            per_shard_capacity,
             stats: DecodeStats::default(),
         }
     }
@@ -172,12 +128,12 @@ impl DecodedBlockCache {
 
     /// Decoded blocks currently held.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.lru.len()
     }
 
     /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lru.is_empty()
     }
 
     /// Cumulative hit / miss counters across all users of the cache.
@@ -186,15 +142,13 @@ impl DecodedBlockCache {
     }
 
     fn get(&self, key: BlockKey, weight: u64) -> Option<Arc<Vec<ListEntry>>> {
-        let hit = self.shards[key.shard()].lock().touch(key);
+        let hit = self.lru.get(&key);
         self.stats.record_weighted(hit.is_some(), weight);
         hit
     }
 
     fn put(&self, key: BlockKey, entries: Arc<Vec<ListEntry>>) {
-        self.shards[key.shard()]
-            .lock()
-            .insert(key, entries, self.per_shard_capacity);
+        self.lru.insert(key, entries);
     }
 }
 

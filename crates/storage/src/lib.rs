@@ -25,6 +25,9 @@
 //!   region per phrase-id shard, one pool per shard (deterministic
 //!   per-shard accounting under parallel execution), one shared phrase
 //!   file;
+//! * [`cache`] — the workspace's one sharded LRU
+//!   ([`cache::ShardedLruCache`]): the engine's result cache and
+//!   [`blockcache`]'s decoded-block cache are its two instantiations;
 //! * [`blockimage`] — [`blockimage::BlockImage`]: the block-compressed
 //!   lists behind a pool of their own, charging per-*block* fetches so
 //!   skipped blocks cost no simulated IO (plus its sharded counterpart
@@ -33,6 +36,7 @@
 pub mod bits;
 pub mod blockcache;
 pub mod blockimage;
+pub mod cache;
 pub mod checksum;
 pub mod cost;
 pub mod disklists;

@@ -29,7 +29,11 @@ fn main() {
     println!("user query: {input}\n");
 
     // Plain top-k: strongest correlates, but several restate the query.
-    let plain = engine.search(&input, 8).expect("terms are in-vocabulary");
+    let plain = engine
+        .request(&input)
+        .k(8)
+        .run()
+        .expect("terms are in-vocabulary");
     println!("raw interesting phrases:");
     for hit in &plain.hits {
         println!("  {:<32} I ≈ {:.3}", hit.text, hit.interestingness);
@@ -57,7 +61,7 @@ fn main() {
         expansion_terms.dedup();
         let expanded_query = expansion_terms.join(" OR ");
         println!("\nexpanded query: {expanded_query}");
-        if let Ok(resp) = engine.search(&expanded_query, 5) {
+        if let Ok(resp) = engine.request(&expanded_query).k(5).run() {
             println!("results under the expanded query:");
             for hit in &resp.hits {
                 println!("  {:<32} I ≈ {:.3}", hit.text, hit.interestingness);

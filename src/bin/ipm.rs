@@ -423,7 +423,11 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
     )?;
     // A repeated request is answered from the result cache.
     let start = std::time::Instant::now();
-    let resp = engine.execute(query, k, &SearchOptions::default());
+    let resp = engine
+        .request_query(query)
+        .k(k)
+        .run()
+        .map_err(|e| e.to_string())?;
     let stats = engine.cache_stats();
     println!(
         "\nrepeat of [nra @ memory]: served_from_cache = {} in {:.3} ms \

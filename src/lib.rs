@@ -54,8 +54,8 @@
 //! Every request can carry a budget — deadline, simulated-IO cap,
 //! deterministic step cap, cancellation token — via the
 //! [`prelude::SearchRequest`] builder ([`prelude::QueryEngine::request`]);
-//! `search`/`search_with`/`execute` remain as thin shims over the same
-//! path. A budget that trips mid-run returns the anytime result marked
+//! `search_with`, `execute_with_budget` and `execute_batch` are one-line
+//! entries into the same execution spine. A budget that trips mid-run returns the anytime result marked
 //! [`prelude::Completeness::Truncated`] (never cached); cancellation
 //! returns [`prelude::SearchError::Cancelled`].
 //!

@@ -442,6 +442,99 @@ proptest! {
     }
 }
 
+/// The list-lease seam, seen from both sides: `execute_shard` over each
+/// shard of a fanout, merged under `plan`'s total order, must equal the
+/// engine's own sharded execution bit for bit — and the IO the shard
+/// calls add to `io_totals` must sum to exactly the response's `io`.
+/// Both callers take their lists from one lease; this fails if the lease
+/// forgets the per-query cold reset (IO carries over from the previous
+/// call) or books a run's IO into the totals twice.
+#[test]
+fn execute_shard_reconciles_with_local_execution_across_the_lease() {
+    let engine = QueryEngine::with_config(
+        miner(),
+        EngineConfig {
+            cache: None, // every request below must execute
+            ..Default::default()
+        },
+    );
+    let m = engine.miner();
+    let bits = |hits: &[PhraseHit]| -> Vec<(PhraseId, u64)> {
+        hits.iter().map(|h| (h.phrase, h.score.to_bits())).collect()
+    };
+    let k = 5;
+    for op in [Op::And, Op::Or] {
+        for query in queries(&m, op).into_iter().take(3) {
+            for backend in [
+                BackendChoice::Memory,
+                BackendChoice::Disk,
+                BackendChoice::Block,
+            ] {
+                for algorithm in [
+                    Algorithm::Nra,
+                    Algorithm::Smj,
+                    Algorithm::Ta,
+                    Algorithm::Exact,
+                ] {
+                    for n in [1usize, 2, 4] {
+                        let what = format!(
+                            "{algorithm:?}/{backend:?} {} @ {n}",
+                            query.render(m.corpus())
+                        );
+                        let options = SearchOptions {
+                            algorithm,
+                            backend,
+                            shards: Some(n),
+                            ..Default::default()
+                        };
+                        // An IO cap (never reached) makes the disk backend
+                        // resolve hit texts in memory, so `io` is list
+                        // traffic only — all a shard ever performs.
+                        let local = engine
+                            .request_query(query.clone())
+                            .k(k)
+                            .options(options.clone())
+                            .io_budget(u64::MAX)
+                            .run()
+                            .unwrap();
+                        let mut merged: Vec<PhraseHit> = Vec::new();
+                        let mut shard_io = ipm_storage::IoStats::default();
+                        for shard in 0..n {
+                            let before = engine.io_totals();
+                            let params = ipm_core::ShardExecParams {
+                                fetch: k,
+                                fanout: n,
+                                shard,
+                                floor: f64::NEG_INFINITY,
+                                batch_size: None,
+                            };
+                            let out = engine
+                                .execute_shard(&query, &options, &params, Budget::none())
+                                .unwrap();
+                            let io = engine.io_totals().since(&before);
+                            assert_eq!(out.io_fetches, io.total_fetches(), "{what}: shard {shard}");
+                            shard_io.accumulate(&io);
+                            merged.extend(out.hits);
+                        }
+                        ipm_core::result::sort_hits(&mut merged);
+                        merged.truncate(k);
+                        let served: Vec<PhraseHit> = local.hits.iter().map(|h| h.hit).collect();
+                        assert_eq!(bits(&merged), bits(&served), "{what}: hits");
+                        // Sharded NRA first seeds its floor by reading list
+                        // prefixes through the same pools; standalone shard
+                        // calls (seeded by their coordinator) don't replay
+                        // that, so their bill is comparable for every other
+                        // configuration only.
+                        if algorithm != Algorithm::Nra || n == 1 {
+                            assert_eq!(shard_io, local.io.unwrap_or_default(), "{what}: IO");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn block_max_nra_is_sound_and_reads_no_more() {
     // The block-max soundness property: fast-forwarding over blocks whose

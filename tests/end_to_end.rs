@@ -252,7 +252,7 @@ fn engine_exact_and_approximate_agree_on_saturated_corpus() {
         .map(|&(w, _)| engine.miner().corpus().words().term(w).unwrap().to_owned())
         .collect::<Vec<_>>()
         .join(" AND ");
-    let nra = engine.search(&q, 5).unwrap();
+    let nra = engine.request(&q).k(5).run().unwrap();
     let exact = engine
         .search_with(
             &q,

@@ -332,8 +332,22 @@ fn noop_delta_operations_keep_cache_warm() {
     let engine = QueryEngine::new(PhraseMiner::build(&corpus, lifecycle_config()));
     let epoch0 = engine.epoch();
 
-    assert!(!engine.search("t0 OR t1", 5).unwrap().served_from_cache);
-    assert!(engine.search("t0 OR t1", 5).unwrap().served_from_cache);
+    assert!(
+        !engine
+            .request("t0 OR t1")
+            .k(5)
+            .run()
+            .unwrap()
+            .served_from_cache
+    );
+    assert!(
+        engine
+            .request("t0 OR t1")
+            .k(5)
+            .run()
+            .unwrap()
+            .served_from_cache
+    );
 
     // Detaching with nothing attached: no-op.
     engine.detach_delta();
@@ -347,7 +361,12 @@ fn noop_delta_operations_keep_cache_warm() {
     assert!(!engine.delete_document(DocId(u32::MAX)));
     assert_eq!(engine.epoch(), epoch0, "no-ops must not bump the epoch");
     assert!(
-        engine.search("t0 OR t1", 5).unwrap().served_from_cache,
+        engine
+            .request("t0 OR t1")
+            .k(5)
+            .run()
+            .unwrap()
+            .served_from_cache,
         "no-op lifecycle calls must keep cached results warm"
     );
 
@@ -355,7 +374,14 @@ fn noop_delta_operations_keep_cache_warm() {
     // stops matching.
     assert!(engine.delete_document(DocId(0)));
     assert_eq!(engine.epoch(), epoch0 + 1);
-    assert!(!engine.search("t0 OR t1", 5).unwrap().served_from_cache);
+    assert!(
+        !engine
+            .request("t0 OR t1")
+            .k(5)
+            .run()
+            .unwrap()
+            .served_from_cache
+    );
     // Deleting the same document again: back to no-op.
     assert!(!engine.delete_document(DocId(0)));
     assert_eq!(engine.epoch(), epoch0 + 1);

@@ -1,6 +1,6 @@
 //! Integration tests of the `ipm_server` subsystem: many concurrent TCP
 //! clients against a real loopback server, compared byte-for-byte with
-//! direct `QueryEngine::execute` calls, plus coalescing and
+//! direct engine requests, plus coalescing and
 //! admission-control (overload shedding) behaviour.
 
 use interesting_phrases::prelude::*;
@@ -41,7 +41,7 @@ fn spawn(engine: QueryEngine, workers: usize, queue_depth: usize) -> ipm_server:
 
 /// ≥ 8 concurrent TCP clients, mixed algorithms and backends: every
 /// served response's hits must be byte-identical to a direct
-/// `QueryEngine::execute` call with the same request.
+/// engine request with the same options.
 #[test]
 fn eight_clients_serve_byte_identical_hits() {
     let handle = spawn(build_engine(true), 4, 64);
@@ -84,7 +84,12 @@ fn eight_clients_serve_byte_identical_hits() {
                     // match exactly.
                     let served = serde_json::to_string(&response["result"]["hits"]).unwrap();
                     let query = engine.miner().parse_query_str(q).unwrap();
-                    let direct = engine.execute(query, req.k, &req.options());
+                    let direct = engine
+                        .request_query(query)
+                        .k(req.k)
+                        .options(req.options())
+                        .run()
+                        .unwrap();
                     let want = serde_json::to_string(&wire::hits_value(&direct)).unwrap();
                     assert_eq!(
                         served, want,
@@ -538,7 +543,12 @@ fn batch_requests_return_per_item_results() {
     for (req, item) in [(good_a, &items[0]), (good_b, &items[2])] {
         assert_eq!(item["ok"].as_bool(), Some(true), "{item:?}");
         let query = engine.miner().parse_query_str(&req.query).unwrap();
-        let direct = engine.execute(query, req.k, &req.options());
+        let direct = engine
+            .request_query(query)
+            .k(req.k)
+            .options(req.options())
+            .run()
+            .unwrap();
         assert_eq!(
             serde_json::to_string(&item["result"]["hits"]).unwrap(),
             serde_json::to_string(&wire::hits_value(&direct)).unwrap(),
@@ -829,7 +839,7 @@ fn wire_lifecycle_ingest_compact_stats() {
     // The same query is exact again and matches the reference rebuild.
     let after = client.search(&delta_req).expect("roundtrip");
     assert_eq!(after["result"]["completeness"]["kind"], "exact");
-    let want = reference.search(&q, 10).unwrap();
+    let want = reference.request(&q).k(10).run().unwrap();
     let got_hits = after["result"]["hits"].as_array().unwrap();
     assert_eq!(got_hits.len(), want.hits.len());
     for (g, w) in got_hits.iter().zip(&want.hits) {
@@ -1116,11 +1126,13 @@ fn hedged_request_beats_a_slow_replica() {
         elapsed < std::time::Duration::from_millis(200),
         "hedged response took {elapsed:?} against a 250 ms slow primary"
     );
-    let direct = fast.engine().execute(
-        fast.engine().miner().parse_query_str(&req.query).unwrap(),
-        5,
-        &req.options(),
-    );
+    let direct = fast
+        .engine()
+        .request(&req.query)
+        .k(5)
+        .options(req.options())
+        .run()
+        .unwrap();
     assert_eq!(
         serde_json::to_string(&resp["result"]["hits"]).unwrap(),
         serde_json::to_string(&wire::hits_value(&direct)).unwrap(),
