@@ -1,9 +1,7 @@
-//! Criterion benchmarks of the storage substrate: buffer-pool overhead,
-//! the pool-size / lookahead ablation of the disk cost model, and the
-//! bit-packed (§4.2.2) vs 12-byte list layout.
+//! Criterion benchmarks of the storage substrate: buffer-pool overhead
+//! and the pool-size / lookahead ablation of the disk cost model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ipm_index::cursor::ScoredListCursor;
 use ipm_storage::{BufferPool, CostModel, PoolConfig};
 
 fn bench_pool_scan(c: &mut Criterion) {
@@ -61,52 +59,5 @@ fn bench_pool_capacity_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_packed_vs_plain_scan(c: &mut Criterion) {
-    // Decode + simulated-IO cost of scanning the longest word list end to
-    // end in both serialized layouts. Packing touches ~3/4 of the pages at
-    // a small per-entry bit-twiddling cost.
-    let (corpus, _) = ipm_corpus::synth::generate(&ipm_corpus::synth::tiny());
-    let miner = ipm_core::PhraseMiner::build(&corpus, ipm_core::MinerConfig::default());
-    let packed = miner.to_packed(1.0);
-    let disk = miner.to_disk(1.0);
-    let feat = *miner
-        .lists()
-        .features()
-        .iter()
-        .max_by_key(|f| miner.lists().list(**f).len())
-        .unwrap();
-
-    let mut group = c.benchmark_group("storage/list_scan");
-    group.sample_size(30);
-    group.bench_function("plain_12B", |b| {
-        b.iter(|| {
-            disk.reset_io();
-            let mut cur = disk.cursor(feat, 1.0);
-            let mut acc = 0.0;
-            while let Some(e) = cur.next_entry() {
-                acc += e.prob;
-            }
-            acc
-        })
-    });
-    group.bench_function("packed_log2P_plus_64b", |b| {
-        b.iter(|| {
-            packed.reset_io();
-            let mut cur = packed.cursor(feat, 1.0);
-            let mut acc = 0.0;
-            while let Some(e) = cur.next_entry() {
-                acc += e.prob;
-            }
-            acc
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_pool_scan,
-    bench_pool_capacity_ablation,
-    bench_packed_vs_plain_scan
-);
+criterion_group!(benches, bench_pool_scan, bench_pool_capacity_ablation);
 criterion_main!(benches);

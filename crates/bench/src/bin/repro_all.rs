@@ -1,6 +1,6 @@
 //! Runs every experiment in sequence, building each dataset once.
 //!
-//! This is the one-shot reproduction driver behind `EXPERIMENTS.md`:
+//! This is the one-shot reproduction driver:
 //!
 //! ```text
 //! IPM_RESULTS=results cargo run --release -p ipm-bench --bin repro_all

@@ -1,7 +1,7 @@
 //! Shared plumbing for the experiment binaries.
 //!
 //! Each `src/bin/*.rs` regenerates one table or figure of the paper (see
-//! `DESIGN.md` §7 for the full index). Reports print as aligned text; set
+//! `ipm_eval::experiments` for the full index). Reports print as aligned text; set
 //! `IPM_RESULTS=<dir>` to also write one JSON file per report.
 
 use ipm_eval::experiments::Report;

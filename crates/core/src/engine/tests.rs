@@ -253,6 +253,37 @@ fn truncated_disk_image_keeps_partial_nra_semantics() {
 }
 
 #[test]
+fn disk_image_freezes_build_time_smj_fraction() {
+    // A miner with a build-time SMJ fraction serves *partial* id lists
+    // in memory; its disk image must mirror them, not the full lists.
+    let e = engine_with(
+        MinerConfig {
+            smj_fraction: Some(0.2),
+            ..Default::default()
+        },
+        EngineConfig::default(),
+    );
+    let q = query_string(&e, Operator::Or);
+    let disk = e
+        .request(&q)
+        .k(5)
+        .algorithm(Algorithm::Smj)
+        .backend(BackendChoice::Disk)
+        .run()
+        .unwrap();
+    let query = e.miner().parse_query_str(&q).unwrap();
+    let mem = e.miner().top_k_smj(&query, 5);
+    assert_eq!(
+        phrases(&disk),
+        mem.iter().map(|h| h.phrase).collect::<Vec<_>>(),
+        "partial id lists must freeze into the disk image"
+    );
+    for (a, b) in disk.hits.iter().zip(&mem) {
+        assert!((a.hit.score - b.score).abs() < 1e-12);
+    }
+}
+
+#[test]
 fn cache_can_be_disabled() {
     let e = engine_with(
         MinerConfig::default(),
@@ -270,30 +301,72 @@ fn cache_can_be_disabled() {
 #[test]
 fn redundancy_option_filters_across_algorithms_and_backends() {
     let e = engine();
-    let q = query_string(&e, Operator::Or);
     let red = RedundancyConfig::default();
-    for backend in [BackendChoice::Memory, BackendChoice::Disk] {
-        for alg in ALL_ALGORITHMS {
-            let resp = e
-                .request(&q)
-                .k(5)
-                .algorithm(alg)
-                .backend(backend)
-                .redundancy(red)
-                .run()
-                .unwrap();
-            let query = &resp.query;
-            let miner = e.miner();
-            for h in &resp.hits {
-                let words = miner.index().dict.words(h.hit.phrase).unwrap();
-                assert!(
-                    crate::redundancy::overlap_fraction(words, query) < red.max_overlap,
-                    "{alg:?}/{backend:?} leaked redundant phrase {}",
-                    h.text
-                );
+    for op in [Operator::And, Operator::Or] {
+        let q = query_string(&e, op);
+        for backend in [BackendChoice::Memory, BackendChoice::Disk] {
+            for alg in ALL_ALGORITHMS {
+                let resp = e
+                    .request(&q)
+                    .k(5)
+                    .algorithm(alg)
+                    .backend(backend)
+                    .redundancy(red)
+                    .run()
+                    .unwrap();
+                assert!(resp.hits.len() <= 5);
+                let query = &resp.query;
+                let miner = e.miner();
+                for h in &resp.hits {
+                    let words = miner.index().dict.words(h.hit.phrase).unwrap();
+                    assert!(
+                        crate::redundancy::overlap_fraction(words, query) < red.max_overlap,
+                        "{alg:?}/{backend:?} {op}: leaked redundant phrase {}",
+                        h.text
+                    );
+                }
             }
         }
     }
+}
+
+#[test]
+fn nonredundant_is_a_subsequence_of_deeper_unfiltered_ranking() {
+    // The filter must only remove hits, never reorder or invent them.
+    let e = engine();
+    let q = query_string(&e, Operator::Or);
+    let filtered = e
+        .request(&q)
+        .k(5)
+        .redundancy(RedundancyConfig::default())
+        .run()
+        .unwrap();
+    let query = e.miner().parse_query_str(&q).unwrap();
+    let deep: Vec<_> = e
+        .miner()
+        .top_k_nra(&query, 200)
+        .hits
+        .iter()
+        .map(|h| h.phrase)
+        .collect();
+    let mut pos = 0;
+    for p in phrases(&filtered) {
+        let at = deep[pos..]
+            .iter()
+            .position(|d| *d == p)
+            .expect("filtered hit missing from deep ranking");
+        pos += at + 1;
+    }
+}
+
+#[test]
+fn disabled_filter_returns_plain_top_k() {
+    let e = engine();
+    let q = query_string(&e, Operator::Or);
+    let red = RedundancyConfig { max_overlap: 2.0 };
+    let filtered = e.request(&q).k(5).redundancy(red).run().unwrap();
+    let plain = e.request(&q).k(5).run().unwrap();
+    assert_eq!(phrases(&filtered), phrases(&plain));
 }
 
 #[test]

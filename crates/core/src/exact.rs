@@ -276,7 +276,7 @@ pub fn exact_interestingness(index: &CorpusIndex, subset: &Postings, p: PhraseId
 
 /// Exact top-k under the *occurrence-count* reading of Eq. 1's `freq`
 /// (total phrase occurrences instead of documents containing the phrase;
-/// see `DESIGN.md` §2 and [`ipm_index::occurrence`]). Used to ablate the
+/// see [`ipm_index::occurrence`]). Used to ablate the
 /// document-frequency choice the rest of the system is built on.
 pub fn exact_top_k_occurrence(
     index: &CorpusIndex,

@@ -2,28 +2,30 @@
 //!
 //! [`PhraseMiner`] owns the corpus, the offline indexes (dictionary,
 //! postings, forward lists) and the paper's word-specific lists in both
-//! orders, and exposes every retrieval path:
+//! orders, and runs the four algorithms over those in-memory lists:
 //!
 //! * [`PhraseMiner::top_k_exact`] — ground truth (Eq. 3);
 //! * [`PhraseMiner::top_k_smj`] — in-memory SMJ over ID-ordered lists;
 //! * [`PhraseMiner::top_k_nra`] / [`PhraseMiner::top_k_nra_partial`] —
 //!   NRA over in-memory score-ordered lists;
-//! * [`PhraseMiner::to_disk`] + [`PhraseMiner::top_k_nra_disk`] — NRA over
-//!   the simulated disk with IO accounting.
+//! * [`PhraseMiner::top_k_ta`] — TA over both list orders.
+//!
+//! Every variation that involves another backend ([`PhraseMiner::to_disk`],
+//! [`PhraseMiner::to_block`]), simulated-IO accounting or post-filtering
+//! exists only on [`crate::engine::QueryEngine`]'s spine.
 
 use crate::delta::DeltaIndex;
 use crate::exact;
 use crate::nra::{run_nra, NraConfig, NraOutcome};
 use crate::query::{Operator, Query, QueryError};
 use crate::result::PhraseHit;
-use crate::smj::{run_smj, run_smj_backend};
-use crate::ta::run_ta_backend;
+use crate::smj::run_smj;
 use ipm_corpus::{Corpus, PhraseId};
-use ipm_index::backend::{ListBackend, MemoryBackend};
+use ipm_index::backend::MemoryBackend;
 use ipm_index::corpus_index::{CorpusIndex, IndexConfig};
 use ipm_index::cursor::MemoryCursor;
 use ipm_index::wordlists::{IdOrderedLists, WordListConfig, WordPhraseLists};
-use ipm_storage::{DiskLists, IoStats, PackedLists};
+use ipm_storage::DiskLists;
 
 /// Build configuration for [`PhraseMiner`].
 #[derive(Debug, Clone, Default)]
@@ -115,20 +117,6 @@ impl PhraseMiner {
         run_smj(&self.id_lists, query, k)
     }
 
-    /// SMJ top-k for OR queries with the full Eq. 11 inclusion–exclusion
-    /// score instead of the first-order cut (the Table 6 ablation).
-    ///
-    /// # Panics
-    /// Panics on AND queries — inclusion–exclusion is an OR construction.
-    pub fn top_k_smj_exact_or(&self, query: &Query, k: usize) -> Vec<PhraseHit> {
-        assert_eq!(
-            query.op,
-            Operator::Or,
-            "exact-OR scoring requires an OR query"
-        );
-        crate::smj::run_smj_exact_or(&self.id_lists, query, k)
-    }
-
     /// NRA top-k over full in-memory score-ordered lists.
     pub fn top_k_nra(&self, query: &Query, k: usize) -> NraOutcome {
         self.top_k_nra_partial(query, k, 1.0)
@@ -137,7 +125,17 @@ impl PhraseMiner {
     /// NRA top-k reading only the top-`fraction` of each list (run-time
     /// partial lists, paper §4.3).
     pub fn top_k_nra_partial(&self, query: &Query, k: usize, fraction: f64) -> NraOutcome {
-        self.top_k_nra_backend(&self.memory_backend(), query, k, fraction)
+        let cursors: Vec<_> = query
+            .features
+            .iter()
+            .map(|&f| MemoryCursor::partial(&self.lists, f, fraction))
+            .collect();
+        let cfg = NraConfig {
+            k,
+            lists_are_partial: fraction < 1.0,
+            ..self.config.nra.clone()
+        };
+        run_nra(cursors, query.op, &cfg)
     }
 
     /// NRA top-k with delta corrections from a side index (paper §4.5.1).
@@ -200,22 +198,6 @@ impl PhraseMiner {
         )
     }
 
-    /// NRA over a disk-resident index built with [`PhraseMiner::to_disk`].
-    /// Returns the outcome plus the IO activity of this query (the pool is
-    /// reset first, modelling a cold cache as the paper's per-query costs
-    /// do).
-    pub fn top_k_nra_disk(
-        &self,
-        disk: &DiskLists,
-        query: &Query,
-        k: usize,
-        fraction: f64,
-    ) -> (NraOutcome, IoStats) {
-        disk.reset_io();
-        let outcome = self.top_k_nra_backend(disk, query, k, fraction);
-        (outcome, disk.io_stats())
-    }
-
     /// Encodes the word lists into the block-compressed image
     /// ([`ipm_storage::BlockImage`]): bit-packed 128-entry blocks with
     /// skip metadata, integer-rational scores dequantized bit-identically
@@ -249,124 +231,11 @@ impl PhraseMiner {
         )
     }
 
-    /// Serializes the word lists (optionally truncated to `fraction`) into
-    /// the bit-packed `⌈log₂|P|⌉ + 64`-bit layout of paper §4.2.2.
-    pub fn to_packed(&self, fraction: f64) -> PackedLists {
-        let source = if fraction < 1.0 {
-            self.lists.partial(fraction)
-        } else {
-            self.lists.clone()
-        };
-        PackedLists::build(&source, self.index.dict.len())
-    }
-
-    /// NRA over a packed disk-resident index built with
-    /// [`PhraseMiner::to_packed`]. Cold cache per query, like
-    /// [`PhraseMiner::top_k_nra_disk`].
-    pub fn top_k_nra_packed(
-        &self,
-        packed: &PackedLists,
-        query: &Query,
-        k: usize,
-        fraction: f64,
-    ) -> (NraOutcome, IoStats) {
-        packed.reset_io();
-        let cursors: Vec<_> = query
-            .features
-            .iter()
-            .map(|&f| packed.cursor(f, fraction))
-            .collect();
-        let cfg = NraConfig {
-            k,
-            lists_are_partial: fraction < 1.0,
-            ..self.config.nra.clone()
-        };
-        let outcome = run_nra(cursors, query.op, &cfg);
-        (outcome, packed.io_stats())
-    }
-
     /// TA top-k: sorted access over the score-ordered lists with random
     /// probes into the ID-ordered lists (in-memory extension; see
     /// [`crate::ta`]).
     pub fn top_k_ta(&self, query: &Query, k: usize) -> crate::ta::TaOutcome {
         crate::ta::run_ta(&self.lists, &self.id_lists, query, k)
-    }
-
-    /// SMJ over a disk-resident index built with [`PhraseMiner::to_disk`]:
-    /// one synchronized scan of the id-ordered list file per query, every
-    /// page charged to the pool (cold cache per query, like
-    /// [`PhraseMiner::top_k_nra_disk`]).
-    pub fn top_k_smj_disk(
-        &self,
-        disk: &DiskLists,
-        query: &Query,
-        k: usize,
-    ) -> (Vec<PhraseHit>, IoStats) {
-        disk.reset_io();
-        let hits = run_smj_backend(disk, query, k);
-        (hits, disk.io_stats())
-    }
-
-    /// TA over a disk-resident index: sorted access on the score-ordered
-    /// file plus binary-search probes into the id-ordered file, all
-    /// charged to the pool (cold cache per query). The probe-heavy IO
-    /// pattern is exactly why the paper prefers NRA on disk (§5.5); this
-    /// makes that trade-off measurable.
-    pub fn top_k_ta_disk(
-        &self,
-        disk: &DiskLists,
-        query: &Query,
-        k: usize,
-    ) -> (crate::ta::TaOutcome, IoStats) {
-        disk.reset_io();
-        let outcome = run_ta_backend(disk, query, k);
-        (outcome, disk.io_stats())
-    }
-
-    /// NRA top-k over any [`ListBackend`] reading only the top-`fraction`
-    /// prefix of each score-ordered list.
-    pub fn top_k_nra_backend<B: ListBackend>(
-        &self,
-        backend: &B,
-        query: &Query,
-        k: usize,
-        fraction: f64,
-    ) -> NraOutcome {
-        let cursors: Vec<B::ScoreCursor<'_>> = query
-            .features
-            .iter()
-            .map(|&f| backend.score_cursor(f, fraction))
-            .collect();
-        let cfg = NraConfig {
-            k,
-            lists_are_partial: fraction < 1.0,
-            ..self.config.nra.clone()
-        };
-        run_nra(cursors, query.op, &cfg)
-    }
-
-    /// NRA top-k with the §5.6 post-retrieval redundancy filter: results
-    /// whose lexical overlap with the query reaches
-    /// `redundancy.max_overlap` are suppressed, and deeper candidates take
-    /// their place (the miner over-fetches internally until `k` survivors
-    /// are found or candidates run out).
-    pub fn top_k_nonredundant(
-        &self,
-        query: &Query,
-        k: usize,
-        redundancy: &crate::redundancy::RedundancyConfig,
-    ) -> Vec<PhraseHit> {
-        let mut fetch = k * 2 + 8;
-        loop {
-            let mut hits = self.top_k_nra(query, fetch).hits;
-            let exhausted = hits.len() < fetch;
-            crate::redundancy::filter_hits(&self.index.dict, query, &mut hits, redundancy);
-            if hits.len() >= k || exhausted {
-                hits.truncate(k);
-                return hits;
-            }
-            fetch *= 2;
-        }
     }
 
     /// Approximate NPMI top-k (paper §7 future work — another
@@ -396,17 +265,6 @@ impl PhraseMiner {
         crate::measures::rescore_npmi(&self.index, query, &mut hits);
         hits.truncate(k);
         hits
-    }
-
-    /// Exact top-k under an alternative interestingness [`crate::measures::Measure`]
-    /// (ground truth for the NPMI approximation).
-    pub fn top_k_exact_measure(
-        &self,
-        query: &Query,
-        k: usize,
-        measure: crate::measures::Measure,
-    ) -> Vec<PhraseHit> {
-        crate::measures::exact_top_k_measure(&self.index, query, k, measure)
     }
 
     /// Parses a full query string (`"trade AND reserves"`, facets allowed).
@@ -508,21 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_nra_matches_memory_nra() {
-        let m = miner();
-        let q = some_query(&m, Operator::Or);
-        let disk = m.to_disk(1.0);
-        let (disk_out, io) = m.top_k_nra_disk(&disk, &q, 5, 1.0);
-        let mem_out = m.top_k_nra(&q, 5);
-        assert_eq!(
-            disk_out.hits.iter().map(|h| h.phrase).collect::<Vec<_>>(),
-            mem_out.hits.iter().map(|h| h.phrase).collect::<Vec<_>>()
-        );
-        assert!(io.total_fetches() > 0);
-        assert!(io.io_ms(disk.cost_model()) > 0.0);
-    }
-
-    #[test]
     fn build_time_smj_fraction_freezes_lists() {
         let (c, _) = ipm_corpus::synth::generate(&ipm_corpus::synth::tiny());
         let full = PhraseMiner::build(&c, MinerConfig::default());
@@ -539,57 +382,6 @@ mod tests {
             partial.lists().total_entries(),
             full.lists().total_entries()
         );
-    }
-
-    #[test]
-    fn disk_smj_and_ta_match_memory() {
-        let m = miner();
-        for op in [Operator::And, Operator::Or] {
-            let q = some_query(&m, op);
-            let disk = m.to_disk(1.0);
-            let (smj_disk, io) = m.top_k_smj_disk(&disk, &q, 5);
-            assert!(io.total_accesses() > 0);
-            let smj_mem = m.top_k_smj(&q, 5);
-            assert_eq!(
-                smj_disk.iter().map(|h| h.phrase).collect::<Vec<_>>(),
-                smj_mem.iter().map(|h| h.phrase).collect::<Vec<_>>(),
-                "{op}: disk SMJ diverges"
-            );
-            let (ta_disk, io) = m.top_k_ta_disk(&disk, &q, 5);
-            assert!(io.random_fetches > 0, "{op}: TA probes must cost random IO");
-            let ta_mem = m.top_k_ta(&q, 5);
-            assert_eq!(
-                ta_disk.hits.iter().map(|h| h.phrase).collect::<Vec<_>>(),
-                ta_mem.hits.iter().map(|h| h.phrase).collect::<Vec<_>>(),
-                "{op}: disk TA diverges"
-            );
-        }
-    }
-
-    #[test]
-    fn disk_image_freezes_build_time_smj_fraction() {
-        // A miner with a build-time SMJ fraction serves *partial* id lists
-        // in memory; its disk image must mirror them, not the full lists.
-        let (c, _) = ipm_corpus::synth::generate(&ipm_corpus::synth::tiny());
-        let m = PhraseMiner::build(
-            &c,
-            MinerConfig {
-                smj_fraction: Some(0.2),
-                ..Default::default()
-            },
-        );
-        let q = some_query(&m, Operator::Or);
-        let disk = m.to_disk(1.0);
-        let (smj_disk, _) = m.top_k_smj_disk(&disk, &q, 5);
-        let smj_mem = m.top_k_smj(&q, 5);
-        assert_eq!(
-            smj_disk.iter().map(|h| h.phrase).collect::<Vec<_>>(),
-            smj_mem.iter().map(|h| h.phrase).collect::<Vec<_>>(),
-            "partial id lists must freeze into the disk image"
-        );
-        for (a, b) in smj_disk.iter().zip(&smj_mem) {
-            assert!((a.score - b.score).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -623,57 +415,6 @@ mod tests {
                 .map(|h| h.phrase)
                 .collect::<Vec<_>>(),
             plain.hits.iter().map(|h| h.phrase).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn nonredundant_results_respect_overlap_threshold() {
-        let m = miner();
-        for op in [Operator::And, Operator::Or] {
-            let q = some_query(&m, op);
-            let cfg = crate::redundancy::RedundancyConfig::default();
-            let hits = m.top_k_nonredundant(&q, 5, &cfg);
-            assert!(hits.len() <= 5);
-            for h in &hits {
-                let words = m.index().dict.words(h.phrase).unwrap();
-                let overlap = crate::redundancy::overlap_fraction(words, &q);
-                assert!(
-                    overlap < cfg.max_overlap,
-                    "{op}: phrase {} has overlap {overlap}",
-                    m.phrase_text(h.phrase)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn nonredundant_is_a_subsequence_of_deeper_unfiltered_ranking() {
-        // The filter must only remove hits, never reorder or invent them.
-        let m = miner();
-        let q = some_query(&m, Operator::Or);
-        let cfg = crate::redundancy::RedundancyConfig::default();
-        let filtered = m.top_k_nonredundant(&q, 5, &cfg);
-        let deep: Vec<_> = m.top_k_nra(&q, 200).hits.iter().map(|h| h.phrase).collect();
-        let mut pos = 0;
-        for h in &filtered {
-            let at = deep[pos..]
-                .iter()
-                .position(|p| *p == h.phrase)
-                .expect("filtered hit missing from deep ranking");
-            pos += at + 1;
-        }
-    }
-
-    #[test]
-    fn disabled_filter_returns_plain_top_k() {
-        let m = miner();
-        let q = some_query(&m, Operator::Or);
-        let cfg = crate::redundancy::RedundancyConfig { max_overlap: 2.0 };
-        let filtered = m.top_k_nonredundant(&q, 5, &cfg);
-        let plain: Vec<_> = m.top_k_nra(&q, 5).hits;
-        assert_eq!(
-            filtered.iter().map(|h| h.phrase).collect::<Vec<_>>(),
-            plain.iter().map(|h| h.phrase).collect::<Vec<_>>()
         );
     }
 }

@@ -1,10 +1,9 @@
 //! The query model: `Q = [{q1, ..., qr}, O]` (paper §3).
 
 use ipm_corpus::{Corpus, Feature};
-use serde::{Deserialize, Serialize};
 
 /// The aggregation operator combining per-feature document sets (Eq. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operator {
     /// `D'` is the intersection of the per-feature sets.
     And,
@@ -22,7 +21,7 @@ impl std::fmt::Display for Operator {
 }
 
 /// A query: a set of features plus an operator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Query {
     /// The features `q1..qr` (keywords and/or metadata facets), distinct,
     /// in the order given.

@@ -1,10 +1,9 @@
 //! Result types for top-k phrase retrieval.
 
 use ipm_corpus::PhraseId;
-use serde::{Deserialize, Serialize};
 
 /// One result phrase with its score (and, for NRA, its final bounds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhraseHit {
     /// The phrase.
     pub phrase: PhraseId,

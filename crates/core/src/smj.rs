@@ -30,25 +30,15 @@ pub fn run_smj(lists: &IdOrderedLists, query: &Query, k: usize) -> Vec<PhraseHit
 /// Runs SMJ for `query` over any [`ListBackend`] (in-memory lists or the
 /// simulated disk, whose cursors charge their buffer pool).
 pub fn run_smj_backend<B: ListBackend>(backend: &B, query: &Query, k: usize) -> Vec<PhraseHit> {
-    run_smj_backend_with(backend, query, k, &ShardBudget::unlimited())
+    run_smj_backend_counted(backend, query, k, &ShardBudget::unlimited()).0
 }
 
-/// [`run_smj_backend`] under a cooperative execution budget: the budget
-/// is checked once per merge step (one phrase id), and a failed check
-/// stops the pass — every hit emitted so far carries its *exact* score
-/// (SMJ aggregates a phrase's terms in one synchronized step), so a
-/// truncated run is an exactly-scored prefix of the full scan.
-pub fn run_smj_backend_with<B: ListBackend>(
-    backend: &B,
-    query: &Query,
-    k: usize,
-    budget: &ShardBudget<'_>,
-) -> Vec<PhraseHit> {
-    run_smj_backend_counted(backend, query, k, budget).0
-}
-
-/// [`run_smj_backend_with`] that also reports the pass's [`SmjStats`]
-/// (the observability layer's loop counters).
+/// [`run_smj_backend`] under a cooperative execution budget, also
+/// reporting the pass's [`SmjStats`] (the observability layer's loop
+/// counters). The budget is checked once per merge step (one phrase id),
+/// and a failed check stops the pass — every hit emitted so far carries
+/// its *exact* score (SMJ aggregates a phrase's terms in one synchronized
+/// step), so a truncated run is an exactly-scored prefix of the full scan.
 pub fn run_smj_backend_counted<B: ListBackend>(
     backend: &B,
     query: &Query,
@@ -76,30 +66,18 @@ pub struct SmjStats {
 
 /// SMJ core over raw id-ordered slices (exposed for benches and tests).
 pub fn run_smj_slices(slices: &[&[ListEntry]], op: Operator, k: usize) -> Vec<PhraseHit> {
-    run_smj_cursors(
+    run_smj_cursors_counted(
         slices.iter().map(|s| MemoryIdCursor::new(s)).collect(),
         op,
         k,
+        &ShardBudget::unlimited(),
     )
+    .0
 }
 
-/// SMJ core: one synchronized forward pass over id-ordered cursors.
-pub fn run_smj_cursors<C: IdListCursor>(cursors: Vec<C>, op: Operator, k: usize) -> Vec<PhraseHit> {
-    run_smj_cursors_with(cursors, op, k, &ShardBudget::unlimited())
-}
-
-/// [`run_smj_cursors`] under a cooperative execution budget (see
-/// [`run_smj_backend_with`]).
-pub fn run_smj_cursors_with<C: IdListCursor>(
-    cursors: Vec<C>,
-    op: Operator,
-    k: usize,
-    budget: &ShardBudget<'_>,
-) -> Vec<PhraseHit> {
-    run_smj_cursors_counted(cursors, op, k, budget).0
-}
-
-/// [`run_smj_cursors_with`] that also reports the pass's [`SmjStats`].
+/// SMJ core: one synchronized forward pass over id-ordered cursors under
+/// a cooperative execution budget (see [`run_smj_backend_counted`]),
+/// reporting the pass's [`SmjStats`].
 pub fn run_smj_cursors_counted<C: IdListCursor>(
     mut cursors: Vec<C>,
     op: Operator,
@@ -197,7 +175,15 @@ pub fn run_smj_cursors_counted<C: IdListCursor>(
 /// This is the ablation behind the paper's claim that the truncated form
 /// suffices: compare mean interestingness error with and without it
 /// (Table 6 harness).
+///
+/// # Panics
+/// Panics on AND queries — inclusion–exclusion is an OR construction.
 pub fn run_smj_exact_or(lists: &IdOrderedLists, query: &Query, k: usize) -> Vec<PhraseHit> {
+    assert_eq!(
+        query.op,
+        Operator::Or,
+        "exact-OR scoring requires an OR query"
+    );
     let slices: Vec<&[ListEntry]> = query.features.iter().map(|&f| lists.list(f)).collect();
     run_smj_slices_exact_or(&slices, k)
 }
@@ -380,6 +366,13 @@ mod tests {
             assert_eq!(a.phrase, b.phrase);
             assert!((a.score - b.score).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exact-OR scoring requires an OR query")]
+    fn exact_or_rejects_and_queries() {
+        let q = Query::new(vec![Feature::Word(WordId(0))], Operator::And).unwrap();
+        run_smj_exact_or(&IdOrderedLists::default(), &q, 5);
     }
 
     #[test]

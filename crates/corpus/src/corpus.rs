@@ -4,7 +4,6 @@ use crate::doc::Document;
 use crate::ids::{DocId, FacetId, WordId};
 use crate::token::{tokenize, TokenizerConfig};
 use crate::vocab::{FacetVocabulary, Vocabulary};
-use serde::{Deserialize, Serialize};
 
 /// A static corpus `D` of tokenized documents with interned vocabularies.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// which the phrase dictionary `P`, the feature set `W`, and all indexes are
 /// built. Dynamic subsets `D'` are *not* materialized here; they are defined
 /// by queries and resolved against indexes (crate `ipm-index`).
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Corpus {
     docs: Vec<Document>,
     words: Vocabulary,

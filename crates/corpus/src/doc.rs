@@ -1,18 +1,17 @@
 //! Document representation.
 
 use crate::ids::{DocId, FacetId, WordId};
-use serde::{Deserialize, Serialize};
 
 /// A metadata facet attached to a document, e.g. `venue:sigmod` (paper §1).
 ///
 /// Facets are stored interned; the `key:value` string lives in the corpus's
 /// [`crate::vocab::FacetVocabulary`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Facet(pub FacetId);
 
 /// A tokenized document: a dense id, its token stream (word ids in text
 /// order), and its metadata facets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Document {
     /// Dense identifier within the owning corpus.
     pub id: DocId,

@@ -3,9 +3,8 @@
 //! The phrase-mining and index-building passes hash billions of small integer
 //! keys; SipHash (the `std` default) is a measurable bottleneck there. This
 //! is the FxHash multiply-rotate scheme used by rustc, implemented locally so
-//! the workspace does not need an extra dependency (only `rand`, `proptest`,
-//! `criterion`, `crossbeam`, `parking_lot`, `bytes`, `serde` are permitted —
-//! see `DESIGN.md` §5).
+//! the workspace does not need an extra dependency (only the crates
+//! vendored under `shims/` are available — see `shims/README.md`).
 //!
 //! Do **not** use this for attacker-controlled keys; it has no HashDoS
 //! resistance. All uses in this workspace hash internally-assigned dense IDs.

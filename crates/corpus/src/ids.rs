@@ -5,14 +5,13 @@
 //! traffic of postings and candidate structures compared to `usize` (see the
 //! "Type Sizes" guidance in the Rust perf book).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$meta:meta])* $name:ident, $prefix:literal) => {
         $(#[$meta])*
         #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
         )]
         pub struct $name(pub u32);
 
@@ -103,7 +102,7 @@ id_type!(
 /// any word or metadata facet that could appear in the query" (§4.2.2) — but
 /// they live in different namespaces, so the distinction is kept explicit in
 /// the type system and erased only inside the feature-keyed indexes.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Feature {
     /// A keyword feature selecting `docs(D, w)`.
     Word(WordId),

@@ -16,8 +16,7 @@
 //! repository; the generators in [`synth`] produce corpora with the same
 //! *statistical* shape (vocabulary size, Zipfian word frequencies, topical
 //! word/phrase correlation) which is what the paper's algorithms and
-//! experiments actually exercise. See `DESIGN.md` §6 for the substitution
-//! rationale.
+//! experiments actually exercise.
 
 pub mod corpus;
 pub mod doc;

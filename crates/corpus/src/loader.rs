@@ -9,11 +9,10 @@
 //!
 //! These make it possible to run the full pipeline on the *real* Reuters or
 //! PubMed collections if the user has them; the repository itself ships only
-//! synthetic statistical stand-ins (see `DESIGN.md` §6).
+//! synthetic statistical stand-ins (see the [crate] docs).
 
 use crate::corpus::{Corpus, CorpusBuilder};
 use crate::token::TokenizerConfig;
-use serde::Deserialize;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
@@ -119,10 +118,8 @@ pub fn load_paragraphs<P: AsRef<Path>>(
     load_paragraphs_from(File::open(path)?, tokenizer)
 }
 
-#[derive(Deserialize)]
 struct JsonDoc {
     text: String,
-    #[serde(default)]
     facets: std::collections::BTreeMap<String, String>,
 }
 

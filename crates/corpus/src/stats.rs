@@ -2,10 +2,9 @@
 
 use crate::corpus::Corpus;
 use crate::hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a corpus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusStats {
     /// Number of documents `|D|`.
     pub num_docs: usize,

@@ -39,7 +39,7 @@ pub fn reuters_like() -> SynthConfig {
 /// reproduces the paper's full scale (uses several GB of RAM); the
 /// experiment defaults use 60k for laptop-scale runs — the paper's
 /// Reuters-vs-PubMed contrast is a *scale* contrast and survives the
-/// reduction directionally (see `DESIGN.md` §6).
+/// reduction directionally.
 pub fn pubmed_like(num_docs: usize) -> SynthConfig {
     assert!(num_docs >= 1000, "pubmed_like needs at least 1000 docs");
     // Heaps-like sub-linear vocabulary growth, anchored so that

@@ -12,10 +12,9 @@ use crate::corpus::{Corpus, CorpusBuilder};
 use crate::ids::WordId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the synthetic generator. See module docs for semantics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthConfig {
     /// RNG seed; the generator is fully deterministic given the config.
     pub seed: u64,

@@ -6,13 +6,11 @@
 
 use crate::hash::FxHashMap;
 use crate::ids::{FacetId, WordId};
-use serde::{Deserialize, Serialize};
 
 /// An interned, append-only string table with O(1) lookup in both directions.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Vocabulary {
     terms: Vec<String>,
-    #[serde(skip)]
     lookup: FxHashMap<String, u32>,
 }
 
@@ -90,7 +88,7 @@ impl Vocabulary {
 ///
 /// Facet values are conventionally written `key:value`; the vocabulary does
 /// not enforce the convention but [`FacetVocabulary::intern_kv`] builds it.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct FacetVocabulary {
     inner: Vocabulary,
 }

@@ -44,7 +44,7 @@ pub fn mean_abs_error_exact_or(ds: &DatasetBundle, k: usize) -> f64 {
     let mut n = 0usize;
     for q in &queries {
         let subset = materialize_subset(ds.miner.index(), q);
-        for h in ds.miner.top_k_smj_exact_or(q, k) {
+        for h in ipm_core::smj::run_smj_exact_or(ds.miner.id_lists(), q, k) {
             // Exact-OR scores are already on the interestingness scale.
             let real = exact_interestingness(ds.miner.index(), &subset, h.phrase);
             total += (h.score - real).abs();

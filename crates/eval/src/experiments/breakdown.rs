@@ -1,5 +1,7 @@
 //! Figures 9 & 10: break-up of disk-NRA response time into computational
-//! and disk-access costs, across partial-list percentages.
+//! and disk-access costs, across partial-list percentages. Each point is
+//! one `QueryEngine` request on the disk backend
+//! ([`super::runtime::disk_nra_times`]).
 
 use super::datasets::DatasetBundle;
 use super::report::{ms, Report};
@@ -24,7 +26,10 @@ pub fn run(ds: &DatasetBundle, op: Operator, fractions: &[f64], k: usize) -> Rep
             format!("{:.0}%", 100.0 * io.mean_ms / total.max(1e-9)),
         ]);
     }
-    report.push_note("cold buffer pool per query; IO simulated at 1 ms sequential / 10 ms random");
+    report.push_note(
+        "cold buffer pool per query; IO simulated at 1 ms sequential / 10 ms random, \
+         phrase-file lookups of the k results included",
+    );
     report
 }
 
@@ -44,8 +49,14 @@ mod tests {
     #[test]
     fn io_grows_with_fraction() {
         let ds = shared_test_bundle();
-        let (_, io_small) = disk_nra_times(ds, Operator::Or, 0.1, 5);
-        let (_, io_full) = disk_nra_times(ds, Operator::Or, 1.0, 5);
-        assert!(io_full.mean_ms + 1e-9 >= io_small.mean_ms);
+        let k = 5;
+        let (_, io_small) = disk_nra_times(ds, Operator::Or, 0.1, k);
+        let (_, io_full) = disk_nra_times(ds, Operator::Or, 1.0, k);
+        // List-region IO grows with the fraction read; the served path
+        // also charges each query's phrase-file lookups (at most `k`
+        // random fetches, and which pages they land on depends on the
+        // result set), so the totals are monotone only up to that term.
+        let lookups = k as f64 * ds.engine.disk().cost_model().random_ms;
+        assert!(io_full.mean_ms + lookups + 1e-9 >= io_small.mean_ms);
     }
 }

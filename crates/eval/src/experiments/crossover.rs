@@ -4,6 +4,11 @@
 //! "SMJ beats NRA in in-memory operation response time until a partial
 //! list percentage of 35% for Pubmed ... the corresponding value for
 //! Reuters is 90%."
+//!
+//! List-level on purpose, like Fig. 7/8: SMJ's fraction is a build-time
+//! property (paper §4.4.2), so the sweep times `run_smj` over id lists
+//! derived per fraction against `PhraseMiner::top_k_nra_partial` on the
+//! same in-memory lists, not a miner rebuild per point.
 
 use super::datasets::DatasetBundle;
 use super::report::{ms, Report};

@@ -1,7 +1,7 @@
 //! Dataset bundles: corpus + miner + query set, ready for the runners.
 //!
 //! Two bundles mirror the paper's §5.1 setup (through the synthetic
-//! stand-ins of `ipm_corpus::synth`; see `DESIGN.md` §6):
+//! stand-ins of `ipm_corpus::synth`; see that crate's docs):
 //!
 //! * `reuters`: 21,578 documents, 100 harvested queries (two of 6 words,
 //!   two of 5, rest 2–4);
@@ -15,22 +15,46 @@
 //! * `IPM_QUICK=1` — shrink both datasets aggressively for smoke runs.
 
 use crate::queryset::{harvest_queries, QuerySetConfig};
+use ipm_core::engine::{EngineConfig, QueryEngine};
 use ipm_core::miner::{MinerConfig, PhraseMiner};
 use ipm_corpus::WordId;
 use ipm_index::corpus_index::IndexConfig;
 use ipm_index::mining::MiningConfig;
+use std::sync::Arc;
 
 /// A fully-built dataset for the experiment runners.
 pub struct DatasetBundle {
     /// "reuters" or "pubmed" (plus a scale suffix when reduced).
     pub name: String,
-    /// The indexed corpus.
-    pub miner: PhraseMiner,
+    /// The indexed corpus: the in-memory reference the list-level
+    /// experiments run over (shared with [`DatasetBundle::engine`]).
+    pub miner: Arc<PhraseMiner>,
+    /// The served path over the same miner, result cache **off** — a
+    /// cached repeat would time a hash probe, not NRA. The disk
+    /// experiments run through its lease (one lazily built disk image,
+    /// per-query `IoStats`).
+    pub engine: QueryEngine,
     /// Harvested query word-sets (operator applied per experiment).
     pub queries: Vec<Vec<WordId>>,
 }
 
 impl DatasetBundle {
+    fn new(name: String, miner: PhraseMiner, queries: Vec<Vec<WordId>>) -> Self {
+        let engine = QueryEngine::with_config(
+            miner,
+            EngineConfig {
+                cache: None,
+                ..Default::default()
+            },
+        );
+        Self {
+            name,
+            miner: engine.miner(),
+            engine,
+            queries,
+        }
+    }
+
     /// Number of harvested queries.
     pub fn num_queries(&self) -> usize {
         self.queries.len()
@@ -74,11 +98,7 @@ pub fn build_reuters() -> DatasetBundle {
         miner.index().dict.len(),
         queries.len()
     );
-    DatasetBundle {
-        name: "reuters".into(),
-        miner,
-        queries,
-    }
+    DatasetBundle::new("reuters".into(), miner, queries)
 }
 
 /// Builds the PubMed-like bundle at the configured scale.
@@ -95,11 +115,7 @@ pub fn build_pubmed() -> DatasetBundle {
         miner.index().dict.len(),
         queries.len()
     );
-    DatasetBundle {
-        name: format!("pubmed-{docs}"),
-        miner,
-        queries,
-    }
+    DatasetBundle::new(format!("pubmed-{docs}"), miner, queries)
 }
 
 /// The paper's indexing parameters: n-grams up to 6 words, min df 5.
@@ -142,11 +158,7 @@ pub fn build_test_bundle() -> DatasetBundle {
             min_and_matches: 1,
         },
     );
-    DatasetBundle {
-        name: "test".into(),
-        miner,
-        queries,
-    }
+    DatasetBundle::new("test".into(), miner, queries)
 }
 
 /// A process-wide shared test bundle (building one costs a second or two in
@@ -159,6 +171,8 @@ pub fn shared_test_bundle() -> &'static DatasetBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipm_core::engine::BackendChoice;
+    use ipm_core::query::Operator;
 
     #[test]
     fn test_bundle_builds() {
@@ -166,6 +180,32 @@ mod tests {
         assert!(b.num_queries() > 0);
         assert!(!b.miner.index().dict.is_empty());
         assert_eq!(b.name, "test");
+    }
+
+    #[test]
+    fn bundle_engine_measures_execution_not_its_cache() {
+        let ds = shared_test_bundle();
+        let q = crate::queryset::to_queries(&ds.queries, Operator::Or).remove(0);
+        let want: Vec<_> = ds
+            .miner
+            .top_k_nra(&q, 5)
+            .hits
+            .iter()
+            .map(|h| h.phrase)
+            .collect();
+        for run in 0..2 {
+            let resp = ds
+                .engine
+                .request_query(q.clone())
+                .k(5)
+                .backend(BackendChoice::Disk)
+                .run()
+                .unwrap();
+            assert!(!resp.served_from_cache, "run {run}: a repeat must execute");
+            assert!(resp.io.unwrap().total_accesses() > 0, "run {run}: no IO");
+            let got: Vec<_> = resp.hits.iter().map(|h| h.hit.phrase).collect();
+            assert_eq!(got, want, "run {run}: engine disk NRA vs miner NRA");
+        }
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub fn run(ds: &DatasetBundle, fractions: &[f64], k: usize) -> Report {
     for &f in fractions {
         let partial = ds.miner.lists().partial(f);
         let size = partial.size_bytes();
-        let packed = ipm_storage::PackedWordListFile::build(&partial, num_phrases);
         // The block layout always carries both list orders; derive the
         // id side from the same truncated score lists so all three size
         // columns describe the same entry set.
@@ -35,7 +34,7 @@ pub fn run(ds: &DatasetBundle, fractions: &[f64], k: usize) -> Report {
         report.push_row(vec![
             format!("{}%", (f * 100.0).round() as u32),
             bytes(size),
-            bytes(packed.len_bytes()),
+            bytes(packed_bytes(partial.total_entries(), num_phrases)),
             bytes(block.encoded_bytes() + block.df_bytes()),
             f3(and.ndcg),
             f3(or.ndcg),
@@ -52,7 +51,7 @@ pub fn run(ds: &DatasetBundle, fractions: &[f64], k: usize) -> Report {
             / (full_block.encoded_bytes() + full_block.df_bytes()) as f64,
     ));
     let stats = ipm_corpus::stats::CorpusStats::compute(ds.miner.corpus());
-    let id_bits = ipm_storage::bits::bits_for_ids(num_phrases);
+    let id_bits = bits_for_ids(num_phrases);
     report.push_note(format!(
         "corpus: {} docs, vocab {}, |P| = {}, full word-list index {} ({} entries at 12 B/entry; \
          packed layout is ⌈log₂|P|⌉+64 = {} bits/entry, paper §4.2.2)",
@@ -64,6 +63,22 @@ pub fn run(ds: &DatasetBundle, fractions: &[f64], k: usize) -> Report {
         id_bits + 64,
     ));
     report
+}
+
+/// Minimum ID width for a dictionary of `n` phrases: `⌈log₂ n⌉`, at least 1
+/// (IDs live in `[0, n)`; `n ≤ 1` still needs one bit to be addressable).
+fn bits_for_ids(n: usize) -> u32 {
+    if n <= 1 {
+        return 1;
+    }
+    usize::BITS - (n - 1).leading_zeros()
+}
+
+/// Size of `entries` list entries in the paper's bit-exact layout
+/// (§4.2.2: each pair occupies `⌈log₂|P|⌉ + 64` bits), final partial byte
+/// rounded up.
+fn packed_bytes(entries: usize, num_phrases: usize) -> usize {
+    (entries * (bits_for_ids(num_phrases) as usize + 64)).div_ceil(8)
 }
 
 #[cfg(test)]
@@ -105,7 +120,23 @@ mod tests {
     fn packed_column_is_smaller() {
         let ds = shared_test_bundle();
         let lists = ds.miner.lists();
-        let packed = ipm_storage::PackedWordListFile::build(lists, ds.miner.index().dict.len());
-        assert!(packed.len_bytes() < lists.size_bytes());
+        let packed = packed_bytes(lists.total_entries(), ds.miner.index().dict.len());
+        assert!(packed < lists.size_bytes());
+        // 3 entries at 2 + 64 bits = 198 bits, rounded up to whole bytes.
+        assert_eq!(packed_bytes(3, 4), 25);
+    }
+
+    #[test]
+    fn bits_for_ids_boundaries() {
+        assert_eq!(bits_for_ids(0), 1);
+        assert_eq!(bits_for_ids(1), 1);
+        assert_eq!(bits_for_ids(2), 1);
+        assert_eq!(bits_for_ids(3), 2);
+        assert_eq!(bits_for_ids(4), 2);
+        assert_eq!(bits_for_ids(5), 3);
+        assert_eq!(bits_for_ids(256), 8);
+        assert_eq!(bits_for_ids(257), 9);
+        assert_eq!(bits_for_ids(1 << 20), 20);
+        assert_eq!(bits_for_ids((1 << 20) + 1), 21);
     }
 }

@@ -1,10 +1,10 @@
 //! The experiment harness: one runner per paper table/figure.
 //!
 //! Each runner consumes a [`datasets::DatasetBundle`] (corpus + miner +
-//! harvested query set) and produces a [`report::Report`] that prints the
-//! same rows/series the paper's table or figure shows, plus JSON for
-//! machine consumption. The `ipm-bench` binaries are thin wrappers around
-//! these functions; `EXPERIMENTS.md` records paper-vs-measured values.
+//! uncached engine + harvested query set) and produces a
+//! [`report::Report`] that prints the same rows/series the paper's table
+//! or figure shows, plus JSON for machine consumption. The `ipm-bench`
+//! binaries are thin wrappers around these functions.
 //!
 //! | Paper artifact | Runner |
 //! |---|---|

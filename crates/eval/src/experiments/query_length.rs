@@ -7,6 +7,10 @@
 //! and NRA's traversal depth actually scale — the direct check of that
 //! analysis, which the paper itself reports only at the mixed-length
 //! aggregate level.
+//!
+//! NRA runs as `PhraseMiner::top_k_nra` here for the same reason as
+//! Fig. 11: the traversal column needs per-list `TraversalStats`, which
+//! the engine's `SearchResponse` does not carry.
 
 use super::datasets::DatasetBundle;
 use super::report::{ms, Report};

@@ -1,9 +1,7 @@
 //! Aligned-text + JSON experiment reports.
 
-use serde::Serialize;
-
 /// A tabular experiment result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Report {
     /// Which paper artifact this regenerates, e.g. "Figure 7 (Reuters)".
     pub title: String,

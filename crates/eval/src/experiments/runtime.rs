@@ -1,16 +1,22 @@
 //! Figures 7, 8, 12 & 13: response-time comparisons.
 //!
 //! * Figures 7/8: in-memory SMJ (at several build-time partial-list
-//!   fractions) against the in-memory GM baseline.
+//!   fractions) against the in-memory GM baseline. List-level on
+//!   purpose: SMJ's fraction is a build-time property (paper §4.4.2), so
+//!   [`smj_times`] runs `run_smj` over id lists derived per fraction
+//!   instead of rebuilding a miner (and an engine) per fraction.
 //! * Figures 12/13: the *disk-based* NRA (IO simulated per §5.5) against
 //!   the in-memory GM baseline — the comparison "unfairly biased in favor
-//!   of GM" that the paper still wins.
+//!   of GM" that the paper still wins. Measured through the bundle's
+//!   `QueryEngine` ([`disk_nra_times`]): its lease resets the pool, runs
+//!   NRA and reads the `IoStats` back, so nothing here hand-wires that.
 
 use super::datasets::DatasetBundle;
 use super::report::{ms, Report};
 use crate::queryset::to_queries;
 use crate::timing::{time_once, TimingSummary};
 use ipm_baselines::{GmBaseline, TopKBaseline};
+use ipm_core::engine::BackendChoice;
 use ipm_core::query::Operator;
 use ipm_core::smj::run_smj;
 use ipm_index::wordlists::IdOrderedLists;
@@ -54,21 +60,38 @@ pub fn nra_times(ds: &DatasetBundle, op: Operator, fraction: f64, k: usize) -> T
     TimingSummary::from_samples(samples)
 }
 
-/// Disk-NRA per-query times: `(compute_ms, io_ms)` summaries.
+/// Disk-NRA per-query times: `(compute_ms, io_ms)` summaries, measured on
+/// the served path — one request per query through the bundle's engine
+/// on its disk backend, the response's `IoStats` (cold pool per query;
+/// the final phrase-file lookups that resolve the hit texts included)
+/// priced by the engine's cost model.
 pub fn disk_nra_times(
     ds: &DatasetBundle,
     op: Operator,
     fraction: f64,
     k: usize,
 ) -> (TimingSummary, TimingSummary) {
-    let disk = ds.miner.to_disk(1.0);
+    // Also builds the engine's lazy disk image here, outside the timed loop.
+    let cost = *ds.engine.disk().cost_model();
     let queries = to_queries(&ds.queries, op);
     let mut compute = Vec::with_capacity(queries.len());
     let mut io = Vec::with_capacity(queries.len());
-    for q in &queries {
-        let ((_, stats), t) = time_once(|| ds.miner.top_k_nra_disk(&disk, q, k, fraction));
+    for q in queries {
+        let (resp, t) = time_once(|| {
+            ds.engine
+                .request_query(q)
+                .k(k)
+                .backend(BackendChoice::Disk)
+                .nra_fraction(fraction)
+                .run()
+                .expect("an unbudgeted parsed query cannot fail")
+        });
         compute.push(t);
-        io.push(stats.io_ms(disk.cost_model()));
+        io.push(
+            resp.io
+                .expect("disk runs report their IoStats")
+                .io_ms(&cost),
+        );
     }
     (
         TimingSummary::from_samples(compute),
@@ -130,7 +153,7 @@ pub fn run_nra_vs_gm(ds: &DatasetBundle, fraction: f64, k: usize) -> Report {
         ]);
     }
     report.push_note(format!(
-        "NRA reads disk-resident lists at {}% via the simulated pool (32 KiB pages, 16-page LRU, 1 ms seq / 10 ms rand); GM runs fully in memory",
+        "NRA reads disk-resident lists at {}% via the simulated pool (32 KiB pages, 16-page LRU, 1 ms seq / 10 ms rand), phrase-file lookups of the k results included; GM runs fully in memory",
         (fraction * 100.0).round() as u32
     ));
     report

@@ -1,5 +1,8 @@
 //! Figure 11: percentage of the lists NRA traverses before its stopping
 //! condition fires.
+//!
+//! Runs `PhraseMiner::top_k_nra` directly: the figure needs per-list
+//! `TraversalStats`, which the engine's `SearchResponse` does not carry.
 
 use super::datasets::DatasetBundle;
 use super::report::Report;

@@ -5,10 +5,8 @@
 //! result. NDCG and average precision (MAP) are rank-sensitive measures"
 //! (paper §5.2). All four live in `[0, 1]`, 1.0 = perfect.
 
-use serde::{Deserialize, Serialize};
-
 /// The four measures for one ranked result list.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QualityScores {
     /// Fraction of correct results among the k returned.
     pub precision: f64,

@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 /// Summary of a set of per-query timings, in milliseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TimingSummary {
     /// Arithmetic mean.
     pub mean_ms: f64,

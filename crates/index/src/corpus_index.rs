@@ -51,7 +51,7 @@ impl CorpusIndex {
 
     /// Exact interestingness `I(p, D') = freq(p, D') / freq(p, D)` for a
     /// materialized subset (paper Eq. 1, document-frequency semantics,
-    /// see `DESIGN.md` §2).
+    /// see [`crate::occurrence`]).
     pub fn interestingness(
         &self,
         p: ipm_corpus::PhraseId,

@@ -13,8 +13,8 @@
 //! * [`forward`] — per-document phrase lists, the index family used by the
 //!   baselines of Bedathur et al. and Gao & Michel (paper Table 3);
 //! * [`occurrence`] — per-document `(phrase, occurrence-count)` lists for
-//!   the occurrence-count reading of Eq. 1's `freq` (`DESIGN.md` §2
-//!   ablation);
+//!   the occurrence-count reading of Eq. 1's `freq` (the ablation of
+//!   the document-frequency choice);
 //! * [`corpus_index`] — one-stop construction of all of the above;
 //! * [`wordlists`] — the paper's contribution-side index: per-feature lists
 //!   of `[phrase_id, P(q|p)]` pairs, score-ordered (for NRA, §4.2.2) or

@@ -3,7 +3,7 @@
 //! The paper's interestingness (Eq. 1) divides `freq(p, D')` by
 //! `freq(p, D)` without fixing whether `freq` counts *documents containing
 //! p* or *total occurrences of p*. This repository's primary semantics is
-//! document frequency (`DESIGN.md` §2) — it is what the paper's own
+//! document frequency — it is what the paper's own
 //! `P(q|p)` construction (Eq. 13) is defined on. This module implements
 //! the occurrence-count alternative so the choice can be ablated rather
 //! than merely asserted: per-document `(phrase, count)` lists where

@@ -48,7 +48,7 @@ impl Postings {
     }
 
     /// Document count (this is `freq(·, D)` under document-frequency
-    /// semantics, see `DESIGN.md` §2).
+    /// semantics, see [`crate::occurrence`]).
     #[inline]
     pub fn len(&self) -> usize {
         self.docs.len()

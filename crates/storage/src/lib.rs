@@ -19,8 +19,6 @@
 //!   (magic + header + CRC-32, fully validated on load) so the offline
 //!   build runs once and query processes cold-start from disk;
 //! * [`checksum`] — the CRC-32 used by [`persist`];
-//! * [`packed`] — the paper's bit-exact `⌈log₂|P|⌉ + 64`-bit list entries
-//!   (§4.2.2), built on the [`bits`] reader/writer;
 //! * [`sharded`] — [`sharded::ShardedDiskImage`]: one serialized list
 //!   region per phrase-id shard, one pool per shard (deterministic
 //!   per-shard accounting under parallel execution), one shared phrase
@@ -33,7 +31,6 @@
 //!   skipped blocks cost no simulated IO (plus its sharded counterpart
 //!   [`blockimage::ShardedBlockImage`]).
 
-pub mod bits;
 pub mod blockcache;
 pub mod blockimage;
 pub mod cache;
@@ -41,7 +38,6 @@ pub mod checksum;
 pub mod cost;
 pub mod disklists;
 pub mod files;
-pub mod packed;
 pub mod persist;
 pub mod pool;
 pub mod sharded;
@@ -51,7 +47,6 @@ pub use blockimage::{BlockImage, ShardedBlockImage};
 pub use cost::{CostModel, IoStats};
 pub use disklists::DiskLists;
 pub use files::{PhraseListFile, WordListFile};
-pub use packed::{PackedLists, PackedWordListFile};
 pub use persist::PersistError;
 pub use pool::{BufferPool, PoolConfig};
 pub use sharded::ShardedDiskImage;

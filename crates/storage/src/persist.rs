@@ -19,7 +19,6 @@
 
 use crate::checksum::{crc32, Crc32};
 use crate::files::{ListRun, PhraseListFile, WordListFile, PHRASE_ENTRY_BYTES};
-use crate::packed::PackedWordListFile;
 use bytes::Bytes;
 use ipm_corpus::hash::FxHashMap;
 use std::fs::File;
@@ -28,7 +27,6 @@ use std::path::Path;
 
 const WORD_MAGIC: &[u8; 4] = b"IPW1";
 const PHRASE_MAGIC: &[u8; 4] = b"IPP1";
-const PACKED_MAGIC: &[u8; 4] = b"IPK1";
 
 /// Load/store failures.
 #[derive(Debug)]
@@ -165,84 +163,6 @@ pub fn load_phrase_list<P: AsRef<Path>>(path: P) -> Result<PhraseListFile, Persi
     Ok(PhraseListFile {
         data: Bytes::from(data),
         num_phrases,
-    })
-}
-
-// ---------- packed word-list file ---------------------------------------------
-
-/// Writes a [`PackedWordListFile`] (the §4.2.2 bit-exact layout) to `path`.
-pub fn save_packed_lists<P: AsRef<Path>>(
-    file: &PackedWordListFile,
-    path: P,
-) -> Result<(), PersistError> {
-    let mut w = HashingWriter::new(BufWriter::new(File::create(path)?));
-    w.write_all(PACKED_MAGIC)?;
-    w.write_u64(file.directory.len() as u64)?;
-    w.write_u64(file.total_entries as u64)?;
-    w.write_u64(u64::from(file.id_bits))?;
-    w.write_u64(file.data.len() as u64)?;
-    let mut entries: Vec<(u64, ListRun)> = file.directory.iter().map(|(&k, &v)| (k, v)).collect();
-    entries.sort_unstable_by_key(|&(k, _)| k);
-    for (code, run) in entries {
-        w.write_u64(code)?;
-        w.write_u64(run.start)?;
-        w.write_u64(run.len)?;
-    }
-    w.write_all(&file.data)?;
-    w.finish()
-}
-
-/// Reads a [`PackedWordListFile`] from `path`, validating structure and
-/// checksum.
-pub fn load_packed_lists<P: AsRef<Path>>(path: P) -> Result<PackedWordListFile, PersistError> {
-    let raw = read_and_verify(path, PACKED_MAGIC)?;
-    let mut r = Cursor::new(&raw);
-    let num_features = r.read_u64()? as usize;
-    let total_entries = r.read_u64()? as usize;
-    let id_bits_raw = r.read_u64()?;
-    if !(1..=64).contains(&id_bits_raw) {
-        return Err(PersistError::Corrupt("id width outside 1..=64 bits"));
-    }
-    let id_bits = id_bits_raw as u32;
-    let data_len = r.read_u64()? as usize;
-    let entry_bits = u64::from(id_bits) + 64;
-
-    let mut directory: FxHashMap<u64, ListRun> =
-        ipm_corpus::hash::fx_map_with_capacity(num_features);
-    let mut covered: u64 = 0;
-    for _ in 0..num_features {
-        let code = r.read_u64()?;
-        let start = r.read_u64()?;
-        let len = r.read_u64()?;
-        let end_bits = start
-            .checked_add(len)
-            .and_then(|e| e.checked_mul(entry_bits))
-            .ok_or(PersistError::Corrupt("directory run overflows"))?;
-        if end_bits.div_ceil(8) > data_len as u64 {
-            return Err(PersistError::Corrupt("directory run exceeds data region"));
-        }
-        if directory.insert(code, ListRun { start, len }).is_some() {
-            return Err(PersistError::Corrupt("duplicate feature in directory"));
-        }
-        covered += len;
-    }
-    if covered as usize != total_entries {
-        return Err(PersistError::Corrupt(
-            "directory entry counts disagree with header",
-        ));
-    }
-    if (total_entries as u64 * entry_bits).div_ceil(8) != data_len as u64 {
-        return Err(PersistError::Corrupt(
-            "data region size disagrees with entry count",
-        ));
-    }
-    let data = r.read_bytes(data_len)?;
-    r.expect_end()?;
-    Ok(PackedWordListFile {
-        data: Bytes::from(data),
-        directory,
-        total_entries,
-        id_bits,
     })
 }
 
@@ -465,81 +385,6 @@ mod tests {
         let pl = dir.join("p.ipp");
         save_phrase_list(&PhraseListFile::build(&c, &index.dict), &pl).unwrap();
         assert!(matches!(load_word_lists(&pl), Err(PersistError::BadMagic)));
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn packed_lists_roundtrip() {
-        let (_, index, lists) = setup();
-        let file = crate::packed::PackedWordListFile::build(&lists, index.dict.len());
-        let dir = tmpdir("pk");
-        let path = dir.join("packed.ipk");
-        save_packed_lists(&file, &path).unwrap();
-        let loaded = load_packed_lists(&path).unwrap();
-        assert_eq!(loaded.total_entries(), file.total_entries());
-        assert_eq!(loaded.id_bits(), file.id_bits());
-        let mut pool = BufferPool::new(PoolConfig::default());
-        for feat in lists.features() {
-            assert_eq!(loaded.list_len(*feat), file.list_len(*feat));
-            for i in 0..file.list_len(*feat) {
-                let a = file.read_entry(*feat, i, &mut pool).unwrap();
-                let b = loaded.read_entry(*feat, i, &mut pool).unwrap();
-                assert_eq!(a.phrase, b.phrase);
-                assert_eq!(a.prob.to_bits(), b.prob.to_bits());
-            }
-        }
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn packed_bit_flip_detected() {
-        let (_, index, lists) = setup();
-        let file = crate::packed::PackedWordListFile::build(&lists, index.dict.len());
-        let dir = tmpdir("pkflip");
-        let path = dir.join("packed.ipk");
-        save_packed_lists(&file, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x80;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            load_packed_lists(&path),
-            Err(PersistError::ChecksumMismatch { .. })
-        ));
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn packed_rejects_other_magics() {
-        let (_, _, lists) = setup();
-        let dir = tmpdir("pkmagic");
-        let wl = dir.join("w.ipw");
-        save_word_lists(&WordListFile::build(&lists), &wl).unwrap();
-        assert!(matches!(
-            load_packed_lists(&wl),
-            Err(PersistError::BadMagic)
-        ));
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn packed_rejects_invalid_id_width() {
-        // Hand-build a file with id_bits = 0 and a valid CRC: the width
-        // check (not the checksum) must reject it.
-        let dir = tmpdir("pkwidth");
-        let path = dir.join("bad.ipk");
-        let mut body = Vec::new();
-        body.extend_from_slice(PACKED_MAGIC);
-        for v in [0u64, 0, 0, 0] {
-            body.extend_from_slice(&v.to_le_bytes());
-        }
-        let crc = crc32(&body);
-        body.extend_from_slice(&crc.to_le_bytes());
-        std::fs::write(&path, &body).unwrap();
-        assert!(matches!(
-            load_packed_lists(&path),
-            Err(PersistError::Corrupt("id width outside 1..=64 bits"))
-        ));
         let _ = std::fs::remove_dir_all(dir);
     }
 

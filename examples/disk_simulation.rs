@@ -15,74 +15,84 @@ fn main() {
     let mut synth = ipm_corpus::synth::tiny();
     synth.num_docs = 1500;
     let (corpus, _) = ipm_corpus::synth::generate(&synth);
-    let miner = PhraseMiner::build(&corpus, MinerConfig::default());
+    // Result cache off: every request below must execute and charge IO.
+    let engine = QueryEngine::with_config(
+        PhraseMiner::build(&corpus, MinerConfig::default()),
+        EngineConfig {
+            cache: None,
+            ..Default::default()
+        },
+    );
 
-    let disk = miner.to_disk(1.0);
+    let disk = engine.disk();
     println!(
         "serialized index: {} (word lists + phrase file)",
         human_bytes(disk.size_bytes())
     );
 
-    let query = miner.parse_query(&["w1", "w2"], Operator::Or).unwrap();
-
-    println!("\npartial-list sweep (cold cache per query):");
-    println!(
-        "{:>7}  {:>9}  {:>6}  {:>6}  {:>8}  {:>9}",
-        "lists%", "fetches", "seq", "rand", "IO ms", "traversed"
-    );
-    for fraction in [0.1, 0.2, 0.5, 1.0] {
-        let (outcome, io) = miner.top_k_nra_disk(&disk, &query, 5, fraction);
+    let query = engine
+        .miner()
+        .parse_query(&["w1", "w2"], Operator::Or)
+        .unwrap();
+    // One served request on the disk backend: the engine resets the pool
+    // (cold cache per query), runs the algorithm, resolves the hit texts
+    // from the on-disk phrase file and reports the IO of all of it.
+    let run = |algorithm: Algorithm, fraction: f64| {
+        engine
+            .request_query(query.clone())
+            .k(5)
+            .algorithm(algorithm)
+            .backend(BackendChoice::Disk)
+            .nra_fraction(fraction)
+            .run()
+            .expect("unbudgeted query")
+    };
+    let row = |label: String, io: ipm_storage::IoStats| {
         println!(
-            "{:>6}%  {:>9}  {:>6}  {:>6}  {:>8.1}  {:>8.0}%",
-            (fraction * 100.0) as u32,
-            io.total_fetches(),
-            io.sequential_fetches,
-            io.random_fetches,
-            io.io_ms(disk.cost_model()),
-            outcome.stats.fraction_traversed() * 100.0
-        );
-    }
-
-    // Since the backend refactor the disk image serves *all four*
-    // algorithms, not just NRA: SMJ scans the id-ordered file, TA probes
-    // it randomly. The IO split makes the paper's §5.5 argument visible —
-    // TA's random probes dwarf NRA's sequential traversal.
-    println!("\nall four algorithms over the same disk image (full lists):");
-    println!(
-        "{:>6}  {:>9}  {:>6}  {:>6}  {:>8}",
-        "alg", "fetches", "seq", "rand", "IO ms"
-    );
-    let row = |name: &str, io: ipm_storage::IoStats| {
-        println!(
-            "{:>6}  {:>9}  {:>6}  {:>6}  {:>8.1}",
-            name,
+            "{:>7}  {:>9}  {:>6}  {:>6}  {:>8.1}",
+            label,
             io.total_fetches(),
             io.sequential_fetches,
             io.random_fetches,
             io.io_ms(disk.cost_model()),
         );
     };
-    let (_, io) = miner.top_k_nra_disk(&disk, &query, 5, 1.0);
-    row("nra", io);
-    let (_, io) = miner.top_k_smj_disk(&disk, &query, 5);
-    row("smj", io);
-    let (_, io) = miner.top_k_ta_disk(&disk, &query, 5);
-    row("ta", io);
+
+    println!("\npartial-list NRA sweep (cold cache per query):");
+    println!(
+        "{:>7}  {:>9}  {:>6}  {:>6}  {:>8}",
+        "lists%", "fetches", "seq", "rand", "IO ms"
+    );
+    for fraction in [0.1, 0.2, 0.5, 1.0] {
+        let io = run(Algorithm::Nra, fraction).io.expect("disk run");
+        row(format!("{}%", (fraction * 100.0) as u32), io);
+    }
+
+    // The disk image serves every list algorithm, not just NRA: SMJ scans
+    // the id-ordered file, TA probes it randomly. The IO split makes the
+    // paper's §5.5 argument visible — TA's random probes dwarf NRA's
+    // sequential traversal.
+    println!("\nthe list algorithms over the same disk image (full lists):");
+    println!(
+        "{:>7}  {:>9}  {:>6}  {:>6}  {:>8}",
+        "alg", "fetches", "seq", "rand", "IO ms"
+    );
+    for algorithm in [Algorithm::Nra, Algorithm::Smj, Algorithm::Ta] {
+        let io = run(algorithm, 1.0).io.expect("disk run");
+        row(algorithm.name().into(), io);
+    }
 
     // Results come back as phrase IDs; the final texts are looked up in the
-    // fixed-width phrase file (also through the pool — paper Figure 1).
-    let (outcome, _) = miner.top_k_nra_disk(&disk, &query, 5, 1.0);
+    // fixed-width phrase file (also through the pool — paper Figure 1), and
+    // the response's IO includes those lookups.
+    let resp = run(Algorithm::Nra, 1.0);
     println!("\ntop-5 phrases (texts read from the on-disk phrase list):");
-    for hit in &outcome.hits {
-        println!(
-            "  {:<30} S = {:.3}",
-            disk.phrase_text(hit.phrase).unwrap_or_default(),
-            hit.score
-        );
+    for hit in &resp.hits {
+        println!("  {:<30} S = {:.3}", hit.text, hit.hit.score);
     }
     println!(
         "\ntotal simulated IO including text lookups: {:.1} ms",
-        disk.io_ms()
+        resp.io.expect("disk run").io_ms(disk.cost_model())
     );
 }
 

@@ -85,18 +85,6 @@ fn main() {
         println!("  {text:<30} score {:.3}", h.score);
     }
 
-    // The §4.2.2 bit-packed layout persists too (⌈log₂|P|⌉+64 bits/entry):
-    let packed = miner.to_packed(1.0);
-    let pk_path = dir.join("wordlists.ipk");
-    persist::save_packed_lists(packed.file(), &pk_path).expect("save packed");
-    println!(
-        "\npacked image: {} B vs {} B unpacked ({:.1}% saved, {} bits/entry)",
-        packed.file().len_bytes(),
-        packed.file().unpacked_bytes(),
-        100.0 * (1.0 - packed.file().len_bytes() as f64 / packed.file().unpacked_bytes() as f64),
-        packed.file().entry_bits(),
-    );
-
     // Corruption is detected, not silently served:
     let mut bytes = std::fs::read(&wl_path).unwrap();
     let mid = bytes.len() / 2;

@@ -111,61 +111,16 @@ fn estimated_interestingness_brackets_reality() {
 }
 
 #[test]
-fn packed_nra_equals_memory_nra() {
-    // The packed layout changes bytes on disk, never results: NRA over
-    // packed cursors must return exactly the in-memory NRA's top-k.
-    let m = miner();
-    let packed = m.to_packed(1.0);
-    for op in [Op::And, Op::Or] {
-        for q in queries(&m, op) {
-            let mem = m.top_k_nra(&q, 5);
-            let (pk, io) = m.top_k_nra_packed(&packed, &q, 5, 1.0);
-            assert_eq!(
-                mem.hits.iter().map(|h| h.phrase).collect::<Vec<_>>(),
-                pk.hits.iter().map(|h| h.phrase).collect::<Vec<_>>(),
-                "{op}: {}",
-                q.render(m.corpus())
-            );
-            assert!(io.total_accesses() > 0, "packed run must touch the pool");
-        }
-    }
-}
-
-#[test]
-fn packed_nra_equals_disk_nra_at_partial_fractions() {
-    // Same equivalence through the partial-list path, packed vs 12-byte
-    // disk layout.
-    let m = miner();
-    let packed = m.to_packed(1.0);
-    let disk = m.to_disk(1.0);
-    for op in [Op::And, Op::Or] {
-        for q in queries(&m, op).into_iter().take(4) {
-            for fraction in [0.2, 0.5] {
-                let (d, _) = m.top_k_nra_disk(&disk, &q, 5, fraction);
-                let (p, _) = m.top_k_nra_packed(&packed, &q, 5, fraction);
-                assert_eq!(
-                    d.hits.iter().map(|h| h.phrase).collect::<Vec<_>>(),
-                    p.hits.iter().map(|h| h.phrase).collect::<Vec<_>>(),
-                    "{op} @{fraction}: {}",
-                    q.render(m.corpus())
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn pmi_top_k_is_rank_equivalent_to_interestingness() {
     // Paper §1/§7: PMI is an alternative formulation; under the document
     // event model it is a per-query monotone transform of Eq. 1, so the
     // exact top-k sets must coincide on every harvested query.
-    use ipm_core::measures::Measure;
+    use ipm_core::measures::{exact_top_k_measure, Measure};
     let m = miner();
     for op in [Op::And, Op::Or] {
         for q in queries(&m, op) {
             let by_i: Vec<_> = m.top_k_exact(&q, 10).iter().map(|h| h.phrase).collect();
-            let by_pmi: Vec<_> = m
-                .top_k_exact_measure(&q, 10, Measure::Pmi)
+            let by_pmi: Vec<_> = exact_top_k_measure(m.index(), &q, 10, Measure::Pmi)
                 .iter()
                 .map(|h| h.phrase)
                 .collect();
@@ -180,7 +135,7 @@ fn approximate_npmi_recall_rises_with_fetch_depth() {
     // high-df phrases), so the rescoring approximation's recall must grow
     // with the candidate fetch depth and get high once the fetch covers
     // the candidate space — the honest shape of the paper's §7 question.
-    use ipm_core::measures::Measure;
+    use ipm_core::measures::{exact_top_k_measure, Measure};
     let m = miner();
     let mut recalls = Vec::new();
     for fetch in [20usize, 200, 5000] {
@@ -192,8 +147,7 @@ fn approximate_npmi_recall_rises_with_fetch_depth() {
                 .iter()
                 .map(|h| h.phrase)
                 .collect();
-            let exact: Vec<_> = m
-                .top_k_exact_measure(&q, 5, Measure::Npmi)
+            let exact: Vec<_> = exact_top_k_measure(m.index(), &q, 5, Measure::Npmi)
                 .iter()
                 .map(|h| h.phrase)
                 .collect();
@@ -668,9 +622,10 @@ fn block_skipping_reduces_sorted_accesses_on_skewed_lists() {
 
 #[test]
 fn frequency_semantics_ablation_df_vs_occurrence() {
-    // DESIGN.md §2 picks document frequency for Eq. 1's `freq`. Validate
-    // the choice: on topical corpora (few in-document phrase repeats) the
-    // occurrence-count reading produces substantially the same top-5.
+    // The system reads Eq. 1's `freq` as document frequency (see
+    // `ipm_index::occurrence`). Validate the choice: on topical corpora
+    // (few in-document phrase repeats) the occurrence-count reading
+    // produces substantially the same top-5.
     let m = miner();
     let occ = ipm_index::occurrence::OccurrenceIndex::build(m.corpus(), &m.index().dict);
     let mut overlap = 0usize;

@@ -109,14 +109,24 @@ fn simitsis_returns_true_scores_for_returned_phrases() {
 
 #[test]
 fn disk_and_memory_nra_agree_and_account_io() {
-    let miner = build_miner();
-    let disk = miner.to_disk(1.0);
+    let engine = QueryEngine::new(build_miner());
+    let miner = engine.miner();
     for op in [Op::And, Op::Or] {
         for q in queries(&miner, op, 5) {
-            let (disk_out, io) = miner.top_k_nra_disk(&disk, &q, 5, 1.0);
+            let disk_out = engine
+                .request_query(q.clone())
+                .k(5)
+                .backend(BackendChoice::Disk)
+                .run()
+                .unwrap();
+            let io = disk_out.io.expect("disk runs report IoStats");
             let mem_out = miner.top_k_nra(&q, 5);
             assert_eq!(
-                disk_out.hits.iter().map(|h| h.phrase).collect::<Vec<_>>(),
+                disk_out
+                    .hits
+                    .iter()
+                    .map(|h| h.hit.phrase)
+                    .collect::<Vec<_>>(),
                 mem_out.hits.iter().map(|h| h.phrase).collect::<Vec<_>>()
             );
             if !disk_out.hits.is_empty() {
@@ -233,7 +243,8 @@ fn prelude_covers_the_serving_surface() {
 
     // Alternative measures through the prelude.
     let parsed = engine.miner().parse_query_str(&q).unwrap();
-    let pmi = engine.miner().top_k_exact_measure(&parsed, 5, Measure::Pmi);
+    let pmi =
+        ipm_core::measures::exact_top_k_measure(engine.miner().index(), &parsed, 5, Measure::Pmi);
     let i = engine.miner().top_k_exact(&parsed, 5);
     assert_eq!(
         pmi.iter().map(|h| h.phrase).collect::<Vec<_>>(),

@@ -114,34 +114,6 @@ fn truncation_at_any_strided_point_fails_cleanly() {
 }
 
 #[test]
-fn packed_image_roundtrips_and_serves_queries() {
-    // Save the §4.2.2 packed layout, reload it, and check the NRA path over
-    // the reloaded image returns the in-memory results.
-    use ipm_storage::packed::PackedLists;
-
-    let m = miner();
-    let dir = tmpdir("packed_e2e");
-    let path = dir.join("lists.ipk");
-    let packed = m.to_packed(1.0);
-    persist::save_packed_lists(packed.file(), &path).unwrap();
-    let loaded = persist::load_packed_lists(&path).unwrap();
-    assert_eq!(loaded.len_bytes(), packed.file().len_bytes());
-
-    // Wrap the reloaded image in a fresh pool and query through it.
-    let served = PackedLists::from_file(loaded);
-    let top = ipm_corpus::stats::top_words_by_df(m.corpus(), 2);
-    let q = Query::new(
-        top.iter().map(|&(w, _)| Feature::Word(w)).collect(),
-        Operator::Or,
-    )
-    .unwrap();
-    let want: Vec<_> = m.top_k_nra(&q, 5).hits.iter().map(|h| h.phrase).collect();
-    let (got, _) = m.top_k_nra_packed(&served, &q, 5, 1.0);
-    assert_eq!(got.hits.iter().map(|h| h.phrase).collect::<Vec<_>>(), want);
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
 fn reloaded_image_serves_in_memory_queries() {
     // Cold-start story: persist → load → rehydrate to in-memory lists →
     // NRA answers exactly as the originally built index.

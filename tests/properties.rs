@@ -356,46 +356,8 @@ proptest! {
     }
 }
 
-// ---------- bit packing (paper §4.2.2 layout) ------------------------------
-
-fn packed_entries_strategy() -> impl Strategy<Value = (u32, Vec<(u64, f64)>)> {
-    // id width 1..=40 bits; ids constrained to the width; probs in [0, 1].
-    (1u32..=40).prop_flat_map(|id_bits| {
-        let max_id = if id_bits >= 63 {
-            u64::MAX
-        } else {
-            (1u64 << id_bits) - 1
-        };
-        (
-            Just(id_bits),
-            prop::collection::vec((0..=max_id, 0.0f64..=1.0), 0..200),
-        )
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn bit_writer_reader_roundtrip((id_bits, entries) in packed_entries_strategy()) {
-        use ipm_storage::bits::{read_bits, BitWriter};
-        let mut w = BitWriter::new();
-        for &(id, prob) in &entries {
-            w.write(id, id_bits);
-            w.write(prob.to_bits(), 64);
-        }
-        let expected_bits = entries.len() as u64 * (u64::from(id_bits) + 64);
-        prop_assert_eq!(w.bit_len(), expected_bits);
-        let bytes = w.into_bytes();
-        prop_assert_eq!(bytes.len() as u64, expected_bits.div_ceil(8));
-        let entry_bits = u64::from(id_bits) + 64;
-        for (i, &(id, prob)) in entries.iter().enumerate() {
-            let at = i as u64 * entry_bits;
-            prop_assert_eq!(read_bits(&bytes, at, id_bits), id);
-            let got = f64::from_bits(read_bits(&bytes, at + u64::from(id_bits), 64));
-            prop_assert_eq!(got.to_bits(), prob.to_bits());
-        }
-    }
 
     #[test]
     fn or_truncation_alternates_around_union(
