@@ -39,10 +39,10 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// The allow ratchet: the number of reasoned `lint-allow` comments the
-/// tree carried when this constant was last lowered (66 before the
-/// engine's epilogue was made single and the LRU moved out of
-/// `crates/core`). Lower it whenever the count drops.
-pub const MAX_ALLOWS: usize = 56;
+/// tree carried when this constant was last lowered (56 before the wire
+/// codec got one line finisher and the two serving tiers one acceptor).
+/// Lower it whenever the count drops.
+pub const MAX_ALLOWS: usize = 49;
 
 /// One lint rule: a named pattern with a path scope and a rationale.
 pub struct Rule {

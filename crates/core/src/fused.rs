@@ -125,7 +125,7 @@ fn merge_or2(
     op: Operator,
     k: usize,
 ) -> (Vec<PhraseHit>, SmjStats) {
-    let mut top = TopK::new(k);
+    let mut top = TopK::new(k, a.len() + b.len());
     let mut steps: u64 = 0;
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -180,10 +180,14 @@ struct TopK {
 }
 
 impl TopK {
-    fn new(k: usize) -> Self {
+    /// A selector keeping the best `k` of at most `candidates` offers.
+    /// The buffer is sized by what it can actually hold: `k` is the
+    /// caller's and unbounded, and reserving it up front would abort the
+    /// process on an allocation the scan could never fill.
+    fn new(k: usize, candidates: usize) -> Self {
         Self {
             k,
-            heap: Vec::with_capacity(k),
+            heap: Vec::with_capacity(k.min(candidates)),
         }
     }
 

@@ -15,10 +15,13 @@
 //! * [`singleflight`] — request coalescing keyed by the engine's
 //!   [`ipm_core::CacheKey`]: N concurrent identical queries trigger one
 //!   execution and N cache-consistent responses.
-//! * [`server`] — accept loop, per-connection readers, the fixed worker
-//!   pool, serving counters (`served`/`coalesced`/`shed` next to the
-//!   engine's cache stats and per-backend IO aggregates), and graceful
-//!   shutdown (protocol verb or [`server::ServerHandle::shutdown`]).
+//! * `front` (private) — the connection front end both tiers share:
+//!   accept loop, line-framed per-connection readers, the control verbs
+//!   and the graceful-shutdown handshake.
+//! * [`server`] — the fixed worker pool behind the front end, serving
+//!   counters (`served`/`coalesced`/`shed` next to the engine's cache
+//!   stats and per-backend IO aggregates), and graceful shutdown
+//!   (protocol verb or [`server::ServerHandle::shutdown`]).
 //! * [`client`] — a blocking client plus the closed-loop load generator
 //!   used by the CLI, the serving benchmark and the CI smoke job.
 //! * [`router`] — the scatter-gather coordinator (protocol v5): pooled
@@ -39,6 +42,7 @@
 //! ```
 
 pub mod client;
+mod front;
 pub mod queue;
 pub mod router;
 pub mod server;

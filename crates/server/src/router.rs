@@ -42,19 +42,18 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ipm_core::{
-    ApproxReason, Budget, Completeness, Query, QueryEngine, SearchError, SearchOptions, ShardError,
+    ApproxReason, Completeness, Query, QueryEngine, SearchError, SearchOptions, ShardError,
     ShardExecutor, ShardOutcome, StageKind,
 };
 use ipm_obs::{Counter, Histogram, HistogramSnapshot};
 use serde_json::Value;
 
+use crate::front::{Front, Running, Tier, MAX_LINE_BYTES};
 use crate::wire::{self, ErrorKind, SearchRequest, ShardExecRequest, WireRequest};
 
 /// Idle connections kept per replica; extras are dropped on return.
@@ -63,9 +62,6 @@ const POOL_CAP: usize = 8;
 /// RPC samples a shard must accumulate before its own p95 drives the
 /// hedge delay; below this the configured initial delay is used.
 const HEDGE_WARMUP: u64 = 16;
-
-/// Longest request line the router buffers (same bound as the server).
-const MAX_LINE_BYTES: usize = 256 * 1024;
 
 /// Hedging policy for one router.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,10 +144,9 @@ pub struct RouterStats {
 
 /// Router metric instruments, registered on the engine's shared
 /// [`ipm_obs::Registry`] so one `metrics` scrape covers the coordinator
-/// tier too.
+/// tier too (the connection series live in [`Front`]).
 struct RouterObs {
     requests: Counter,
-    conn_errors: Counter,
     shard_rpcs: Counter,
     hedges_fired: Counter,
     hedges_won: Counter,
@@ -168,10 +163,6 @@ impl RouterObs {
             requests: r.counter(
                 "ipm_router_requests_total",
                 "Search requests received by the router.",
-            ),
-            conn_errors: r.counter(
-                "ipm_router_connection_errors_total",
-                "Connections dropped by setup failures (thread spawn, stream clone).",
             ),
             shard_rpcs: r.counter(
                 "ipm_router_shard_rpcs_total",
@@ -247,16 +238,38 @@ struct RouterShared {
     hedge: HedgeConfig,
     rpc_timeout: Duration,
     obs: RouterObs,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
-    connections: Mutex<Vec<JoinHandle<()>>>,
+    front: Front,
+}
+
+impl Tier for RouterShared {
+    const NAME: &'static str = "router";
+
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn engine(&self) -> &QueryEngine {
+        &self.engine
+    }
+
+    /// Requests run inline on the connection thread — the scatter's
+    /// per-shard threads provide the concurrency, so a router worker pool
+    /// would only add a queueing stage in front of one.
+    fn serve(shared: &Arc<Self>, req: WireRequest) -> String {
+        match req {
+            WireRequest::Stats => stats_line(shared),
+            WireRequest::Search(req) => route_search(shared, &req),
+            _ => wire::error_line(
+                ErrorKind::Query,
+                "verb not supported by the router: batch, lifecycle and shard_exec \
+                 requests go to the shard servers directly",
+            ),
+        }
+    }
 }
 
 /// A running router. Dropping the handle shuts it down.
-pub struct RouterHandle {
-    shared: Arc<RouterShared>,
-    accept: Option<JoinHandle<()>>,
-}
+pub struct RouterHandle(Running<RouterShared>);
 
 /// Namespace for spawning [`RouterHandle`]s.
 pub struct Router;
@@ -280,6 +293,7 @@ impl Router {
         }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
+        let front = Front::new(&engine, RouterShared::NAME, addr);
         let obs = RouterObs::new(&engine);
         let endpoints = config
             .shards
@@ -295,75 +309,38 @@ impl Router {
             hedge: config.hedge,
             rpc_timeout: config.rpc_timeout,
             obs,
-            shutdown: AtomicBool::new(false),
-            addr,
-            connections: Mutex::new(Vec::new()),
+            front,
         });
-        let accept = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("ipm-router-accept".to_owned())
-                .spawn(move || accept_loop(&shared, listener))
-                // lint-allow: server-unwrap — startup spawn: failing to start the acceptor is fatal by design, before any connection exists
-                .expect("spawn router acceptor")
-        };
-        Ok(RouterHandle {
-            shared,
-            accept: Some(accept),
-        })
+        Ok(RouterHandle(Running::start(shared, listener, Vec::new())))
     }
 }
 
 impl RouterHandle {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.0.shared.front.addr()
     }
 
     /// The router's coordinator engine.
     pub fn engine(&self) -> &QueryEngine {
-        &self.shared.engine
+        &self.0.shared.engine
     }
 
     /// Counter snapshot (same numbers the `stats` verb reports).
     pub fn stats(&self) -> RouterStats {
-        snapshot(&self.shared)
+        snapshot(&self.0.shared)
     }
 
     /// Begins (idempotently) and completes a graceful shutdown.
     pub fn shutdown(&mut self) {
-        begin_shutdown(&self.shared);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        let conns: Vec<_> = std::mem::take(&mut *self.shared.connections.lock().unwrap());
-        for c in conns {
-            let _ = c.join();
-        }
+        self.0.shutdown();
     }
 
     /// Blocks until a shutdown is requested (e.g. by the protocol verb),
     /// then completes it.
-    pub fn join(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        self.shutdown();
+    pub fn join(self) {
+        self.0.join();
     }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn begin_shutdown(shared: &Arc<RouterShared>) {
-    if shared.shutdown.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    // Wake the blocking accept() with a throwaway connection.
-    let _ = TcpStream::connect(shared.addr);
 }
 
 fn snapshot(shared: &RouterShared) -> RouterStats {
@@ -376,136 +353,6 @@ fn snapshot(shared: &RouterShared) -> RouterStats {
         shard_failures: shared.obs.shard_failures.get(),
         partial_results: shared.obs.partial_results.get(),
         fanout: shared.endpoints.len(),
-    }
-}
-
-fn accept_loop(shared: &Arc<RouterShared>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let conn_shared = shared.clone();
-        let handle = match std::thread::Builder::new()
-            .name("ipm-router-conn".to_owned())
-            .spawn(move || connection_loop(&conn_shared, stream))
-        {
-            Ok(h) => h,
-            Err(_) => {
-                // Keep routing under thread exhaustion: drop the one
-                // connection instead of panicking the accept loop.
-                shared.obs.conn_errors.inc();
-                continue;
-            }
-        };
-        let mut conns = shared.connections.lock().unwrap();
-        let mut i = 0;
-        while i < conns.len() {
-            if conns[i].is_finished() {
-                let _ = conns.swap_remove(i).join();
-            } else {
-                i += 1;
-            }
-        }
-        conns.push(handle);
-    }
-}
-
-fn connection_loop(shared: &Arc<RouterShared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => {
-            // No way to answer on a stream that will not clone: count
-            // it as a disconnect and let the thread exit cleanly.
-            shared.obs.conn_errors.inc();
-            return;
-        }
-    };
-    let mut reader = stream;
-    let mut pending: Vec<u8> = Vec::new();
-    let mut buf = [0u8; 4096];
-    'conn: loop {
-        while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let raw: Vec<u8> = pending.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&raw);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (response, close) = serve_line(shared, line);
-            if writer.write_all(response.as_bytes()).is_err() || writer.flush().is_err() {
-                break 'conn;
-            }
-            if close {
-                break 'conn;
-            }
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match reader.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                pending.extend_from_slice(&buf[..n]);
-                if pending.len() > MAX_LINE_BYTES && !pending.contains(&b'\n') {
-                    let err = wire::error_line(
-                        ErrorKind::Parse,
-                        &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                    );
-                    let _ = writer.write_all(err.as_bytes());
-                    let _ = writer.flush();
-                    break;
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-/// Serves one request line. Requests run inline on the connection
-/// thread — the scatter's per-shard threads provide the concurrency, so
-/// a router worker pool would only add a queueing stage in front of one.
-fn serve_line(shared: &Arc<RouterShared>, line: &str) -> (String, bool) {
-    match wire::parse_request(line) {
-        Err(msg) => (wire::error_line(ErrorKind::Parse, &msg), false),
-        Ok(WireRequest::Ping) => (wire::ok_line(vec![("pong", Value::from(true))]), false),
-        Ok(WireRequest::Stats) => (stats_line(shared), false),
-        Ok(WireRequest::Metrics) => (
-            wire::ok_line(vec![(
-                "metrics",
-                Value::String(shared.engine.render_metrics()),
-            )]),
-            false,
-        ),
-        Ok(WireRequest::Shutdown) => {
-            begin_shutdown(shared);
-            (wire::ok_line(vec![("bye", Value::from(true))]), true)
-        }
-        Ok(WireRequest::Search(req)) => (route_search(shared, &req), false),
-        Ok(
-            WireRequest::Batch(_)
-            | WireRequest::Ingest { .. }
-            | WireRequest::Delete { .. }
-            | WireRequest::Compact
-            | WireRequest::ShardExec(_),
-        ) => (
-            wire::error_line(
-                ErrorKind::Query,
-                "verb not supported by the router: batch, lifecycle and shard_exec \
-                 requests go to the shard servers directly",
-            ),
-            false,
-        ),
     }
 }
 
@@ -602,13 +449,8 @@ fn route_search(shared: &Arc<RouterShared>, req: &SearchRequest) -> String {
     // The scatter fanout is the router's configured shard set; a
     // client-requested fanout cannot re-partition a fixed tier.
     options.shards = None;
-    let deadline = req
-        .deadline_ms
-        .map(|ms| arrived + Duration::from_millis(ms));
-    let mut budget = Budget::unlimited();
-    if let Some(dl) = deadline {
-        budget = budget.with_deadline(dl);
-    }
+    let budget = wire::budget(arrived, req.deadline_ms, None);
+    let deadline = budget.deadline();
     let fanout = shared.endpoints.len();
     let legs: Vec<RemoteShard> = (0..fanout)
         .map(|shard| RemoteShard {

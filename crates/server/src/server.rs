@@ -1,5 +1,6 @@
-//! The serving loop: TCP accept → per-connection reader → bounded job
-//! queue → fixed worker pool over one shared [`QueryEngine`].
+//! The serving tier: the shared connection front end ([`crate::front`])
+//! → bounded job queue → fixed worker pool over one shared
+//! [`QueryEngine`].
 //!
 //! Concurrency control, in order of engagement:
 //!
@@ -18,12 +19,10 @@
 //! [`ServerHandle::shutdown`]) stops admission, drains the queue, answers
 //! every in-flight request, then joins all threads.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ipm_core::{
@@ -31,10 +30,11 @@ use ipm_core::{
     QueryEngine, QueryPlan, SearchError, SearchOptions, SearchResponse,
 };
 use ipm_corpus::DocId;
-use ipm_obs::{Counter, Gauge, Histogram};
+use ipm_obs::Histogram;
 use ipm_storage::IoStats;
 use serde_json::Value;
 
+use crate::front::{Front, Running, Tier};
 use crate::queue::{BoundedQueue, PushError};
 use crate::singleflight::{Join, SingleFlight, Slot};
 use crate::wire::{self, ErrorKind, SearchRequest, WireRequest};
@@ -156,59 +156,52 @@ enum Job {
 }
 
 /// What a shard_exec job publishes: the encoded outcome or an error.
-type ShardResult = Result<Value, (ErrorKind, String)>;
+type ShardResult = Result<Value, ErrorKind>;
 
 struct ShardExecJob {
     query: Query,
     options: SearchOptions,
     params: ipm_core::ShardExecParams,
-    /// Absolute deadline anchored at arrival (the router sent remaining
-    /// milliseconds; queue wait here counts against them).
-    deadline: Option<Instant>,
+    /// The forwarded deadline, anchored at arrival (the router sent
+    /// remaining milliseconds; queue wait here counts against them).
+    budget: Budget,
     arrived: Instant,
     slot: Arc<Slot<ShardResult>>,
 }
 
 struct SearchJob {
     key: CacheKey,
+    item: PreparedSearch,
+    /// When the request arrived — the queue-wait histogram measures from
+    /// here to worker pickup.
+    arrived: Instant,
+    slot: Arc<Slot<FlightResult>>,
+}
+
+/// One parsed search ready for a worker: a single search's job carries
+/// one, a batch job one per item that parsed.
+struct PreparedSearch {
     query: Query,
     k: usize,
     options: SearchOptions,
     /// Artificial service time (load-testing knob; see
     /// [`SearchRequest::delay_ms`]), already clamped.
     delay: Duration,
-    /// Absolute deadline, anchored at request *arrival* so queue wait
-    /// counts against it.
-    deadline: Option<Instant>,
-    /// Simulated-IO fetch cap.
-    io_budget: Option<u64>,
-    /// When the request arrived — the queue-wait histogram measures from
-    /// here to worker pickup.
-    arrived: Instant,
+    /// Deadline (anchored at request *arrival*, so queue wait counts
+    /// against it) and simulated-IO fetch cap.
+    budget: Budget,
     /// Connection-thread query-parse time, reported into the trace (the
     /// engine's tracer starts after parsing).
-    parse: Duration,
-    slot: Arc<Slot<FlightResult>>,
-}
-
-/// One batch item a worker still has to execute (items that failed query
-/// parsing arrive as ready-made errors instead).
-struct BatchItem {
-    query: Query,
-    k: usize,
-    options: SearchOptions,
-    delay: Duration,
-    deadline: Option<Instant>,
-    io_budget: Option<u64>,
     parse: Duration,
 }
 
 struct BatchJob {
-    items: Vec<Result<BatchItem, (ErrorKind, String)>>,
+    items: Vec<Result<PreparedSearch, (ErrorKind, String)>>,
     arrived: Instant,
     slot: Arc<Slot<BatchResult>>,
 }
 
+#[derive(Default)]
 struct Counters {
     served: AtomicU64,
     coalesced: AtomicU64,
@@ -221,14 +214,12 @@ struct Counters {
 }
 
 /// Server-layer metric instruments, registered on the *engine's* shared
-/// [`ipm_obs::Registry`] so one `metrics` scrape covers both layers. The
-/// queue-wait / execute split is the serving-path diagnostic the flat
-/// `stats` counters cannot give: a slow p99 with a fast execute histogram
-/// means admission backlog, not engine regression.
+/// [`ipm_obs::Registry`] so one `metrics` scrape covers both layers (the
+/// connection series live in [`Front`]). The queue-wait / execute split
+/// is the serving-path diagnostic the flat `stats` counters cannot give:
+/// a slow p99 with a fast execute histogram means admission backlog, not
+/// engine regression.
 struct ServerObs {
-    connections: Counter,
-    conn_errors: Counter,
-    active_connections: Gauge,
     queue_wait: Histogram,
     execute: Histogram,
 }
@@ -237,18 +228,6 @@ impl ServerObs {
     fn new(engine: &QueryEngine) -> Self {
         let r = engine.metrics_registry();
         Self {
-            connections: r.counter(
-                "ipm_server_connections_total",
-                "TCP connections accepted by the serving loop.",
-            ),
-            conn_errors: r.counter(
-                "ipm_server_connection_errors_total",
-                "Connections dropped by setup failures (thread spawn, stream clone).",
-            ),
-            active_connections: r.gauge(
-                "ipm_server_active_connections",
-                "Connections currently open.",
-            ),
             queue_wait: r.histogram(
                 "ipm_server_queue_wait_seconds",
                 "Admission-to-execution wait per worker job (arrival to worker pickup).",
@@ -267,21 +246,53 @@ struct Shared {
     flights: SingleFlight<CacheKey, FlightResult>,
     counters: Counters,
     obs: ServerObs,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
+    front: Front,
     workers: usize,
     started: Instant,
     /// Clamped [`ServerConfig::fault_delay_ms`] applied to `shard_exec`.
     fault_delay: Duration,
-    connections: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Tier for Shared {
+    const NAME: &'static str = "server";
+
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn engine(&self) -> &QueryEngine {
+        &self.engine
+    }
+
+    fn serve(shared: &Arc<Self>, req: WireRequest) -> String {
+        match req {
+            WireRequest::Stats => stats_line(shared),
+            WireRequest::Search(req) => serve_search(shared, req),
+            WireRequest::Batch(reqs) => serve_batch(shared, reqs),
+            WireRequest::Ingest { tokens, facets } => serve_ingest(shared, &tokens, &facets),
+            WireRequest::Delete { doc } => serve_delete(shared, doc),
+            WireRequest::Compact => serve_compact(shared),
+            WireRequest::ShardExec(req) => serve_shard_exec(shared, &req),
+            WireRequest::Ping | WireRequest::Metrics | WireRequest::Shutdown => {
+                unreachable!("the front end answers the control verbs")
+            }
+        }
+    }
+
+    /// Closes admission: queued work drains, new work is refused.
+    fn on_shutdown(&self) {
+        self.queue.close();
+    }
+
+    fn on_bad_line(&self) {
+        self.counters
+            .protocol_errors
+            .fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// A running server. Dropping the handle shuts the server down.
-pub struct ServerHandle {
-    shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-}
+pub struct ServerHandle(Running<Shared>);
 
 /// Namespace for spawning [`ServerHandle`]s.
 pub struct Server;
@@ -296,28 +307,18 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let workers = config.workers.max(1);
+        let front = Front::new(&engine, Shared::NAME, addr);
         let obs = ServerObs::new(&engine);
         let shared = Arc::new(Shared {
             engine,
             queue: BoundedQueue::new(config.queue_depth),
             flights: SingleFlight::new(),
-            counters: Counters {
-                served: AtomicU64::new(0),
-                coalesced: AtomicU64::new(0),
-                shed: AtomicU64::new(0),
-                protocol_errors: AtomicU64::new(0),
-                failed: AtomicU64::new(0),
-                deadline_exceeded: AtomicU64::new(0),
-                budget_truncated: AtomicU64::new(0),
-                cancelled: AtomicU64::new(0),
-            },
+            counters: Counters::default(),
             obs,
-            shutdown: AtomicBool::new(false),
-            addr,
+            front,
             workers,
             started: Instant::now(),
             fault_delay: clamped_delay(config.fault_delay_ms),
-            connections: Mutex::new(Vec::new()),
         });
 
         let worker_threads = (0..workers)
@@ -330,87 +331,48 @@ impl Server {
                     .expect("spawn worker")
             })
             .collect();
-
-        let accept = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("ipm-accept".to_owned())
-                .spawn(move || accept_loop(&shared, listener))
-                // lint-allow: server-unwrap — startup spawn: a server that cannot start its acceptor must not come up
-                .expect("spawn acceptor")
-        };
-
-        Ok(ServerHandle {
+        Ok(ServerHandle(Running::start(
             shared,
-            accept: Some(accept),
-            workers: worker_threads,
-        })
+            listener,
+            worker_threads,
+        )))
     }
 }
 
 impl ServerHandle {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.0.shared.front.addr()
     }
 
     /// The served engine (shared with every worker).
     pub fn engine(&self) -> &QueryEngine {
-        &self.shared.engine
+        &self.0.shared.engine
     }
 
     /// Counter snapshot (same numbers the `stats` verb reports).
     pub fn stats(&self) -> ServerStats {
-        snapshot(&self.shared)
+        snapshot(&self.0.shared)
     }
 
     /// Whether shutdown has begun (requested by the protocol verb or a
     /// previous [`ServerHandle::shutdown`] call).
     pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.0.shared.front.is_shutting_down()
     }
 
     /// Begins (idempotently) and completes a graceful shutdown: stops
     /// admission, drains queued work, answers in-flight requests, joins
     /// every thread.
     pub fn shutdown(&mut self) {
-        begin_shutdown(&self.shared);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        let conns: Vec<_> = std::mem::take(&mut *self.shared.connections.lock().unwrap());
-        for c in conns {
-            let _ = c.join();
-        }
+        self.0.shutdown();
     }
 
     /// Blocks until a shutdown is requested (e.g. by the protocol verb),
     /// then completes it.
-    pub fn join(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        self.shutdown();
+    pub fn join(self) {
+        self.0.join();
     }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Flips the shutdown flag once: closes admission and wakes the acceptor.
-fn begin_shutdown(shared: &Arc<Shared>) {
-    if shared.shutdown.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    shared.queue.close();
-    // Wake the blocking accept() with a throwaway connection.
-    let _ = TcpStream::connect(shared.addr);
 }
 
 fn snapshot(shared: &Shared) -> ServerStats {
@@ -434,43 +396,7 @@ fn snapshot(shared: &Shared) -> ServerStats {
     }
 }
 
-fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let conn_shared = shared.clone();
-        let handle = match std::thread::Builder::new()
-            .name("ipm-conn".to_owned())
-            .spawn(move || connection_loop(&conn_shared, stream))
-        {
-            Ok(h) => h,
-            Err(_) => {
-                // Thread exhaustion must not take the accept loop (and
-                // with it the whole server) down: drop this connection —
-                // the peer sees a clean close — and keep accepting.
-                shared.obs.conn_errors.inc();
-                continue;
-            }
-        };
-        let mut conns = shared.connections.lock().unwrap();
-        // Reap finished connection threads as we go: a long-lived server
-        // handling many short-lived connections must not accumulate
-        // handles (and their thread resources) until shutdown.
-        let mut i = 0;
-        while i < conns.len() {
-            if conns[i].is_finished() {
-                let _ = conns.swap_remove(i).join();
-            } else {
-                i += 1;
-            }
-        }
-        conns.push(handle);
-    }
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
+fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
         match job {
             Job::Search(job) => run_search_job(shared, *job),
@@ -494,47 +420,15 @@ fn sleep_within_deadline(delay: Duration, deadline: Option<Instant>) {
     }
 }
 
-/// Executes one search under its budget. Returns the flight value and
-/// bumps the budget counters (truncated / deadline / cancelled).
-fn execute_budgeted(
-    shared: &Arc<Shared>,
-    query: Query,
-    k: usize,
-    options: &SearchOptions,
-    deadline: Option<Instant>,
-    io_budget: Option<u64>,
-    parse: Duration,
-) -> Result<Arc<SearchResponse>, ErrorKind> {
-    let mut budget = Budget::unlimited();
-    if let Some(dl) = deadline {
-        budget = budget.with_deadline(dl);
-    }
-    if let Some(cap) = io_budget {
-        budget = budget.with_io_budget(cap);
-    }
-    let engine = &shared.engine;
-    let exec_started = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        engine.execute_with_budget(query, k, options, &budget)
-    }));
-    shared.obs.execute.observe(exec_started.elapsed());
+/// Maps one engine outcome — a search, a batch item or a shard leg, with
+/// any panic already caught — to its value or the wire error kind, and
+/// bumps the budget counters (`deadline_exceeded`, `cancelled`).
+fn fold_outcome<T>(
+    shared: &Shared,
+    outcome: std::thread::Result<Result<T, SearchError>>,
+) -> Result<T, ErrorKind> {
     match outcome {
-        Ok(Ok(mut resp)) => {
-            if resp.completeness.is_truncated() {
-                shared
-                    .counters
-                    .budget_truncated
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            // Parsing happened on the connection thread before the
-            // engine's tracer existed; fold it into the trace and the
-            // reported wall time (mirrors `SearchRequest::run`).
-            if let Some(trace) = resp.trace.as_mut() {
-                trace.record_parse(parse);
-            }
-            resp.elapsed += parse;
-            Ok(Arc::new(resp))
-        }
+        Ok(Ok(value)) => Ok(value),
         Ok(Err(SearchError::DeadlineExceeded)) => {
             shared
                 .counters
@@ -546,82 +440,55 @@ fn execute_budgeted(
             shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
             Err(ErrorKind::Cancelled)
         }
-        // The query was parsed at admission; a parse error here cannot
+        // Queries are parsed at admission; a parse error here cannot
         // happen, but map it somewhere sane rather than panicking.
         Ok(Err(SearchError::Parse(_))) => Err(ErrorKind::Query),
         Err(_) => Err(ErrorKind::Internal),
     }
 }
 
-fn run_search_job(shared: &Arc<Shared>, job: SearchJob) {
+/// Completes a successful search response: counts a budget truncation
+/// and folds the connection-thread parse time — spent before the
+/// engine's tracer existed — into the trace and the reported wall time
+/// (mirrors `SearchRequest::run`).
+fn finish_response(
+    shared: &Shared,
+    mut resp: SearchResponse,
+    parse: Duration,
+) -> Arc<SearchResponse> {
+    if resp.completeness.is_truncated() {
+        shared
+            .counters
+            .budget_truncated
+            .fetch_add(1, Ordering::Relaxed);
+    }
+    if let Some(trace) = resp.trace.as_mut() {
+        trace.record_parse(parse);
+    }
+    resp.elapsed += parse;
+    Arc::new(resp)
+}
+
+fn run_search_job(shared: &Shared, job: SearchJob) {
     let SearchJob {
         key,
-        query,
-        k,
-        options,
-        delay,
-        deadline,
-        io_budget,
+        item,
         arrived,
-        parse,
         slot,
     } = job;
     shared.obs.queue_wait.observe(arrived.elapsed());
-    sleep_within_deadline(delay, deadline);
-    let value = execute_budgeted(shared, query, k, &options, deadline, io_budget, parse);
+    sleep_within_deadline(item.delay, item.budget.deadline());
+    let engine = &shared.engine;
+    let exec_started = Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        engine.execute_with_budget(item.query, item.k, &item.options, &item.budget)
+    }));
+    shared.obs.execute.observe(exec_started.elapsed());
+    let value = fold_outcome(shared, outcome).map(|resp| finish_response(shared, resp, item.parse));
     shared.flights.complete(&key, &slot, value);
 }
 
-/// Folds one engine outcome from the fused batch path into a flight
-/// value, with the exact counter / trace / elapsed semantics of
-/// `execute_budgeted`. The item ran inside `QueryEngine::execute_batch`,
-/// so there is no per-item wall clock to sample here — the engine's own
-/// measured `resp.elapsed` (pre parse fold-in) feeds the execute
-/// histogram instead; error outcomes are dead-on-arrival or trip checks
-/// and observe as zero.
-fn fold_batch_outcome(
-    shared: &Arc<Shared>,
-    outcome: Result<SearchResponse, SearchError>,
-    parse: Duration,
-) -> Result<Arc<SearchResponse>, ErrorKind> {
-    match outcome {
-        Ok(mut resp) => {
-            shared.obs.execute.observe(resp.elapsed);
-            if resp.completeness.is_truncated() {
-                shared
-                    .counters
-                    .budget_truncated
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            if let Some(trace) = resp.trace.as_mut() {
-                trace.record_parse(parse);
-            }
-            resp.elapsed += parse;
-            Ok(Arc::new(resp))
-        }
-        Err(SearchError::DeadlineExceeded) => {
-            shared.obs.execute.observe(Duration::ZERO);
-            shared
-                .counters
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
-            Err(ErrorKind::DeadlineExceeded)
-        }
-        Err(SearchError::Cancelled) => {
-            shared.obs.execute.observe(Duration::ZERO);
-            shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            Err(ErrorKind::Cancelled)
-        }
-        // Items were parsed at admission; a parse error here cannot
-        // happen, but map it somewhere sane rather than panicking.
-        Err(SearchError::Parse(_)) => {
-            shared.obs.execute.observe(Duration::ZERO);
-            Err(ErrorKind::Query)
-        }
-    }
-}
-
-fn run_batch_job(shared: &Arc<Shared>, job: BatchJob) {
+fn run_batch_job(shared: &Shared, job: BatchJob) {
     let BatchJob {
         items,
         arrived,
@@ -643,41 +510,26 @@ fn run_batch_job(shared: &Arc<Shared>, job: BatchJob) {
     // there is no per-item boundary to sleep at.
     let mut delay_allowance = Duration::from_millis(MAX_DELAY_MS);
     let mut results: Vec<Option<ItemResult>> = Vec::with_capacity(items.len());
-    let mut prepared: Vec<(usize, BatchItem)> = Vec::new();
+    let mut prepared: Vec<(usize, PreparedSearch)> = Vec::new();
     for (i, item) in items.into_iter().enumerate() {
         match item {
             Err(e) => results.push(Some(Err(e))),
             Ok(item) => {
                 let delay = item.delay.min(delay_allowance);
                 delay_allowance = delay_allowance.saturating_sub(delay);
-                sleep_within_deadline(delay, item.deadline);
+                sleep_within_deadline(delay, item.budget.deadline());
                 results.push(None);
                 prepared.push((i, item));
             }
         }
     }
-    // Owned budgets first: the engine's batch items borrow them.
-    let budgets: Vec<Budget> = prepared
-        .iter()
-        .map(|(_, it)| {
-            let mut budget = Budget::unlimited();
-            if let Some(dl) = it.deadline {
-                budget = budget.with_deadline(dl);
-            }
-            if let Some(cap) = it.io_budget {
-                budget = budget.with_io_budget(cap);
-            }
-            budget
-        })
-        .collect();
     let engine_items: Vec<ipm_core::BatchItem<'_>> = prepared
         .iter()
-        .zip(&budgets)
-        .map(|((_, it), budget)| ipm_core::BatchItem {
+        .map(|(_, it)| ipm_core::BatchItem {
             query: it.query.clone(),
             k: it.k,
             options: it.options.clone(),
-            budget,
+            budget: &it.budget,
         })
         .collect();
     let engine = &shared.engine;
@@ -686,7 +538,15 @@ fn run_batch_job(shared: &Arc<Shared>, job: BatchJob) {
         Ok(out) => {
             debug_assert_eq!(out.len(), prepared.len());
             for (item_outcome, (i, it)) in out.into_iter().zip(&prepared) {
-                let value = fold_batch_outcome(shared, item_outcome, it.parse)
+                // The item ran inside the fused batch, so there is no
+                // per-item wall clock: the engine's own measured
+                // `elapsed` (before the parse fold-in) feeds the execute
+                // histogram, and error outcomes — dead-on-arrival or trip
+                // checks — observe as zero.
+                let executed = item_outcome.as_ref().map_or(Duration::ZERO, |r| r.elapsed);
+                shared.obs.execute.observe(executed);
+                let value = fold_outcome(shared, Ok(item_outcome))
+                    .map(|resp| finish_response(shared, resp, it.parse))
                     .map_err(|kind| (kind, error_message(shared, kind)));
                 results[*i] = Some(value);
             }
@@ -711,21 +571,17 @@ fn run_batch_job(shared: &Arc<Shared>, job: BatchJob) {
 /// Executes one `shard_exec` on a worker: the configured fault delay
 /// (never past the deadline), then the engine's per-shard unit under the
 /// forwarded deadline budget. Publishes the encoded outcome.
-fn run_shard_exec_job(shared: &Arc<Shared>, job: ShardExecJob) {
+fn run_shard_exec_job(shared: &Shared, job: ShardExecJob) {
     let ShardExecJob {
         query,
         options,
         params,
-        deadline,
+        budget,
         arrived,
         slot,
     } = job;
     shared.obs.queue_wait.observe(arrived.elapsed());
-    sleep_within_deadline(shared.fault_delay, deadline);
-    let mut budget = Budget::unlimited();
-    if let Some(dl) = deadline {
-        budget = budget.with_deadline(dl);
-    }
+    sleep_within_deadline(shared.fault_delay, budget.deadline());
     let exec_started = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         shared
@@ -733,39 +589,15 @@ fn run_shard_exec_job(shared: &Arc<Shared>, job: ShardExecJob) {
             .execute_shard(&query, &options, &params, &budget)
     }));
     shared.obs.execute.observe(exec_started.elapsed());
-    let value = match outcome {
-        Ok(Ok(out)) => {
-            if out.tripped {
-                shared
-                    .counters
-                    .budget_truncated
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(wire::shard_outcome_value(&out))
-        }
-        Ok(Err(SearchError::DeadlineExceeded)) => {
+    let value = fold_outcome(shared, outcome).map(|out| {
+        if out.tripped {
             shared
                 .counters
-                .deadline_exceeded
+                .budget_truncated
                 .fetch_add(1, Ordering::Relaxed);
-            Err((
-                ErrorKind::DeadlineExceeded,
-                error_message(shared, ErrorKind::DeadlineExceeded),
-            ))
         }
-        Ok(Err(SearchError::Cancelled)) => {
-            shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            Err((
-                ErrorKind::Cancelled,
-                error_message(shared, ErrorKind::Cancelled),
-            ))
-        }
-        Ok(Err(SearchError::Parse(e))) => Err((ErrorKind::Query, e.to_string())),
-        Err(_) => Err((
-            ErrorKind::Internal,
-            error_message(shared, ErrorKind::Internal),
-        )),
-    };
+        wire::shard_outcome_value(&out)
+    });
     slot.publish(value);
 }
 
@@ -774,27 +606,17 @@ fn run_shard_exec_job(shared: &Arc<Shared>, job: ShardExecJob) {
 /// range against the locally derived one (a mis-wired shard set must
 /// fail loudly, not silently drop phrases), then runs the shard through
 /// the bounded admission queue like any other unit of work.
-fn serve_shard_exec(shared: &Arc<Shared>, req: &wire::ShardExecRequest) -> String {
+fn serve_shard_exec(shared: &Shared, req: &wire::ShardExecRequest) -> String {
     let arrived = Instant::now();
     let query = match shared.engine.miner().parse_query_str(&req.query) {
         Ok(q) => q,
-        Err(e) => {
-            shared
-                .counters
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-            return wire::error_line(ErrorKind::Query, &e.to_string());
-        }
+        Err(e) => return query_error(shared, &e.to_string()),
     };
     if let Some(want) = req.range {
         let derived = shared.engine.shard_phrase_range(req.fanout, req.shard);
         if derived != Some(want) {
-            shared
-                .counters
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-            return wire::error_line(
-                ErrorKind::Query,
+            return query_error(
+                shared,
                 &format!(
                     "shard range mismatch: router expects {want:?} for shard {}/{} but this \
                      node derives {derived:?} — the tiers are serving different corpus builds",
@@ -803,161 +625,20 @@ fn serve_shard_exec(shared: &Arc<Shared>, req: &wire::ShardExecRequest) -> Strin
             );
         }
     }
-    let deadline = req
-        .deadline_ms
-        .map(|ms| arrived + Duration::from_millis(ms));
-    let slot = Slot::solo();
-    let job = Job::ShardExec(Box::new(ShardExecJob {
-        query,
-        options: req.options(),
-        params: req.params(),
-        deadline,
-        arrived,
-        slot: slot.clone(),
-    }));
-    match shared.queue.try_push(job) {
-        Ok(()) => match slot.wait() {
-            Ok(value) => wire::ok_line(vec![("shard", value)]),
-            Err((kind, msg)) => {
-                count_error(shared, kind);
-                wire::error_line(kind, &msg)
-            }
-        },
-        Err(push_err) => {
-            let kind = match push_err {
-                PushError::Full => ErrorKind::Overloaded,
-                PushError::Closed => ErrorKind::ShuttingDown,
-            };
-            count_error(shared, kind);
-            wire::error_line(kind, &error_message(shared, kind))
-        }
-    }
-}
-
-/// Per-request outcome for the connection loop.
-enum ConnAction {
-    Continue,
-    Close,
-}
-
-/// Longest request line the server buffers before giving up on the
-/// connection — without a cap, a peer that never sends `\n` would grow
-/// the per-connection buffer until the process OOMs.
-const MAX_LINE_BYTES: usize = 256 * 1024;
-
-fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
-    shared.obs.connections.inc();
-    shared.obs.active_connections.inc();
-    let _ = stream.set_nodelay(true);
-    // A short read timeout lets the loop observe shutdown without a
-    // dedicated wakeup channel per connection.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => {
-            // A stream that cannot be cloned cannot be answered; treat
-            // it as an immediate disconnect, not a thread panic.
-            shared.obs.conn_errors.inc();
-            shared.obs.active_connections.dec();
-            return;
-        }
+    let job = |slot| {
+        Job::ShardExec(Box::new(ShardExecJob {
+            query,
+            options: req.options(),
+            params: req.params(),
+            budget: wire::budget(arrived, req.deadline_ms, None),
+            arrived,
+            slot,
+        }))
     };
-    let mut reader = stream;
-    let mut pending: Vec<u8> = Vec::new();
-    let mut buf = [0u8; 4096];
-    'conn: loop {
-        // Serve every complete line already buffered.
-        while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let raw: Vec<u8> = pending.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&raw);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (response, action) = serve_line(shared, line);
-            if writer.write_all(response.as_bytes()).is_err() || writer.flush().is_err() {
-                break 'conn;
-            }
-            if matches!(action, ConnAction::Close) {
-                break 'conn;
-            }
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match reader.read(&mut buf) {
-            Ok(0) => break, // EOF
-            Ok(n) => {
-                pending.extend_from_slice(&buf[..n]);
-                if pending.len() > MAX_LINE_BYTES && !pending.contains(&b'\n') {
-                    shared
-                        .counters
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    let err = wire::error_line(
-                        ErrorKind::Parse,
-                        &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                    );
-                    let _ = writer.write_all(err.as_bytes());
-                    let _ = writer.flush();
-                    break;
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(_) => break,
-        }
-    }
-    shared.obs.active_connections.dec();
-}
-
-fn serve_line(shared: &Arc<Shared>, line: &str) -> (String, ConnAction) {
-    match wire::parse_request(line) {
-        Err(msg) => {
-            shared
-                .counters
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-            (
-                wire::error_line(ErrorKind::Parse, &msg),
-                ConnAction::Continue,
-            )
-        }
-        Ok(WireRequest::Ping) => (
-            wire::ok_line(vec![("pong", Value::from(true))]),
-            ConnAction::Continue,
-        ),
-        Ok(WireRequest::Stats) => (stats_line(shared), ConnAction::Continue),
-        // Prometheus text exposition, shipped as one JSON string field so
-        // the line-delimited framing stays intact (protocol v4).
-        Ok(WireRequest::Metrics) => (
-            wire::ok_line(vec![(
-                "metrics",
-                Value::String(shared.engine.render_metrics()),
-            )]),
-            ConnAction::Continue,
-        ),
-        Ok(WireRequest::Shutdown) => {
-            begin_shutdown(shared);
-            (
-                wire::ok_line(vec![("bye", Value::from(true))]),
-                ConnAction::Close,
-            )
-        }
-        Ok(WireRequest::Search(req)) => (serve_search(shared, req), ConnAction::Continue),
-        Ok(WireRequest::Batch(reqs)) => (serve_batch(shared, reqs), ConnAction::Continue),
-        Ok(WireRequest::Ingest { tokens, facets }) => {
-            (serve_ingest(shared, &tokens, &facets), ConnAction::Continue)
-        }
-        Ok(WireRequest::Delete { doc }) => (serve_delete(shared, doc), ConnAction::Continue),
-        Ok(WireRequest::Compact) => (serve_compact(shared), ConnAction::Continue),
-        Ok(WireRequest::ShardExec(req)) => (serve_shard_exec(shared, &req), ConnAction::Continue),
+    match admit(shared, job) {
+        Ok(Ok(value)) => wire::ok_line(vec![("shard", value)]),
+        Ok(Err(kind)) => error_reply(shared, kind),
+        Err(refused) => refused,
     }
 }
 
@@ -967,7 +648,7 @@ fn serve_line(shared: &Arc<Shared>, line: &str) -> (String, ConnAction) {
 /// delta append, not an execution — so it never competes with queries for
 /// a worker slot. Out-of-vocabulary terms are skipped and reported (they
 /// can only enter the index at the next compaction's rebuild).
-fn serve_ingest(shared: &Arc<Shared>, tokens: &[String], facets: &[String]) -> String {
+fn serve_ingest(shared: &Shared, tokens: &[String], facets: &[String]) -> String {
     let miner = shared.engine.miner();
     let corpus = miner.corpus();
     let mut ids = Vec::with_capacity(tokens.len());
@@ -987,12 +668,8 @@ fn serve_ingest(shared: &Arc<Shared>, tokens: &[String], facets: &[String]) -> S
         }
     }
     if ids.is_empty() {
-        shared
-            .counters
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
-        return wire::error_line(
-            ErrorKind::Query,
+        return query_error(
+            shared,
             "no ingestible tokens: every term is outside the serving vocabulary \
              (new terms enter at the next compaction)",
         );
@@ -1009,18 +686,14 @@ fn serve_ingest(shared: &Arc<Shared>, tokens: &[String], facets: &[String]) -> S
 }
 
 /// Serves a `delete` verb (inline, like ingest).
-fn serve_delete(shared: &Arc<Shared>, doc: u64) -> String {
+fn serve_delete(shared: &Shared, doc: u64) -> String {
     let num_docs = {
         let miner = shared.engine.miner();
         miner.corpus().num_docs() as u64
     };
     if doc >= num_docs {
-        shared
-            .counters
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
-        return wire::error_line(
-            ErrorKind::Query,
+        return query_error(
+            shared,
             &format!("doc {doc} is out of range (corpus holds {num_docs} documents)"),
         );
     }
@@ -1038,37 +711,27 @@ fn serve_delete(shared: &Arc<Shared>, doc: u64) -> String {
 /// full queue sheds it with `overloaded` instead of stacking rebuilds.
 /// Queries racing the compaction keep being served from the pre-swap
 /// generation by the other workers.
-fn serve_compact(shared: &Arc<Shared>) -> String {
-    let slot = Slot::solo();
-    match shared.queue.try_push(Job::Compact(slot.clone())) {
-        Ok(()) => {
-            let report = slot.wait();
-            wire::ok_line(vec![
-                ("compacted", Value::from(report.compacted)),
-                ("epoch", Value::from(report.epoch)),
-                ("docs", Value::from(report.docs as u64)),
-                ("phrases", Value::from(report.phrases as u64)),
-                ("absorbed_adds", Value::from(report.absorbed_adds as u64)),
-                (
-                    "absorbed_deletes",
-                    Value::from(report.absorbed_deletes as u64),
-                ),
-                ("elapsed_us", Value::from(report.elapsed.as_micros() as u64)),
-            ])
-        }
-        Err(push_err) => {
-            let kind = match push_err {
-                PushError::Full => ErrorKind::Overloaded,
-                PushError::Closed => ErrorKind::ShuttingDown,
-            };
-            count_error(shared, kind);
-            wire::error_line(kind, &error_message(shared, kind))
-        }
-    }
+fn serve_compact(shared: &Shared) -> String {
+    let report = match admit(shared, Job::Compact) {
+        Ok(report) => report,
+        Err(refused) => return refused,
+    };
+    wire::ok_line(vec![
+        ("compacted", Value::from(report.compacted)),
+        ("epoch", Value::from(report.epoch)),
+        ("docs", Value::from(report.docs as u64)),
+        ("phrases", Value::from(report.phrases as u64)),
+        ("absorbed_adds", Value::from(report.absorbed_adds as u64)),
+        (
+            "absorbed_deletes",
+            Value::from(report.absorbed_deletes as u64),
+        ),
+        ("elapsed_us", Value::from(report.elapsed.as_micros() as u64)),
+    ])
 }
 
 /// The human-readable message accompanying a structured error kind.
-fn error_message(shared: &Arc<Shared>, kind: ErrorKind) -> String {
+fn error_message(shared: &Shared, kind: ErrorKind) -> String {
     match kind {
         ErrorKind::Overloaded => format!(
             "queue full ({} pending); request shed",
@@ -1087,7 +750,7 @@ fn error_message(shared: &Arc<Shared>, kind: ErrorKind) -> String {
 /// Budget errors (`deadline_exceeded`, `cancelled`) are counted at the
 /// worker that produced them, not here — a batch surfaces many of them
 /// in one response line.
-fn count_error(shared: &Arc<Shared>, kind: ErrorKind) {
+fn count_error(shared: &Shared, kind: ErrorKind) {
     match kind {
         ErrorKind::Overloaded => {
             shared.counters.shed.fetch_add(1, Ordering::Relaxed);
@@ -1104,74 +767,105 @@ fn count_error(shared: &Arc<Shared>, kind: ErrorKind) {
     }
 }
 
-/// Prepares one parsed search for execution: query, engine options,
-/// clamped delay and the absolute deadline anchored at arrival. (The
-/// cache key is built only where a flight needs one — `serve_search`.)
-fn prepare(
-    shared: &Arc<Shared>,
-    req: &SearchRequest,
-    arrived: Instant,
-) -> Result<(Query, SearchOptions, Duration, Option<Instant>, Duration), String> {
-    let parse_started = Instant::now();
-    let query = shared
-        .engine
-        .miner()
-        .parse_query_str(&req.query)
-        .map_err(|e| e.to_string())?;
-    let parse = parse_started.elapsed();
-    let options = req.options();
-    let delay = clamped_delay(req.delay_ms);
-    let deadline = req
-        .deadline_ms
-        .map(|ms| arrived + Duration::from_millis(ms));
-    Ok((query, options, delay, deadline, parse))
+/// Counts an error response and builds its line.
+fn error_reply(shared: &Shared, kind: ErrorKind) -> String {
+    count_error(shared, kind);
+    wire::error_line(kind, &error_message(shared, kind))
 }
 
-fn serve_search(shared: &Arc<Shared>, req: SearchRequest) -> String {
-    let arrived = Instant::now();
-    let (query, options, delay, deadline, parse) = match prepare(shared, &req, arrived) {
-        Ok(prepared) => prepared,
-        Err(msg) => {
+/// Counts a well-framed request the engine cannot serve (unknown term,
+/// out-of-range document, mis-wired shard) as a protocol error and
+/// builds its `query` error line.
+fn query_error(shared: &Shared, message: &str) -> String {
+    shared
+        .counters
+        .protocol_errors
+        .fetch_add(1, Ordering::Relaxed);
+    wire::error_line(ErrorKind::Query, message)
+}
+
+/// The error kind a refused admission answers with.
+fn refusal(err: PushError) -> ErrorKind {
+    match err {
+        PushError::Full => ErrorKind::Overloaded,
+        PushError::Closed => ErrorKind::ShuttingDown,
+    }
+}
+
+/// Admits one unit of work behind its own (never coalesced) slot and
+/// waits for the worker's value. A refused push is counted and comes
+/// back as the finished error line.
+fn admit<V: Clone>(shared: &Shared, job: impl FnOnce(Arc<Slot<V>>) -> Job) -> Result<V, String> {
+    let slot = Slot::solo();
+    match shared.queue.try_push(job(slot.clone())) {
+        Ok(()) => Ok(slot.wait()),
+        Err(err) => Err(error_reply(shared, refusal(err))),
+    }
+}
+
+/// Prepares one parsed search for execution: query, engine options,
+/// clamped delay and the budget anchored at arrival. (The cache key is
+/// built only where a flight needs one — `serve_search`.) A query that
+/// does not parse counts as a protocol error.
+fn prepare(
+    shared: &Shared,
+    req: &SearchRequest,
+    arrived: Instant,
+) -> Result<PreparedSearch, String> {
+    let parse_started = Instant::now();
+    let query = match shared.engine.miner().parse_query_str(&req.query) {
+        Ok(query) => query,
+        Err(e) => {
             shared
                 .counters
                 .protocol_errors
                 .fetch_add(1, Ordering::Relaxed);
-            return wire::error_line(ErrorKind::Query, &msg);
+            return Err(e.to_string());
         }
     };
-    let plan = QueryPlan::resolve(&options, shared.engine.default_shards());
-    let key = CacheKey::new(&query, req.k, &options, plan.shards, shared.engine.epoch());
-    let make_job = |slot: &Arc<Slot<FlightResult>>| {
-        Job::Search(Box::new(SearchJob {
+    let parse = parse_started.elapsed();
+    Ok(PreparedSearch {
+        query,
+        k: req.k,
+        options: req.options(),
+        delay: clamped_delay(req.delay_ms),
+        budget: wire::budget(arrived, req.deadline_ms, req.io_budget),
+        parse,
+    })
+}
+
+fn serve_search(shared: &Shared, req: SearchRequest) -> String {
+    let arrived = Instant::now();
+    let item = match prepare(shared, &req, arrived) {
+        Ok(item) => item,
+        Err(msg) => return wire::error_line(ErrorKind::Query, &msg),
+    };
+    let plan = QueryPlan::resolve(&item.options, shared.engine.default_shards());
+    let key = CacheKey::new(
+        &item.query,
+        req.k,
+        &item.options,
+        plan.shards,
+        shared.engine.epoch(),
+    );
+    let submit = |slot: &Arc<Slot<FlightResult>>| {
+        let job = Job::Search(Box::new(SearchJob {
             key: key.clone(),
-            query: query.clone(),
-            k: req.k,
-            options: options.clone(),
-            delay,
-            deadline,
-            io_budget: req.io_budget,
+            item,
             arrived,
-            parse,
             slot: slot.clone(),
-        }))
-    };
-    let submit = |slot: &Arc<Slot<FlightResult>>| match shared.queue.try_push(make_job(slot)) {
-        // The submitter waits like any follower; the worker publishes
-        // through the shared slot.
-        Ok(()) => slot.wait(),
-        Err(PushError::Full) => {
-            // Shed the whole flight: the submitter and every follower
-            // that already attached get `overloaded`.
-            shared
-                .flights
-                .complete(&key, slot, Err(ErrorKind::Overloaded));
-            Err(ErrorKind::Overloaded)
-        }
-        Err(PushError::Closed) => {
-            shared
-                .flights
-                .complete(&key, slot, Err(ErrorKind::ShuttingDown));
-            Err(ErrorKind::ShuttingDown)
+        }));
+        match shared.queue.try_push(job) {
+            // The submitter waits like any follower; the worker publishes
+            // through the shared slot.
+            Ok(()) => slot.wait(),
+            Err(err) => {
+                // Shed the whole flight: the submitter and every follower
+                // that already attached get the refusal.
+                let kind = refusal(err);
+                shared.flights.complete(&key, slot, Err(kind));
+                Err(kind)
+            }
         }
     };
 
@@ -1211,10 +905,7 @@ fn serve_search(shared: &Arc<Shared>, req: SearchRequest) -> String {
                 ("server", Value::Object(server)),
             ])
         }
-        Err(kind) => {
-            count_error(shared, kind);
-            wire::error_line(kind, &error_message(shared, kind))
-        }
+        Err(kind) => error_reply(shared, kind),
     }
 }
 
@@ -1222,45 +913,21 @@ fn serve_search(shared: &Arc<Shared>, req: SearchRequest) -> String {
 /// batch, per-item results/errors in the response. Query-parse failures
 /// become per-item errors (the rest of the batch still runs); a full
 /// queue sheds the entire batch with one `overloaded` line.
-fn serve_batch(shared: &Arc<Shared>, reqs: Vec<SearchRequest>) -> String {
+fn serve_batch(shared: &Shared, reqs: Vec<SearchRequest>) -> String {
     let arrived = Instant::now();
-    let items: Vec<Result<BatchItem, (ErrorKind, String)>> = reqs
+    let items = reqs
         .iter()
-        .map(|req| match prepare(shared, req, arrived) {
-            Ok((query, options, delay, deadline, parse)) => Ok(BatchItem {
-                query,
-                k: req.k,
-                options,
-                delay,
-                deadline,
-                io_budget: req.io_budget,
-                parse,
-            }),
-            Err(msg) => {
-                shared
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                Err((ErrorKind::Query, msg))
-            }
-        })
+        .map(|req| prepare(shared, req, arrived).map_err(|msg| (ErrorKind::Query, msg)))
         .collect();
-    let slot = Slot::solo();
-    let job = Job::Batch(BatchJob {
-        items,
-        arrived,
-        slot: slot.clone(),
-    });
-    let results: BatchResult = match shared.queue.try_push(job) {
-        Ok(()) => slot.wait(),
-        Err(push_err) => {
-            let kind = match push_err {
-                PushError::Full => ErrorKind::Overloaded,
-                PushError::Closed => ErrorKind::ShuttingDown,
-            };
-            count_error(shared, kind);
-            return wire::error_line(kind, &error_message(shared, kind));
-        }
+    let results: BatchResult = match admit(shared, |slot| {
+        Job::Batch(BatchJob {
+            items,
+            arrived,
+            slot,
+        })
+    }) {
+        Ok(results) => results,
+        Err(refused) => return refused,
     };
     let miner = shared.engine.miner();
     let corpus = miner.corpus();
@@ -1269,27 +936,18 @@ fn serve_batch(shared: &Arc<Shared>, reqs: Vec<SearchRequest>) -> String {
         .map(|item| match item {
             Ok(resp) => {
                 shared.counters.served.fetch_add(1, Ordering::Relaxed);
-                let mut m = std::collections::BTreeMap::new();
-                m.insert("ok".to_owned(), Value::from(true));
-                m.insert("result".to_owned(), wire::response_value(resp, corpus));
-                Value::Object(m)
+                wire::ok_value(vec![("result", wire::response_value(resp, corpus))])
             }
             Err((kind, msg)) => {
                 count_error(shared, *kind);
-                let mut err = std::collections::BTreeMap::new();
-                err.insert("kind".to_owned(), Value::from(kind.name()));
-                err.insert("message".to_owned(), Value::from(msg.as_str()));
-                let mut m = std::collections::BTreeMap::new();
-                m.insert("ok".to_owned(), Value::from(false));
-                m.insert("error".to_owned(), Value::Object(err));
-                Value::Object(m)
+                wire::error_value(*kind, msg)
             }
         })
         .collect();
     wire::ok_line(vec![("batch", Value::Array(encoded))])
 }
 
-fn stats_line(shared: &Arc<Shared>) -> String {
+fn stats_line(shared: &Shared) -> String {
     let s = snapshot(shared);
     let mut cache = std::collections::BTreeMap::new();
     cache.insert("hits".to_owned(), Value::from(s.cache.hits));

@@ -10,9 +10,10 @@
 //! signal, not a transport error. See `docs/protocol.md`.
 
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
 use ipm_core::{
-    Algorithm, ApproxReason, BackendChoice, BudgetKind, Completeness, ExecStats, PhraseHit,
+    Algorithm, ApproxReason, BackendChoice, Budget, BudgetKind, Completeness, ExecStats, PhraseHit,
     QueryTrace, RedundancyConfig, SearchOptions, SearchResponse, ShardExecParams, ShardOutcome,
 };
 use ipm_corpus::Corpus;
@@ -243,11 +244,22 @@ impl SearchRequest {
 
     /// One request line (newline-terminated).
     pub fn to_line(&self) -> String {
-        // lint-allow: server-unwrap — serializing an owned Value tree is infallible; no connection involved
-        let mut line = serde_json::to_string(&self.to_value()).expect("infallible");
-        line.push('\n');
-        line
+        finish_line(&self.to_value())
     }
+}
+
+/// The engine budget of a request that arrived at `arrived`: its wire
+/// `deadline_ms` anchored at arrival (queue wait counts against it) and
+/// its simulated-IO fetch cap.
+pub(crate) fn budget(arrived: Instant, deadline_ms: Option<u64>, io_budget: Option<u64>) -> Budget {
+    let mut budget = Budget::unlimited();
+    if let Some(ms) = deadline_ms {
+        budget = budget.with_deadline(arrived + Duration::from_millis(ms));
+    }
+    if let Some(cap) = io_budget {
+        budget = budget.with_io_budget(cap);
+    }
+    budget
 }
 
 /// One `{"batch": [...]}` request line for `requests` (newline-
@@ -259,10 +271,7 @@ pub fn batch_line(requests: &[SearchRequest]) -> String {
         "batch".to_owned(),
         Value::Array(requests.iter().map(SearchRequest::to_value).collect()),
     );
-    // lint-allow: server-unwrap — serializing an owned Value tree is infallible; no connection involved
-    let mut line = serde_json::to_string(&Value::Object(map)).expect("infallible");
-    line.push('\n');
-    line
+    finish_line(&Value::Object(map))
 }
 
 /// Algorithm wire names (shared with the CLI's `--method`).
@@ -473,10 +482,7 @@ pub fn ingest_line(tokens: &[String], facets: &[String]) -> String {
             Value::Array(facets.iter().map(|f| Value::from(f.clone())).collect()),
         );
     }
-    // lint-allow: server-unwrap — serializing an owned Value tree is infallible; no connection involved
-    let mut line = serde_json::to_string(&Value::Object(m)).expect("infallible");
-    line.push('\n');
-    line
+    finish_line(&Value::Object(m))
 }
 
 /// One delete request line (newline-terminated).
@@ -484,10 +490,7 @@ pub fn delete_line(doc: u64) -> String {
     let mut m = BTreeMap::new();
     m.insert("cmd".to_owned(), Value::from("delete"));
     m.insert("doc".to_owned(), Value::from(doc));
-    // lint-allow: server-unwrap — serializing an owned Value tree is infallible; no connection involved
-    let mut line = serde_json::to_string(&Value::Object(m)).expect("infallible");
-    line.push('\n');
-    line
+    finish_line(&Value::Object(m))
 }
 
 fn build_search(v: &Value) -> Result<SearchRequest, String> {
@@ -677,10 +680,7 @@ impl ShardExecRequest {
                 Value::Array(vec![Value::from(lo as u64), Value::from(hi as u64)]),
             );
         }
-        // lint-allow: server-unwrap — serializing an owned Value tree is infallible; no connection involved
-        let mut line = serde_json::to_string(&Value::Object(m)).expect("infallible");
-        line.push('\n');
-        line
+        finish_line(&Value::Object(m))
     }
 }
 
@@ -1010,32 +1010,47 @@ pub fn response_value(resp: &SearchResponse, corpus: &Corpus) -> Value {
     Value::Object(m)
 }
 
-/// Builds an error response line.
-pub fn error_line(kind: ErrorKind, message: &str) -> String {
+/// Serializes one wire object as a newline-terminated line — every line
+/// this module builds ends here.
+fn finish_line(v: &Value) -> String {
+    // lint-allow: server-unwrap — serializing an owned Value tree is infallible; no connection involved
+    let mut line = serde_json::to_string(v).expect("infallible");
+    line.push('\n');
+    line
+}
+
+/// The `{"ok": false, "error": {"kind", "message"}}` object: a whole
+/// error response, or one failed item of a batch response.
+pub(crate) fn error_value(kind: ErrorKind, message: &str) -> Value {
     let mut err = BTreeMap::new();
     err.insert("kind".to_owned(), Value::from(kind.name()));
     err.insert("message".to_owned(), Value::from(message));
     let mut m = BTreeMap::new();
     m.insert("ok".to_owned(), Value::from(false));
     m.insert("error".to_owned(), Value::Object(err));
-    // lint-allow: server-unwrap — serializing an owned Value tree is infallible; no connection involved
-    let mut line = serde_json::to_string(&Value::Object(m)).expect("infallible");
-    line.push('\n');
-    line
+    Value::Object(m)
 }
 
-/// Builds a success response line from named top-level fields (always
-/// includes `"ok": true`).
-pub fn ok_line(fields: Vec<(&str, Value)>) -> String {
+/// The `{"ok": true, ...}` object with named fields: a whole success
+/// response, or one answered item of a batch response.
+pub(crate) fn ok_value(fields: Vec<(&str, Value)>) -> Value {
     let mut m = BTreeMap::new();
     m.insert("ok".to_owned(), Value::from(true));
     for (k, v) in fields {
         m.insert(k.to_owned(), v);
     }
-    // lint-allow: server-unwrap — serializing an owned Value tree is infallible; no connection involved
-    let mut line = serde_json::to_string(&Value::Object(m)).expect("infallible");
-    line.push('\n');
-    line
+    Value::Object(m)
+}
+
+/// Builds an error response line.
+pub fn error_line(kind: ErrorKind, message: &str) -> String {
+    finish_line(&error_value(kind, message))
+}
+
+/// Builds a success response line from named top-level fields (always
+/// includes `"ok": true`).
+pub fn ok_line(fields: Vec<(&str, Value)>) -> String {
+    finish_line(&ok_value(fields))
 }
 
 #[cfg(test)]

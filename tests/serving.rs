@@ -39,6 +39,63 @@ fn spawn(engine: QueryEngine, workers: usize, queue_depth: usize) -> ipm_server:
     .expect("bind loopback")
 }
 
+/// One serving tier under test: a bare server, or a router fronting one
+/// shard server (kept alive alongside it). Both run the same front end,
+/// so the framing and control-verb checks run against each.
+enum Tier {
+    Server(ipm_server::ServerHandle),
+    Router(ipm_server::RouterHandle, ipm_server::ServerHandle),
+}
+
+impl Tier {
+    fn spawn(routed: bool) -> Self {
+        let shard = spawn(build_engine(true), 2, 16);
+        if !routed {
+            return Tier::Server(shard);
+        }
+        let router = spawn_router(
+            vec![vec![shard.addr().to_string()]],
+            ipm_server::HedgeConfig::default(),
+        );
+        Tier::Router(router, shard)
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            Tier::Server(_) => "server",
+            Tier::Router(..) => "router",
+        }
+    }
+
+    fn addr(&self) -> String {
+        match self {
+            Tier::Server(s) => s.addr().to_string(),
+            Tier::Router(r, _) => r.addr().to_string(),
+        }
+    }
+
+    fn engine(&self) -> &QueryEngine {
+        match self {
+            Tier::Server(s) => s.engine(),
+            Tier::Router(r, _) => r.engine(),
+        }
+    }
+
+    fn shutdown(&mut self) {
+        match self {
+            Tier::Server(s) => s.shutdown(),
+            Tier::Router(r, _) => r.shutdown(),
+        }
+    }
+
+    fn join(self) {
+        match self {
+            Tier::Server(s) => s.join(),
+            Tier::Router(r, _shard) => r.join(),
+        }
+    }
+}
+
 /// ≥ 8 concurrent TCP clients, mixed algorithms and backends: every
 /// served response's hits must be byte-identical to a direct
 /// engine request with the same options.
@@ -247,97 +304,110 @@ fn queue_overflow_sheds_with_structured_errors() {
     assert_eq!(after["ok"].as_bool(), Some(true));
 }
 
-/// The control verbs: ping, stats (counters consistent with the handle
-/// snapshot), and protocol-initiated graceful shutdown.
+/// The control verbs on both tiers — a server, and a router fronting
+/// one shard server: ping, malformed lines answered rather than
+/// disconnected, protocol-initiated graceful shutdown after which the
+/// port refuses, and idempotent handle shutdown. Stats (counters
+/// consistent with the handle snapshot) and the result cache are
+/// server-only.
 #[test]
 fn control_verbs_and_graceful_shutdown() {
-    let handle = spawn(build_engine(true), 2, 16);
-    let addr = handle.addr().to_string();
-    let terms = top_terms(handle.engine(), 2);
-    let mut client = Client::connect(&addr).expect("connect");
+    for routed in [false, true] {
+        let tier = Tier::spawn(routed);
+        let name = tier.name();
+        let addr = tier.addr();
+        let terms = top_terms(tier.engine(), 2);
+        let mut client = Client::connect(&addr).expect("connect");
 
-    assert_eq!(client.ping().unwrap()["pong"].as_bool(), Some(true));
+        assert_eq!(client.ping().unwrap()["pong"].as_bool(), Some(true));
 
-    // Malformed lines are answered with parse errors, not disconnects.
-    let bad = client.roundtrip("this is not json\n").unwrap();
-    assert_eq!(bad["error"]["kind"], "parse");
-    let unknown = client
-        .roundtrip(&format!("{{\"query\":\"zzz_unknown_word_{}\"}}\n", 42))
-        .unwrap();
-    assert_eq!(unknown["error"]["kind"], "query");
+        // Malformed lines are answered with parse errors, not disconnects.
+        let bad = client.roundtrip("this is not json\n").unwrap();
+        assert_eq!(bad["error"]["kind"], "parse", "{name}");
+        let unknown = client
+            .roundtrip(&format!("{{\"query\":\"zzz_unknown_word_{}\"}}\n", 42))
+            .unwrap();
+        assert_eq!(unknown["error"]["kind"], "query", "{name}");
 
-    let mut req = WireSearchRequest::new(format!("{} AND {}", terms[0], terms[1]));
-    req.backend = ipm_core::BackendChoice::Disk;
-    assert_eq!(client.search(&req).unwrap()["ok"].as_bool(), Some(true));
-    assert_eq!(
-        client.search(&req).unwrap()["result"]["served_from_cache"],
-        true
-    );
+        let mut req = WireSearchRequest::new(format!("{} AND {}", terms[0], terms[1]));
+        req.backend = ipm_core::BackendChoice::Disk;
+        assert_eq!(client.search(&req).unwrap()["ok"].as_bool(), Some(true));
 
-    let stats = client.stats().unwrap();
-    let s = &stats["stats"];
-    assert_eq!(s["served"].as_u64(), Some(2));
-    assert_eq!(s["protocol_errors"].as_u64(), Some(2));
-    assert_eq!(s["workers"].as_u64(), Some(2));
-    assert!(s["cache"]["hits"].as_u64().unwrap() >= 1);
-    assert!(
-        s["io"]["disk"]["sequential_fetches"].as_u64().unwrap() > 0,
-        "disk-backed query must show up in the per-backend IO aggregate"
-    );
-    // The memory backend performs no simulated IO, so it has no `io`
-    // entry; its real work is reported under `access` (the disk queries
-    // above touched the disk backend's sorted-access counters too).
-    assert!(s["io"]["memory"].is_null());
-    assert!(
-        s["access"]["disk"]["sorted_accesses"].as_u64().unwrap() > 0,
-        "uncached disk execution must aggregate into the access counters"
-    );
-    assert!(s["access"]["memory"]["entries_skipped"].as_u64().is_some());
-    assert!(s["access"]["block"]["rounds"].as_u64().is_some());
-    let snap = handle.stats();
-    assert_eq!(snap.served, 2);
-    assert_eq!(snap.protocol_errors, 2);
+        if let Tier::Server(handle) = &tier {
+            assert_eq!(
+                client.search(&req).unwrap()["result"]["served_from_cache"],
+                true
+            );
+            let stats = client.stats().unwrap();
+            let s = &stats["stats"];
+            assert_eq!(s["served"].as_u64(), Some(2));
+            assert_eq!(s["protocol_errors"].as_u64(), Some(2));
+            assert_eq!(s["workers"].as_u64(), Some(2));
+            assert!(s["cache"]["hits"].as_u64().unwrap() >= 1);
+            assert!(
+                s["io"]["disk"]["sequential_fetches"].as_u64().unwrap() > 0,
+                "disk-backed query must show up in the per-backend IO aggregate"
+            );
+            // The memory backend performs no simulated IO, so it has no
+            // `io` entry; its real work is reported under `access` (the
+            // disk queries above touched the disk backend's sorted-access
+            // counters too).
+            assert!(s["io"]["memory"].is_null());
+            assert!(
+                s["access"]["disk"]["sorted_accesses"].as_u64().unwrap() > 0,
+                "uncached disk execution must aggregate into the access counters"
+            );
+            assert!(s["access"]["memory"]["entries_skipped"].as_u64().is_some());
+            assert!(s["access"]["block"]["rounds"].as_u64().is_some());
+            let snap = handle.stats();
+            assert_eq!(snap.served, 2);
+            assert_eq!(snap.protocol_errors, 2);
+        }
 
-    // Graceful shutdown over the wire: the verb is acknowledged, then the
-    // server drains and joins.
-    let bye = client.shutdown_server().unwrap();
-    assert_eq!(bye["bye"].as_bool(), Some(true));
-    handle.join();
+        // Graceful shutdown over the wire: the verb is acknowledged, then
+        // the tier drains and joins.
+        let bye = client.shutdown_server().unwrap();
+        assert_eq!(bye["bye"].as_bool(), Some(true), "{name}");
+        tier.join();
 
-    // The port no longer accepts work.
-    let gone = Client::connect(&addr).and_then(|mut c| c.ping()).is_err();
-    assert!(gone, "server must stop accepting after graceful shutdown");
+        // The port no longer accepts work.
+        let gone = Client::connect(&addr).and_then(|mut c| c.ping()).is_err();
+        assert!(gone, "{name} must stop accepting after graceful shutdown");
 
-    // Handle-initiated shutdown is idempotent.
-    let mut h2 = spawn(build_engine(true), 1, 4);
-    h2.shutdown();
-    h2.shutdown();
+        // Handle-initiated shutdown is idempotent.
+        let mut again = Tier::spawn(routed);
+        again.shutdown();
+        again.shutdown();
+    }
 }
 
-/// A request line exceeding the server's cap must not buffer unboundedly:
-/// the connection is answered with a parse error (when the response
-/// survives the close) or dropped, and the server stays healthy.
+/// A request line exceeding the line cap must not buffer unboundedly, on
+/// either tier: the connection is answered with a parse error (when the
+/// response survives the close) or dropped, and the tier stays healthy.
 #[test]
 fn oversized_request_lines_are_rejected_not_buffered() {
-    let handle = spawn(build_engine(true), 1, 4);
-    let addr = handle.addr().to_string();
-    let mut client = Client::connect(&addr).expect("connect");
-    // 300 KiB without a newline exceeds the server's line cap. An Err is
-    // acceptable too: the server may close the connection mid-write.
-    let huge = "x".repeat(300 * 1024);
-    if let Ok(resp) = client.roundtrip(&huge) {
-        assert_eq!(resp["error"]["kind"], "parse");
+    for routed in [false, true] {
+        let tier = Tier::spawn(routed);
+        let name = tier.name();
+        let addr = tier.addr();
+        let mut client = Client::connect(&addr).expect("connect");
+        // 300 KiB without a newline exceeds the line cap. An Err is
+        // acceptable too: the tier may close the connection mid-write.
+        let huge = "x".repeat(300 * 1024);
+        if let Ok(resp) = client.roundtrip(&huge) {
+            assert_eq!(resp["error"]["kind"], "parse", "{name}");
+        }
+        // The tier survives and keeps serving fresh connections.
+        let terms = top_terms(tier.engine(), 2);
+        let mut fresh = Client::connect(&addr).expect("reconnect");
+        let ok = fresh
+            .search(&WireSearchRequest::new(format!(
+                "{} OR {}",
+                terms[0], terms[1]
+            )))
+            .expect("roundtrip");
+        assert_eq!(ok["ok"].as_bool(), Some(true), "{name}: {ok:?}");
     }
-    // The server survives and keeps serving fresh connections.
-    let terms = top_terms(handle.engine(), 2);
-    let mut fresh = Client::connect(&addr).expect("reconnect");
-    let ok = fresh
-        .search(&WireSearchRequest::new(format!(
-            "{} OR {}",
-            terms[0], terms[1]
-        )))
-        .expect("roundtrip");
-    assert_eq!(ok["ok"].as_bool(), Some(true));
 }
 
 /// Load-generator sanity on a healthy server: zero protocol errors and a
@@ -570,6 +640,50 @@ fn batch_requests_return_per_item_results() {
     for item in doa_items {
         assert_eq!(item["error"]["kind"], "deadline_exceeded", "{item:?}");
     }
+}
+
+/// A wire batch asking for an absurd `k` must not take the process down:
+/// every item answers exactly like the same search run serially, and the
+/// server keeps answering afterwards.
+#[test]
+fn huge_k_batch_is_served_not_aborted() {
+    let handle = spawn(build_engine(false), 2, 16);
+    let engine = handle.engine().clone();
+    let terms = top_terms(&engine, 3);
+    let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
+    let k: u64 = 9_000_000_000_000_000;
+    let queries = [
+        format!("{} OR {}", terms[0], terms[1]),
+        format!("{} OR {}", terms[0], terms[2]),
+    ];
+    let items: Vec<String> = queries
+        .iter()
+        .map(|q| format!("{{\"query\":\"{q}\",\"method\":\"smj\",\"k\":{k}}}"))
+        .collect();
+    let resp = client
+        .roundtrip(&format!("{{\"batch\":[{}]}}\n", items.join(",")))
+        .expect("roundtrip");
+    assert_eq!(resp["ok"].as_bool(), Some(true), "{resp:?}");
+    let served = resp["batch"].as_array().expect("batch array");
+    assert_eq!(served.len(), queries.len());
+    for (item, q) in served.iter().zip(&queries) {
+        assert_eq!(item["ok"].as_bool(), Some(true), "{item:?}");
+        let serial = engine
+            .request(q)
+            .k(k as usize)
+            .options(SearchOptions {
+                algorithm: Algorithm::Smj,
+                ..Default::default()
+            })
+            .run()
+            .unwrap();
+        assert_eq!(
+            serde_json::to_string(&item["result"]["hits"]).unwrap(),
+            serde_json::to_string(&wire::hits_value(&serial)).unwrap(),
+            "huge-k batch item must match serial execution of `{q}`"
+        );
+    }
+    assert_eq!(client.ping().unwrap()["pong"].as_bool(), Some(true));
 }
 
 /// Open-loop zipfian workload: arrivals on a fixed schedule, mixed
