@@ -489,6 +489,102 @@ fn execute_shard_reconciles_with_local_execution_across_the_lease() {
     }
 }
 
+/// FNV-1a over 64-bit words: a stable digest that needs no dependency.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The digest words of one NRA run: every traversal counter and every
+/// hit's phrase plus the bit patterns of its score and bounds.
+fn nra_digest_words(out: &ipm_core::nra::NraOutcome) -> Vec<u64> {
+    let s = &out.stats;
+    let mut words: Vec<u64> = s.entries_read.iter().map(|&n| n as u64).collect();
+    words.extend([
+        s.entries_skipped as u64,
+        s.prune_rounds as u64,
+        s.peak_candidates as u64,
+        u64::from(s.stopped_early),
+        out.hits.len() as u64,
+    ]);
+    for h in &out.hits {
+        words.extend([
+            u64::from(h.phrase.raw()),
+            h.score.to_bits(),
+            h.lower.to_bits(),
+            h.upper.to_bits(),
+        ]);
+    }
+    words
+}
+
+#[test]
+fn nra_traversal_is_pinned_on_harvested_queries() {
+    // Pins NRA's traversal, not just its answer set: per query, the
+    // entries read per list, prune rounds, peak candidate count, whether
+    // it stopped early and every hit's (phrase, score, lower, upper) bits.
+    // Bookkeeping changes (candidate storage, bound passes, the ranking
+    // sort) must leave this digest unchanged; only a change to what NRA
+    // reads or returns may move it, and then the new value needs a reason.
+    use ipm_core::nra::{run_nra, NraConfig};
+    use ipm_index::cursor::MemoryCursor;
+    let m = miner();
+    let block = m.to_block(1.0);
+    let mut words = Vec::new();
+    let (mut runs, mut early) = (0usize, 0usize);
+    for op in [Op::And, Op::Or] {
+        for q in queries(&m, op) {
+            for batch_size in [1usize, 16, 1024] {
+                for fraction in [1.0, 0.5] {
+                    let cursors: Vec<_> = q
+                        .features
+                        .iter()
+                        .map(|&f| MemoryCursor::partial(m.lists(), f, fraction))
+                        .collect();
+                    let cfg = NraConfig {
+                        k: 5,
+                        batch_size,
+                        lists_are_partial: fraction < 1.0,
+                        ..Default::default()
+                    };
+                    let out = run_nra(cursors, q.op, &cfg);
+                    runs += 1;
+                    early += usize::from(out.stats.stopped_early);
+                    words.extend(nra_digest_words(&out));
+                }
+                // The block-max dead-list drain over block cursors.
+                let cursors: Vec<_> = q
+                    .features
+                    .iter()
+                    .map(|&f| ipm_index::ListBackend::score_cursor(block.lists(), f, 1.0))
+                    .collect();
+                let cfg = NraConfig {
+                    k: 5,
+                    batch_size,
+                    use_block_max: true,
+                    ..Default::default()
+                };
+                words.extend(nra_digest_words(&run_nra(cursors, q.op, &cfg)));
+            }
+        }
+    }
+    assert!(
+        early > 0 && early < runs,
+        "the pinned mix must hold both early stops and exhausted runs ({early} of {runs})"
+    );
+    assert_eq!(
+        fnv1a(words),
+        0x5c4b_88d8_3102_68c6,
+        "NRA's traversal or its hit bits changed on the harvested query mix"
+    );
+}
+
 #[test]
 fn block_max_nra_is_sound_and_reads_no_more() {
     // The block-max soundness property: fast-forwarding over blocks whose
