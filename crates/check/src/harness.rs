@@ -22,6 +22,10 @@
 //! * **Merge-order determinism** ([`check_sort_hits_total`]) — result
 //!   ordering (score desc, ties id asc) is a total order on NaN-free
 //!   hits: permutation-invariant, and `truncate_top_k` is its prefix.
+//! * **NRA stop-test order independence** ([`check_top_k_final`]) —
+//!   whether NRA's current top-k is final depends on the multiset of
+//!   candidate bounds only, never on the order the candidate table lists
+//!   them in, and equals its brute-force definition.
 //! * **Histogram monotonicity** ([`check_histogram_contract`]) —
 //!   cumulative bucket counts are non-decreasing, reproduce the exact
 //!   per-bucket assignment, and `quantile` is monotone in `q` and never
@@ -32,6 +36,7 @@
 //!   round-trips *every* bit pattern (NaN payloads, `-0.0`, infinities)
 //!   and the decoder rejects every malformed string instead of guessing.
 
+use ipm_core::nra::top_k_is_final;
 use ipm_core::result::{sort_hits, truncate_top_k, PhraseHit};
 use ipm_corpus::{Feature, PhraseId, WordId};
 use ipm_index::{
@@ -207,7 +212,7 @@ pub fn check_sort_hits_total(hits: &[PhraseHit]) {
 }
 
 /// Heap-style permutation visitor (bounded inputs keep this cheap).
-fn permute(v: &mut [PhraseHit], at: usize, visit: &mut impl FnMut(&[PhraseHit])) {
+fn permute<T>(v: &mut [T], at: usize, visit: &mut impl FnMut(&[T])) {
     if at == v.len() {
         visit(v);
         return;
@@ -217,6 +222,57 @@ fn permute(v: &mut [PhraseHit], at: usize, visit: &mut impl FnMut(&[PhraseHit]))
         permute(v, at + 1, visit);
         v.swap(at, i);
     }
+}
+
+// ---------------------------------------------------------------------------
+// NRA stop-test order independence
+// ---------------------------------------------------------------------------
+
+/// The stop test's definition, by enumeration: with more than `k`
+/// candidates, is there a k-subset a lower-bound ranking could hold
+/// (every member's lower bound `>=` every non-member's) whose complement
+/// has every upper bound `<= kth_eff`?
+fn top_k_is_final_by_definition(pairs: &[(f64, f64)], k: usize, kth_eff: f64) -> bool {
+    let n = pairs.len();
+    if n <= k {
+        return true;
+    }
+    (0u32..1 << n)
+        .filter(|set| set.count_ones() as usize == k)
+        .any(|set| {
+            let inside = |i: usize| set & (1 << i) != 0;
+            let min_in = (0..n)
+                .filter(|&i| inside(i))
+                .map(|i| pairs[i].0)
+                .fold(f64::INFINITY, f64::min);
+            let ranked = (0..n).filter(|&i| !inside(i)).all(|i| pairs[i].0 <= min_in);
+            ranked
+                && (0..n)
+                    .filter(|&i| !inside(i))
+                    .all(|i| pairs[i].1 <= kth_eff)
+        })
+}
+
+/// Asserts that [`top_k_is_final`] on the candidate bounds `pairs`
+/// (`lower <= upper`, as every NRA candidate's are) gives the same answer
+/// under every permutation of `pairs` — the candidate table's order must
+/// never decide when NRA stops — and that the answer equals the
+/// brute-force definition.
+///
+/// # Panics
+/// On any violation. `pairs` must hold at most 6 NaN-free pairs and `k`
+/// must be positive.
+pub fn check_top_k_final(pairs: &[(f64, f64)], k: usize, kth_eff: f64) {
+    assert!(pairs.len() <= 6 && k > 0, "harness input shape");
+    let want = top_k_is_final_by_definition(pairs, k, kth_eff);
+    let mut perm = pairs.to_vec();
+    permute(&mut perm, 0, &mut |p| {
+        assert_eq!(
+            top_k_is_final(p, k, kth_eff),
+            want,
+            "stop test on {p:?} (k {k}, line {kth_eff}) disagrees with its definition"
+        );
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -370,6 +426,22 @@ mod proofs {
 
     #[kani::proof]
     #[kani::unwind(8)]
+    fn top_k_final_small() {
+        let raw: [u8; 3] = kani::any();
+        let k: u8 = kani::any();
+        kani::assume(1 <= k && k <= 4);
+        let pairs: Vec<(f64, f64)> = raw
+            .iter()
+            .map(|&r| {
+                let (lower, upper) = (f64::from(r % 3), f64::from(r / 3 % 3));
+                (lower.min(upper), lower.max(upper))
+            })
+            .collect();
+        check_top_k_final(&pairs, usize::from(k), 1.0);
+    }
+
+    #[kani::proof]
+    #[kani::unwind(8)]
     fn histogram_small() {
         let raw: [u8; 3] = kani::any();
         let samples: Vec<f64> = raw.iter().map(|&r| f64::from(r % 8) * 0.5).collect();
@@ -475,6 +547,52 @@ mod tests {
             PhraseHit::exact(PhraseId(2), 0.0),
         ];
         check_sort_hits_total(&hits);
+    }
+
+    #[test]
+    fn nra_stop_test_is_order_independent_on_every_small_multiset() {
+        // Exhaustive: every multiset of <= 6 candidate bound pairs over
+        // {-inf, 0, 1} with lower <= upper (ties everywhere, AND's -inf
+        // lower bounds included), every k up to one past the candidate
+        // count and every defended line in the alphabet; each multiset is
+        // checked under all of its permutations inside the harness.
+        let values = [f64::NEG_INFINITY, 0.0, 1.0];
+        let alphabet: Vec<(f64, f64)> = values
+            .iter()
+            .flat_map(|&lower| values.iter().map(move |&upper| (lower, upper)))
+            .filter(|&(lower, upper)| lower <= upper)
+            .collect();
+        let mut multisets: Vec<Vec<usize>> = vec![Vec::new()];
+        let mut frontier = multisets.clone();
+        for _ in 0..6 {
+            // Extend each multiset of the last size by a type no smaller
+            // than its last one: each multiset appears exactly once.
+            frontier = frontier
+                .iter()
+                .flat_map(|m| {
+                    let from = m.last().copied().unwrap_or(0);
+                    (from..alphabet.len()).map(move |t| {
+                        let mut next = m.clone();
+                        next.push(t);
+                        next
+                    })
+                })
+                .collect();
+            multisets.extend(frontier.iter().cloned());
+        }
+        assert_eq!(
+            multisets.len(),
+            924,
+            "C(12, 6) multisets of <= 6 of 6 types"
+        );
+        for m in &multisets {
+            let pairs: Vec<(f64, f64)> = m.iter().map(|&t| alphabet[t]).collect();
+            for k in 1..=pairs.len() + 1 {
+                for &line in &values {
+                    check_top_k_final(&pairs, k, line);
+                }
+            }
+        }
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl PhraseMiner {
         &self.config
     }
 
-    /// The in-memory [`ListBackend`] view over this miner's lists. Every
+    /// The in-memory [`ListBackend`](ipm_index::backend::ListBackend) view over this miner's lists. Every
     /// retrieval algorithm runs over it; `ipm_storage::DiskLists` is the
     /// drop-in disk-resident alternative (see [`PhraseMiner::to_disk`]).
     pub fn memory_backend(&self) -> MemoryBackend<'_> {

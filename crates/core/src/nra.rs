@@ -18,6 +18,15 @@
 //!   returns the top-k *by upper bound* (paper: "the phrases corresponding
 //!   to top-k candidates from C based on their upper bounds").
 //!
+//! The candidate set C is a flat table — a dense `Vec` of live candidates
+//! plus a phrase-id-indexed slot array that is trusted only when the
+//! entry it points at names the same phrase — so one table per thread is
+//! reused across runs without ever resetting the slots. The stop test is
+//! order-independent ([`top_k_is_final`]): the k slots go to every
+//! candidate above the k-th lower bound, then to the members of that
+//! bound's tie group with the highest upper bounds, and the run stops iff
+//! every other candidate's upper bound is at most the defended line.
+//!
 //! Works over any [`ScoredListCursor`] — in-memory slices or the simulated
 //! disk of `ipm-storage`.
 
@@ -25,9 +34,10 @@ use crate::budget::ShardBudget;
 use crate::query::Operator;
 use crate::result::PhraseHit;
 use crate::scoring::{absent_score, entry_score};
-use ipm_corpus::hash::FxHashMap;
 use ipm_corpus::PhraseId;
 use ipm_index::cursor::ScoredListCursor;
+use std::cell::Cell;
+use std::cmp::Ordering;
 
 /// NRA tuning parameters.
 #[derive(Debug, Clone)]
@@ -146,10 +156,192 @@ pub struct NraOutcome {
     pub stats: TraversalStats,
 }
 
+/// One live member of the candidate set C.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     sum_seen: f64,
+    phrase: PhraseId,
     seen_mask: u32,
+}
+
+/// The candidate set C as a sparse set: `live` holds the candidates
+/// densely and `slot[p]` the index of phrase `p` in `live`. A slot is
+/// believed only when the entry it points at names `p`, so stale slots —
+/// pruned candidates, earlier runs, a run that unwound mid-traversal —
+/// are harmless, and a run starts by clearing `live` alone instead of
+/// touching the `O(|P|)` slot array.
+#[derive(Debug, Default)]
+struct CandidateTable {
+    live: Vec<Candidate>,
+    slot: Vec<u32>,
+    /// `(lower, upper)` per live candidate for the current prune round,
+    /// aligned with `live`.
+    bounds: Vec<(f64, f64)>,
+    /// Selection scratch for the k-th lower bound.
+    lowers: Vec<f64>,
+}
+
+thread_local! {
+    /// This thread's table, taken for the length of a run and put back
+    /// after it. A run that panics drops its table; a re-entrant run (a
+    /// cursor that itself runs NRA) finds the cell empty — either way the
+    /// run works on a fresh local table instead of shared state.
+    static TABLE: Cell<CandidateTable> = const { Cell::new(CandidateTable::new()) };
+}
+
+impl CandidateTable {
+    const fn new() -> Self {
+        Self {
+            live: Vec::new(),
+            slot: Vec::new(),
+            bounds: Vec::new(),
+            lowers: Vec::new(),
+        }
+    }
+
+    /// Records score `s` of `phrase` on the list with seen-bit `bit`;
+    /// admits the phrase as a new candidate only when `admit` holds.
+    #[inline]
+    fn see(&mut self, phrase: PhraseId, bit: u32, s: f64, admit: bool) {
+        let p = phrase.index();
+        if let Some(&at) = self.slot.get(p) {
+            if let Some(c) = self.live.get_mut(at as usize) {
+                if c.phrase == phrase {
+                    if c.seen_mask & bit == 0 {
+                        c.sum_seen += s;
+                        c.seen_mask |= bit;
+                    }
+                    return;
+                }
+            }
+        }
+        if admit {
+            if p >= self.slot.len() {
+                self.grow(p);
+            }
+            self.slot[p] = self.live.len() as u32;
+            self.live.push(Candidate {
+                sum_seen: s,
+                phrase,
+                seen_mask: bit,
+            });
+        }
+    }
+
+    /// Grows the slot array to cover phrase `p`. Slot contents need no
+    /// initial value, so the new array is a fresh zeroed allocation (its
+    /// untouched pages are never written) pointed at the live candidates.
+    #[cold]
+    fn grow(&mut self, p: usize) {
+        self.slot = vec![0; (p + 1).max(2 * self.slot.len())];
+        for (at, c) in self.live.iter().enumerate() {
+            self.slot[c.phrase.index()] = at as u32;
+        }
+    }
+
+    /// Keeps the candidates whose upper bound from this round's bounds
+    /// pass satisfies `keep`, compacting `live` and re-pointing the slots
+    /// of the entries that moved.
+    fn retain_upper(&mut self, keep: impl Fn(f64) -> bool) {
+        let mut w = 0;
+        for at in 0..self.live.len() {
+            if keep(self.bounds[at].1) {
+                if w != at {
+                    let c = self.live[at];
+                    self.live[w] = c;
+                    self.slot[c.phrase.index()] = w as u32;
+                }
+                w += 1;
+            }
+        }
+        self.live.truncate(w);
+    }
+
+    /// Prunes hopeless candidates, refreshes `checknew`, and reports
+    /// whether the current top-k is final. `bounds` are the per-list
+    /// unseen-entry bounds from [`list_bounds`].
+    fn prune_and_check(
+        &mut self,
+        checknew: &mut bool,
+        op: Operator,
+        config: &NraConfig,
+        full_mask: u32,
+        bounds: &[f64],
+    ) -> bool {
+        // Upper bound of a completely unseen phrase.
+        let unseen_upper: f64 = bounds.iter().sum();
+
+        // One bounds pass, then the k-th best lower bound.
+        self.bounds.clear();
+        self.bounds.extend(
+            self.live
+                .iter()
+                .map(|c| candidate_bounds(c, op, full_mask, bounds)),
+        );
+        let kth_lower = kth_lower(&self.bounds, config.k, &mut self.lowers);
+        // The effective defence line: the local k-th lower bound or the
+        // externally seeded floor, whichever is stronger.
+        let kth_eff = kth_lower.max(config.lower_floor);
+
+        // Line 11: no new candidates once they cannot reach the top-k. `>=`
+        // keeps admitting score ties (conservative).
+        *checknew = unseen_upper >= kth_eff;
+
+        // Line 13, over every candidate of this round: the current
+        // candidates are final when (a) no unseen phrase can reach the
+        // defended line and (b) no candidate outside the local top-k can
+        // overtake it. With a seeded floor and fewer than k local
+        // candidates, (b) is vacuous — everything retained is already in
+        // the returned set, and the floor alone defends against the
+        // unseen.
+        let done = kth_eff > f64::NEG_INFINITY
+            && unseen_upper <= kth_eff
+            && others_below_line(&self.bounds, config.k, kth_lower, kth_eff);
+
+        // Line 12: drop candidates whose ceiling is below the k-th floor.
+        if kth_eff > f64::NEG_INFINITY {
+            self.retain_upper(|upper| upper >= kth_eff);
+        } else if matches!(op, Operator::And) {
+            // Even without k candidates yet, AND candidates that can never
+            // be completed (missing from a fully-read list) are dead.
+            self.retain_upper(|upper| upper > f64::NEG_INFINITY);
+        }
+        done
+    }
+
+    /// The final ranking (paper §4.3): the top-k by upper bound, ties by
+    /// lower bound, then by phrase id — selected, then only those k sorted.
+    fn rank(&self, op: Operator, full_mask: u32, bounds: &[f64], k: usize) -> Vec<PhraseHit> {
+        let mut ranked: Vec<PhraseHit> = self
+            .live
+            .iter()
+            .map(|c| {
+                let (lower, upper) = candidate_bounds(c, op, full_mask, bounds);
+                let score = if lower.is_finite() { lower } else { upper };
+                PhraseHit {
+                    phrase: c.phrase,
+                    score,
+                    lower,
+                    upper,
+                }
+            })
+            .filter(|h| h.upper > f64::NEG_INFINITY)
+            .collect();
+        // A total order: phrase ids are unique within the table.
+        let order = |a: &PhraseHit, b: &PhraseHit| {
+            b.upper
+                .partial_cmp(&a.upper)
+                .unwrap_or(Ordering::Equal)
+                .then(b.lower.partial_cmp(&a.lower).unwrap_or(Ordering::Equal))
+                .then(a.phrase.cmp(&b.phrase))
+        };
+        if ranked.len() > k {
+            ranked.select_nth_unstable_by(k - 1, order);
+            ranked.truncate(k);
+        }
+        ranked.sort_unstable_by(order);
+        ranked
+    }
 }
 
 /// Runs NRA over `cursors` (one per query feature, score-ordered) with no
@@ -192,8 +384,10 @@ pub fn run_nra_with<C: ScoredListCursor>(
     // list entry is entry_score(op, 1.0) (probabilities never exceed 1).
     let mut last_seen: Vec<f64> = vec![entry_score(op, 1.0); r];
     let mut exhausted: Vec<bool> = cursors.iter().map(|c| c.is_empty()).collect();
+    let mut bounds: Vec<f64> = Vec::with_capacity(r);
 
-    let mut candidates: FxHashMap<PhraseId, Candidate> = FxHashMap::default();
+    let mut table = TABLE.try_with(Cell::take).unwrap_or_default();
+    table.live.clear();
     let mut checknew = true;
     let mut stats = TraversalStats {
         entries_read: vec![0; r],
@@ -216,26 +410,12 @@ pub fn run_nra_with<C: ScoredListCursor>(
                     stats.entries_read[i] += 1;
                     let s = entry_score(op, entry.prob);
                     last_seen[i] = s;
-                    let bit = 1u32 << i;
-                    if let Some(c) = candidates.get_mut(&entry.phrase) {
-                        if c.seen_mask & bit == 0 {
-                            c.sum_seen += s;
-                            c.seen_mask |= bit;
-                        }
-                    } else if checknew {
-                        candidates.insert(
-                            entry.phrase,
-                            Candidate {
-                                sum_seen: s,
-                                seen_mask: bit,
-                            },
-                        );
-                    }
+                    table.see(entry.phrase, 1u32 << i, s, checknew);
                 }
                 None => exhausted[i] = true,
             }
         }
-        stats.peak_candidates = stats.peak_candidates.max(candidates.len());
+        stats.peak_candidates = stats.peak_candidates.max(table.live.len());
 
         if !budget.check() {
             // Budget exhausted (or tripped by a sibling shard): stop here
@@ -249,15 +429,8 @@ pub fn run_nra_with<C: ScoredListCursor>(
         if iter_in_batch >= batch || all_exhausted {
             iter_in_batch = 0;
             stats.prune_rounds += 1;
-            let bounds = list_bounds(op, config, &last_seen, &exhausted, &cursors);
-            let done = prune_and_check(
-                &mut candidates,
-                &mut checknew,
-                op,
-                config,
-                full_mask,
-                &bounds,
-            );
+            list_bounds(op, config, &last_seen, &exhausted, &cursors, &mut bounds);
+            let done = table.prune_and_check(&mut checknew, op, config, full_mask, &bounds);
             if done && !all_exhausted {
                 stats.stopped_early = true;
                 break;
@@ -271,21 +444,19 @@ pub fn run_nra_with<C: ScoredListCursor>(
             // weight: drain it block by block without decoding (and,
             // behind the block image, without fetching).
             if config.use_block_max && !checknew && !all_exhausted {
+                let unseen_somewhere = table.live.iter().fold(0u32, |m, c| m | !c.seen_mask);
                 for i in 0..r {
-                    if exhausted[i] {
+                    if exhausted[i] || unseen_somewhere & (1u32 << i) != 0 {
                         continue;
                     }
-                    let bit = 1u32 << i;
-                    if candidates.values().all(|c| c.seen_mask & bit != 0) {
-                        loop {
-                            let n = cursors[i].skip_block();
-                            if n == 0 {
-                                break;
-                            }
-                            stats.entries_skipped += n;
+                    loop {
+                        let n = cursors[i].skip_block();
+                        if n == 0 {
+                            break;
                         }
-                        exhausted[i] = true;
+                        stats.entries_skipped += n;
                     }
+                    exhausted[i] = true;
                 }
             }
         }
@@ -294,70 +465,46 @@ pub fn run_nra_with<C: ScoredListCursor>(
         }
     }
 
-    // Final ranking by upper bound (paper §4.3), tie by lower bound, tie by
-    // phrase id.
-    let bounds = list_bounds(op, config, &last_seen, &exhausted, &cursors);
-    let mut ranked: Vec<PhraseHit> = candidates
-        .iter()
-        .map(|(&phrase, c)| {
-            let (lower, upper) = candidate_bounds(c, op, full_mask, &bounds);
-            let score = if lower.is_finite() { lower } else { upper };
-            PhraseHit {
-                phrase,
-                score,
-                lower,
-                upper,
-            }
-        })
-        .filter(|h| h.upper > f64::NEG_INFINITY)
-        .collect();
-    ranked.sort_by(|a, b| {
-        b.upper
-            .partial_cmp(&a.upper)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(
-                b.lower
-                    .partial_cmp(&a.lower)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
-            .then(a.phrase.cmp(&b.phrase))
-    });
-    ranked.truncate(config.k);
-    NraOutcome {
-        hits: ranked,
-        stats,
-    }
+    list_bounds(op, config, &last_seen, &exhausted, &cursors, &mut bounds);
+    let hits = table.rank(op, full_mask, &bounds, config.k);
+    // Ignored only during thread teardown, when the table just goes away.
+    let _ = TABLE.try_with(|cell| cell.set(table));
+    NraOutcome { hits, stats }
 }
 
-/// Per-list bound on the score of an entry not yet seen on that list.
+/// Per-list bound on the score of an entry not yet seen on that list,
+/// written into `out`.
 fn list_bounds<C: ScoredListCursor>(
     op: Operator,
     config: &NraConfig,
     last_seen: &[f64],
     exhausted: &[bool],
     cursors: &[C],
-) -> Vec<f64> {
-    last_seen
-        .iter()
-        .zip(exhausted)
-        .enumerate()
-        .map(|(i, (&s, &ex))| {
-            if ex && !config.lists_are_partial {
-                // Fully read: any phrase not seen there is truly absent.
-                absent_score(op)
-            } else if config.use_block_max {
-                // Skip metadata bounds the unread remainder at least as
-                // tightly as the last seen score (Eq. 8's per-round
-                // envelope, tightened block-wise).
-                match cursors[i].block_max_hint() {
-                    Some(p) => entry_score(op, p).min(s),
-                    None => s,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    out.extend(
+        last_seen
+            .iter()
+            .zip(exhausted)
+            .enumerate()
+            .map(|(i, (&s, &ex))| {
+                if ex && !config.lists_are_partial {
+                    // Fully read: any phrase not seen there is truly absent.
+                    absent_score(op)
+                } else if config.use_block_max {
+                    // Skip metadata bounds the unread remainder at least as
+                    // tightly as the last seen score (Eq. 8's per-round
+                    // envelope, tightened block-wise).
+                    match cursors[i].block_max_hint() {
+                        Some(p) => entry_score(op, p).min(s),
+                        None => s,
+                    }
+                } else {
+                    s
                 }
-            } else {
-                s
-            }
-        })
-        .collect()
+            }),
+    );
 }
 
 /// `(lower, upper)` bounds of one candidate given per-list bounds.
@@ -381,68 +528,59 @@ fn candidate_bounds(c: &Candidate, op: Operator, full_mask: u32, bounds: &[f64])
     (lower, upper)
 }
 
-/// Prunes hopeless candidates, refreshes `checknew`, and reports whether the
-/// current top-k is final. `bounds` are the per-list unseen-entry bounds
-/// from [`list_bounds`].
-fn prune_and_check(
-    candidates: &mut FxHashMap<PhraseId, Candidate>,
-    checknew: &mut bool,
-    op: Operator,
-    config: &NraConfig,
-    full_mask: u32,
-    bounds: &[f64],
-) -> bool {
-    // Upper bound of a completely unseen phrase.
-    let unseen_upper: f64 = bounds.iter().sum();
-
-    // Candidate bounds, then the k-th best lower bound.
-    let mut pairs: Vec<(f64, f64)> = candidates
-        .values()
-        .map(|c| candidate_bounds(c, op, full_mask, bounds))
-        .collect();
-    let kth_lower = if pairs.len() < config.k {
-        f64::NEG_INFINITY
-    } else {
-        let idx = config.k - 1;
-        pairs.select_nth_unstable_by(idx, |a, b| b.0.partial_cmp(&a.0).unwrap());
-        pairs[idx].0
-    };
-    // The effective defence line: the local k-th lower bound or the
-    // externally seeded floor, whichever is stronger.
-    let kth_eff = kth_lower.max(config.lower_floor);
-
-    // Line 11: no new candidates once they cannot reach the top-k. `>=`
-    // keeps admitting score ties (conservative).
-    *checknew = unseen_upper >= kth_eff;
-
-    // Line 12: drop candidates whose ceiling is below the k-th floor.
-    if kth_eff > f64::NEG_INFINITY {
-        candidates.retain(|_, c| candidate_bounds(c, op, full_mask, bounds).1 >= kth_eff);
-    } else if matches!(op, Operator::And) {
-        // Even without k candidates yet, AND candidates that can never be
-        // completed (missing from a fully-read list) are dead.
-        candidates.retain(|_, c| candidate_bounds(c, op, full_mask, bounds).1 > f64::NEG_INFINITY);
+/// The k-th largest lower bound of `pairs` (`-∞` with fewer than `k`),
+/// selected in `scratch`.
+fn kth_lower(pairs: &[(f64, f64)], k: usize, scratch: &mut Vec<f64>) -> f64 {
+    if pairs.len() < k {
+        return f64::NEG_INFINITY;
     }
+    scratch.clear();
+    scratch.extend(pairs.iter().map(|&(lower, _)| lower));
+    *scratch
+        .select_nth_unstable_by(k - 1, |a, b| {
+            b.partial_cmp(a).expect("bounds are never NaN")
+        })
+        .1
+}
 
-    // Line 13: the current candidates are final when (a) no unseen phrase
-    // can reach the defended line and (b) no candidate *outside* the
-    // local top-k can overtake it. With a seeded floor and fewer than k
-    // local candidates, (b) is vacuous — everything retained is already
-    // in the returned set, and the floor alone defends against the
-    // unseen.
-    if kth_eff == f64::NEG_INFINITY || unseen_upper > kth_eff {
-        return false;
+/// Whether the k slots can be filled so that every candidate left out has
+/// an upper bound `<= kth_eff`. The slots go to every candidate whose
+/// lower bound is above `kth_lower`, then to the members of the tie group
+/// at `kth_lower` with the highest upper bounds — so the answer depends on
+/// the multiset of pairs only, never on their order. One pass: below the
+/// tie group every upper bound must fit under the line, and inside it no
+/// more members may exceed the line than there are slots left. With at
+/// most `k` pairs every pair gets a slot, so the answer is `true`.
+fn others_below_line(pairs: &[(f64, f64)], k: usize, kth_lower: f64, kth_eff: f64) -> bool {
+    let mut above = 0usize;
+    let mut tied_over = 0usize;
+    for &(lower, upper) in pairs {
+        if lower > kth_lower {
+            above += 1;
+        } else if upper > kth_eff {
+            if lower < kth_lower {
+                return false;
+            }
+            tied_over += 1;
+        }
     }
-    if pairs.len() <= config.k {
-        return true;
-    }
-    // `pairs` is partitioned by lower bound around index k-1: elements
-    // after it are exactly the non-top-k candidates.
-    let max_other_upper = pairs[config.k..]
-        .iter()
-        .map(|&(_, u)| u)
-        .fold(f64::NEG_INFINITY, f64::max);
-    max_other_upper <= kth_eff
+    tied_over <= k - above
+}
+
+/// Whether the current top-k of the candidates `pairs` (each a `(lower,
+/// upper)` bound pair) is final against the candidates outside it, given
+/// the defended line `kth_eff` — NRA's stop test (paper line 13) minus its
+/// unseen-phrase half. True with at most `k` candidates; otherwise true iff
+/// some k-subset a lower-bound ranking could hold (every member's lower
+/// bound `>=` every non-member's) leaves only upper bounds `<= kth_eff`
+/// outside. Candidates that tie at the k-th lower bound therefore never
+/// make the answer depend on the order they are listed in.
+///
+/// # Panics
+/// If `k == 0` or a bound is NaN.
+pub fn top_k_is_final(pairs: &[(f64, f64)], k: usize, kth_eff: f64) -> bool {
+    assert!(k > 0, "k must be positive");
+    others_below_line(pairs, k, kth_lower(pairs, k, &mut Vec::new()), kth_eff)
 }
 
 #[cfg(test)]

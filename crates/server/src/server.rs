@@ -1,4 +1,4 @@
-//! The serving tier: the shared connection front end ([`crate::front`])
+//! The serving tier: the shared connection front end (`crate::front`)
 //! → bounded job queue → fixed worker pool over one shared
 //! [`QueryEngine`].
 //!

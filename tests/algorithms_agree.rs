@@ -585,6 +585,136 @@ fn nra_traversal_is_pinned_on_harvested_queries() {
     );
 }
 
+/// A score cursor that panics once it has yielded `left` entries.
+struct FaultyCursor<'a> {
+    inner: ipm_index::cursor::MemoryCursor<'a>,
+    left: usize,
+}
+
+impl ipm_index::cursor::ScoredListCursor for FaultyCursor<'_> {
+    fn next_entry(&mut self) -> Option<ipm_index::ListEntry> {
+        assert!(self.left > 0, "cursor fault");
+        self.left -= 1;
+        self.inner.next_entry()
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn position(&self) -> usize {
+        self.inner.position()
+    }
+}
+
+/// A score cursor whose first read runs a whole nested NRA query on the
+/// same thread before it yields anything.
+struct NestingCursor<'a, F: FnMut()> {
+    inner: ipm_index::cursor::MemoryCursor<'a>,
+    nested: Option<F>,
+}
+
+impl<F: FnMut()> ipm_index::cursor::ScoredListCursor for NestingCursor<'_, F> {
+    fn next_entry(&mut self) -> Option<ipm_index::ListEntry> {
+        if let Some(mut run) = self.nested.take() {
+            run();
+        }
+        self.inner.next_entry()
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn position(&self) -> usize {
+        self.inner.position()
+    }
+}
+
+#[test]
+fn nra_scratch_survives_unwinding_threads_and_reentry() {
+    // NRA keeps its candidate table in per-thread scratch, and the server
+    // runs engine calls under `catch_unwind` on threads it keeps. A run
+    // that dies mid-traversal, runs on many threads at once or re-enters
+    // NRA from inside a cursor must leave every later run on that thread
+    // bit-identical to one on a fresh thread.
+    use ipm_core::nra::{run_nra, NraConfig};
+    use ipm_index::cursor::MemoryCursor;
+    let m = miner();
+    let qs: Vec<Query> = [Op::And, Op::Or]
+        .into_iter()
+        .flat_map(|op| queries(&m, op))
+        .collect();
+    let cfg = NraConfig {
+        k: 5,
+        batch_size: 16,
+        ..Default::default()
+    };
+    let cursors = |q: &Query| -> Vec<MemoryCursor<'_>> {
+        q.features
+            .iter()
+            .map(|&f| MemoryCursor::new(m.lists().list(f)))
+            .collect()
+    };
+    let digest = |q: &Query| nra_digest_words(&run_nra(cursors(q), q.op, &cfg));
+    let all = || qs.iter().map(digest).collect::<Vec<_>>();
+    let reference = std::thread::scope(|s| s.spawn(all).join().expect("reference thread"));
+
+    // Unwinding: a cursor fault halfway through the deepest traversal.
+    let (longest, read) = qs
+        .iter()
+        .map(|q| (q, run_nra(cursors(q), q.op, &cfg).stats.entries_read))
+        .max_by_key(|(_, read)| read.iter().sum::<usize>())
+        .expect("queries");
+    let faulty: Vec<FaultyCursor<'_>> = cursors(longest)
+        .into_iter()
+        .zip(&read)
+        .map(|(inner, &n)| FaultyCursor { inner, left: n / 2 })
+        .collect();
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_nra(faulty, longest.op, &cfg)
+    }));
+    assert!(unwound.is_err(), "the faulty cursor must fire mid-run");
+    assert_eq!(all(), reference, "a run after an unwound run diverged");
+
+    // Threads: eight at once, each starting at a different query.
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|t| {
+                let (qs, reference) = (&qs, &reference);
+                s.spawn(move || {
+                    for i in 0..qs.len() {
+                        let at = (i + t) % qs.len();
+                        assert_eq!(digest(&qs[at]), reference[at], "thread {t}, query {at}");
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("worker thread");
+        }
+    });
+
+    // Re-entry: the outer run's first read runs a whole inner query.
+    let (outer, inner) = (&qs[0], &qs[qs.len() - 1]);
+    let mut inner_words = Vec::new();
+    let mut nested = Some(|| inner_words = digest(inner));
+    let nesting: Vec<_> = cursors(outer)
+        .into_iter()
+        .map(|inner| NestingCursor {
+            inner,
+            nested: nested.take(),
+        })
+        .collect();
+    let outer_words = nra_digest_words(&run_nra(nesting, outer.op, &cfg));
+    assert_eq!(
+        outer_words, reference[0],
+        "the re-entered outer run diverged"
+    );
+    assert_eq!(
+        inner_words,
+        reference[qs.len() - 1],
+        "the nested run diverged"
+    );
+    assert_eq!(all(), reference, "runs after a re-entrant run diverged");
+}
+
 #[test]
 fn block_max_nra_is_sound_and_reads_no_more() {
     // The block-max soundness property: fast-forwarding over blocks whose

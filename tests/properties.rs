@@ -170,6 +170,37 @@ fn scored_lists_strategy() -> impl Strategy<Value = Vec<Vec<ListEntry>>> {
     })
 }
 
+/// Score-ordered lists whose probabilities come from {1, 1/2, 1/3, 1/4,
+/// 1/6} over a small phrase range, so exact score ties are the common
+/// case rather than a measure-zero one.
+fn tie_heavy_lists_strategy() -> impl Strategy<Value = Vec<Vec<ListEntry>>> {
+    const ALPHABET: [f64; 5] = [1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0, 1.0 / 6.0];
+    prop::collection::vec(
+        prop::collection::btree_map(0u32..24, 0usize..ALPHABET.len(), 0..30),
+        1..4,
+    )
+    .prop_map(|maps| {
+        maps.into_iter()
+            .map(|m| {
+                let mut list: Vec<ListEntry> = m
+                    .into_iter()
+                    .map(|(id, at)| ListEntry {
+                        phrase: PhraseId(id),
+                        prob: ALPHABET[at],
+                    })
+                    .collect();
+                list.sort_by(|a, b| {
+                    b.prob
+                        .partial_cmp(&a.prob)
+                        .unwrap()
+                        .then(a.phrase.cmp(&b.phrase))
+                });
+                list
+            })
+            .collect()
+    })
+}
+
 /// Brute-force oracle: aggregate all lists fully.
 fn oracle_top_k(lists: &[Vec<ListEntry>], op: Operator, k: usize) -> Vec<(PhraseId, f64)> {
     use std::collections::BTreeMap;
@@ -227,6 +258,54 @@ proptest! {
             for h in &out.hits {
                 let true_score = want.iter().find(|(p, _)| *p == h.phrase).unwrap().1;
                 prop_assert!((h.score - true_score).abs() < 1e-9);
+            }
+        }
+    }
+
+    #[test]
+    fn nra_brackets_and_matches_oracle_scores_under_ties(
+        lists in tie_heavy_lists_strategy(),
+        k in 1usize..8,
+        batch in 1usize..64,
+        op_or in any::<bool>(),
+        partial in any::<bool>(),
+        fraction in 0.1f64..1.0,
+    ) {
+        // Probabilities from a five-value alphabet make exact score ties
+        // common, including at the k-th boundary where the stop test has
+        // to hand out the last slots inside a tie group.
+        let op = if op_or { Operator::Or } else { Operator::And };
+        let fraction = if partial { fraction } else { 1.0 };
+        let cursors: Vec<MemoryCursor> = lists
+            .iter()
+            .map(|l| MemoryCursor::new(&l[..ipm_index::cursor::prefix_len(l.len(), fraction)]))
+            .collect();
+        let out = run_nra(cursors, op, &NraConfig {
+                k,
+                batch_size: batch,
+                lists_are_partial: partial,
+                ..Default::default()
+            });
+        // Every phrase's true aggregate over the full lists; AND phrases
+        // missing from a list aggregate to -inf.
+        let truth = oracle_top_k(&lists, op, usize::MAX);
+        let true_score = |p: PhraseId| {
+            truth.iter().find(|(q, _)| *q == p).map_or(f64::NEG_INFINITY, |&(_, s)| s)
+        };
+        for h in &out.hits {
+            let t = true_score(h.phrase);
+            prop_assert!(h.lower <= t + 1e-9, "lower {} > true {} for {:?}", h.lower, t, h.phrase);
+            prop_assert!(h.upper >= t - 1e-9, "upper {} < true {} for {:?}", h.upper, t, h.phrase);
+        }
+        if !partial {
+            // Ids may swap inside an exact tie group at the k-th boundary;
+            // the true scores of the returned set may not.
+            let mut got: Vec<f64> = out.hits.iter().map(|h| true_score(h.phrase)).collect();
+            got.sort_by(|a, b| b.partial_cmp(a).unwrap());
+            let want: Vec<f64> = truth.iter().take(k).map(|&(_, s)| s).collect();
+            prop_assert_eq!(got.len(), want.len(), "got {:?} want {:?}", out.hits, want);
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert!((g - w).abs() < 1e-9, "true scores {:?} want {:?}", got, want);
             }
         }
     }
