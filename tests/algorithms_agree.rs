@@ -585,6 +585,82 @@ fn nra_traversal_is_pinned_on_harvested_queries() {
     );
 }
 
+#[test]
+fn backend_answers_and_block_io_are_pinned_on_harvested_queries() {
+    // Pins what the three backends answer, not how: per harvested query,
+    // operator, algorithm and fanout, every hit's (phrase, score bits,
+    // text) on memory, disk and block, plus the block backend's IoStats
+    // under an IO cap that is never reached (capped requests resolve
+    // texts without charging, so that bill is list traffic only). A
+    // storage refactor must leave the digest unchanged. Disk IO depends
+    // on the image's page layout, so it is printed, not pinned.
+    let engine = QueryEngine::with_config(
+        miner(),
+        EngineConfig {
+            cache: None,
+            ..Default::default()
+        },
+    );
+    let m = engine.miner();
+    let mut words = Vec::new();
+    let mut disk_io = ipm_storage::IoStats::default();
+    for op in [Op::And, Op::Or] {
+        for q in queries(&m, op) {
+            for algorithm in [
+                Algorithm::Nra,
+                Algorithm::Smj,
+                Algorithm::Ta,
+                Algorithm::Exact,
+            ] {
+                for n in [1usize, 2, 4] {
+                    let run = |backend, cap: Option<u64>| {
+                        let req = engine
+                            .request_query(q.clone())
+                            .k(5)
+                            .algorithm(algorithm)
+                            .backend(backend)
+                            .shards(n);
+                        match cap {
+                            Some(cap) => req.io_budget(cap),
+                            None => req,
+                        }
+                        .run()
+                        .unwrap()
+                    };
+                    for backend in [
+                        BackendChoice::Memory,
+                        BackendChoice::Disk,
+                        BackendChoice::Block,
+                    ] {
+                        let resp = run(backend, None);
+                        words.push(resp.hits.len() as u64);
+                        for h in &resp.hits {
+                            words.extend([
+                                u64::from(h.hit.phrase.raw()),
+                                h.hit.score.to_bits(),
+                                fnv1a(h.text.bytes().map(u64::from)),
+                            ]);
+                        }
+                        if backend == BackendChoice::Disk {
+                            disk_io.accumulate(&resp.io.expect("disk run reports IO"));
+                        }
+                    }
+                    let io = run(BackendChoice::Block, Some(u64::MAX))
+                        .io
+                        .expect("block run reports IO");
+                    words.extend([io.cache_hits, io.sequential_fetches, io.random_fetches]);
+                }
+            }
+        }
+    }
+    eprintln!("disk IO over the pinned mix (not pinned): {disk_io:?}");
+    assert_eq!(
+        fnv1a(words),
+        0xa494_4f6b_04ab_f749,
+        "a backend's hits, texts or block list IO changed on the harvested query mix"
+    );
+}
+
 /// A score cursor that panics once it has yielded `left` entries.
 struct FaultyCursor<'a> {
     inner: ipm_index::cursor::MemoryCursor<'a>,
