@@ -40,7 +40,8 @@ use ipm_core::nra::top_k_is_final;
 use ipm_core::result::{sort_hits, truncate_top_k, PhraseHit};
 use ipm_corpus::{Feature, PhraseId, WordId};
 use ipm_index::{
-    BlockLists, IdListCursor, IdOrderedLists, ListEntry, ScoredListCursor, WordPhraseLists,
+    BlockLists, IdListCursor, IdOrderedLists, ListBackend, ListEntry, ScoredListCursor,
+    WordPhraseLists,
 };
 use ipm_obs::Histogram;
 use ipm_server::wire::{f64_from_bits_str, f64_to_bits_str};
@@ -92,16 +93,16 @@ pub fn check_block_roundtrip_and_bounds(counts: &[u32], dfs: &[u32]) {
 
     let lists = WordPhraseLists::from_feature_lists(vec![(feature, by_score.clone())]);
     let id_lists = IdOrderedLists::from_feature_lists(vec![(feature, by_id.clone())]);
-    let blocks = BlockLists::build(&lists, &id_lists, Arc::new(dfs.to_vec()), None);
+    let blocks = BlockLists::build(&lists, &id_lists, Arc::new(dfs.to_vec()));
 
     // Round-trip, both orders, bit-exact.
-    let mut cur = blocks.score_cursor_with_hook(feature, 1.0, None);
+    let mut cur = blocks.score_cursor(feature, 1.0);
     let mut decoded = Vec::new();
     while let Some(e) = cur.next_entry() {
         decoded.push(e);
     }
     assert_eq!(decoded, by_score, "score run must decode bit-exactly");
-    let mut cur = blocks.id_cursor_with_hook(feature, None);
+    let mut cur = blocks.id_cursor(feature);
     let mut decoded = Vec::new();
     while let Some(e) = cur.next_entry() {
         decoded.push(e);
@@ -110,7 +111,7 @@ pub fn check_block_roundtrip_and_bounds(counts: &[u32], dfs: &[u32]) {
 
     // Hint soundness: before each yield, the hint bounds the whole
     // remaining suffix.
-    let mut cur = blocks.score_cursor_with_hook(feature, 1.0, None);
+    let mut cur = blocks.score_cursor(feature, 1.0);
     for pos in 0..by_score.len() {
         let hint = cur
             .block_max_hint()
@@ -131,7 +132,7 @@ pub fn check_block_roundtrip_and_bounds(counts: &[u32], dfs: &[u32]) {
 
     // Skip soundness: skipping from any block boundary drops exactly the
     // entries the pre-skip hint bounded.
-    let mut cur = blocks.score_cursor_with_hook(feature, 1.0, None);
+    let mut cur = blocks.score_cursor(feature, 1.0);
     let mut pos = 0usize;
     while pos < by_score.len() {
         let hint = cur.block_max_hint().expect("entries remain");
@@ -150,7 +151,7 @@ pub fn check_block_roundtrip_and_bounds(counts: &[u32], dfs: &[u32]) {
 
     // Probe agreement, present and absent.
     for e in &by_id {
-        let got = blocks.probe_with_hook(feature, e.phrase, None);
+        let got = blocks.probe(feature, e.phrase);
         assert!(
             got == e.prob,
             "probe({:?}) = {got}, stored {}",
@@ -159,7 +160,7 @@ pub fn check_block_roundtrip_and_bounds(counts: &[u32], dfs: &[u32]) {
         );
     }
     let absent = PhraseId(counts.len() as u32);
-    assert_eq!(blocks.probe_with_hook(feature, absent, None), 0.0);
+    assert_eq!(blocks.probe(feature, absent), 0.0);
 }
 
 // ---------------------------------------------------------------------------

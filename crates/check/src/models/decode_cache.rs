@@ -3,7 +3,7 @@
 //! `execute_batch` pins the serving epoch once, then every block-backed
 //! member (and the group's fused shared scan) probes and fills one
 //! shared `DecodedBlockCache` whose keys carry that **pinned** epoch —
-//! the decode itself always reads the `Arc<BlockImage>` captured with
+//! the decode itself always reads the block image captured with
 //! the same snapshot. Mid-batch mutations bump the live epoch but must
 //! never surface inside a running batch:
 //!

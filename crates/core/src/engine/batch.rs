@@ -13,6 +13,7 @@ use crate::result::PhraseHit;
 use ipm_corpus::hash::FxHashMap;
 use ipm_corpus::Feature;
 use ipm_index::backend::ListBackend;
+use ipm_index::block::BlockLists;
 use ipm_storage::{CachedBlockImage, DecodeStats, DecodedBlockCache};
 
 /// The decoded-block cache binding one batch execution threads down to
@@ -212,7 +213,7 @@ impl QueryEngine {
                 )
             }
             _ => {
-                let block = self.block_for(&live.index);
+                let block = self.image::<BlockLists>(&live.index);
                 let block = &*block;
                 // One shared cold scan for the whole group; its IO lands
                 // in the engine totals, not in any member's response.
@@ -220,10 +221,7 @@ impl QueryEngine {
                     Some(d) => {
                         let views: Vec<CachedBlockImage<'_>> = multiplicity
                             .iter()
-                            .map(|&w| {
-                                CachedBlockImage::new(block, d.cache, d.epoch, d.stats)
-                                    .with_weight(w)
-                            })
+                            .map(|&w| CachedBlockImage::new(block, d.cache, d.epoch, d.stats, w))
                             .collect();
                         let cursors = views
                             .iter()

@@ -20,11 +20,11 @@
 //! come from (`Source`) and in whether the result cache is probed.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use super::batch::{DecodeBinding, FusedHits};
-use super::live::{IndexState, LiveState};
+use super::live::{IndexState, LiveState, ShardedIndex};
 use super::obs::completeness_label;
 use super::{
     BackendChoice, BatchItem, CacheKey, QueryEngine, ResultCache, SearchHit, SearchOptions,
@@ -41,9 +41,10 @@ use crate::request::SearchRequest;
 use crate::result::PhraseHit;
 use crate::scoring::estimated_interestingness;
 use ipm_corpus::PhraseId;
-use ipm_index::backend::ListBackend;
+use ipm_index::backend::{ListBackend, ListEncoding};
+use ipm_index::block::BlockLists;
 use ipm_obs::{StageKind, TraceMeta, Tracer};
-use ipm_storage::{BlockImage, CachedBlockImage, IoStats};
+use ipm_storage::{CachedBlockImage, FlatLists, IoStats, PagedImage};
 
 /// What a request fixes before it touches a list — computed once, by
 /// `QueryEngine::prologue`, for every entry point.
@@ -77,23 +78,84 @@ type Keyed<'a> = (&'a ResultCache, CacheKey);
 /// A caller of the list lease (`QueryEngine::lease`). The method is
 /// generic so each backend type monomorphises its own copy of the
 /// algorithm loops — the lease adds no dynamic dispatch to them.
-trait ListVisitor {
+pub(super) trait ListVisitor {
     type Out;
 
     /// `shards` holds one backend per shard of the leased fanout, in
-    /// ascending phrase-range order. `disk_text` reads a phrase's text
-    /// through the leased image's disk-resident phrase file (charging its
-    /// pool) and answers `None` on backends that carry no such file.
+    /// ascending phrase-range order. `charge_text(i, phrase)` charges the
+    /// text lookup of a hit that shard `i` owns to that shard's pool and
+    /// returns the pages it fetched (`0` on the memory backend).
     fn visit<B: ListBackend + Sync>(
         self,
         shards: &[&B],
-        disk_text: &dyn Fn(PhraseId) -> Option<String>,
+        charge_text: &dyn Fn(usize, PhraseId) -> u64,
     ) -> Self::Out;
 }
 
+/// A list encoding the lease serves from [`PagedImage`]s: where an index
+/// generation and a shard layout keep its lazily built images, and how a
+/// batch's decoded-block cache binds to them.
+pub(super) trait Paged: ListEncoding + 'static {
+    /// The generation's unsharded image.
+    fn image_slot(state: &IndexState) -> &OnceLock<Arc<PagedImage<Self>>>;
+
+    /// The layout's per-shard images.
+    fn shards_slot(layout: &ShardedIndex) -> &OnceLock<Vec<PagedImage<Self>>>;
+
+    /// Runs `visitor` over `images`. Only the block encoding decodes, so
+    /// only it reads through the batch's decoded-block cache.
+    fn visit<V: ListVisitor>(
+        images: &[PagedImage<Self>],
+        _decode: Option<&DecodeBinding<'_>>,
+        visitor: V,
+        charge_text: &dyn Fn(usize, PhraseId) -> u64,
+    ) -> V::Out {
+        let refs: Vec<_> = images.iter().collect();
+        visitor.visit(&refs, charge_text)
+    }
+}
+
+impl Paged for FlatLists {
+    fn image_slot(state: &IndexState) -> &OnceLock<Arc<PagedImage<Self>>> {
+        &state.disk
+    }
+
+    fn shards_slot(layout: &ShardedIndex) -> &OnceLock<Vec<PagedImage<Self>>> {
+        &layout.disk
+    }
+}
+
+impl Paged for BlockLists {
+    fn image_slot(state: &IndexState) -> &OnceLock<Arc<PagedImage<Self>>> {
+        &state.block
+    }
+
+    fn shards_slot(layout: &ShardedIndex) -> &OnceLock<Vec<PagedImage<Self>>> {
+        &layout.block
+    }
+
+    fn visit<V: ListVisitor>(
+        images: &[PagedImage<Self>],
+        decode: Option<&DecodeBinding<'_>>,
+        visitor: V,
+        charge_text: &dyn Fn(usize, PhraseId) -> u64,
+    ) -> V::Out {
+        let Some(d) = decode else {
+            let refs: Vec<_> = images.iter().collect();
+            return visitor.visit(&refs, charge_text);
+        };
+        let cached: Vec<_> = images
+            .iter()
+            .map(|image| CachedBlockImage::new(image, d.cache, d.epoch, d.stats, 1))
+            .collect();
+        let refs: Vec<_> = cached.iter().collect();
+        visitor.visit(&refs, charge_text)
+    }
+}
+
 /// Local execution: the planned fan-out over all leased shards, then the
-/// hit texts — resolved inside the lease so the disk backend's final
-/// phrase lookups (the paper's last retrieval step) are still charged.
+/// hit texts — resolved inside the lease, so each hit's lookup (the
+/// paper's last retrieval step) is charged to the shard owning it.
 struct LocalRun<'a> {
     ctx: &'a ExecContext<'a>,
     query: &'a Query,
@@ -106,17 +168,28 @@ impl ListVisitor for LocalRun<'_> {
     fn visit<B: ListBackend + Sync>(
         self,
         shards: &[&B],
-        disk_text: &dyn Fn(PhraseId) -> Option<String>,
+        charge_text: &dyn Fn(usize, PhraseId) -> u64,
     ) -> Self::Out {
         let (hits, stats) = run_query(self.ctx, shards, self.query, self.k);
-        // IO-budgeted (and budget-stopped) requests resolve result texts
-        // from the in-memory phrase table: the cap governs *list* IO, and
-        // the final phrase lookups must neither push a query past a cap
-        // it respected nor charge IO after a budget said stop.
+        // IO-budgeted (and budget-stopped) requests skip the lookups'
+        // charge: the cap governs *list* IO, and the final phrase lookups
+        // must neither push a query past a cap it respected nor charge IO
+        // after a budget said stop. The fetches a lookup does cause are
+        // booked into its shard's trace row, so the rows still sum to the
+        // response's IO.
         let budget = self.ctx.budget;
-        let via_disk = !budget.has_io_budget() && !budget.is_tripped();
-        let text = |p| via_disk.then(|| disk_text(p)).flatten();
-        (resolve_hits(self.ctx, self.query.op, hits, text), stats)
+        let charged = !budget.has_io_budget() && !budget.is_tripped();
+        let lookup = |phrase| {
+            if charged {
+                let shard = shards
+                    .iter()
+                    .position(|s| s.owns_phrase(phrase))
+                    .expect("shard ranges cover the phrase space");
+                let fetched = charge_text(shard, phrase);
+                self.ctx.tracer.add_shard_io(shard, fetched);
+            }
+        };
+        (resolve_hits(self.ctx, self.query.op, hits, lookup), stats)
     }
 }
 
@@ -133,7 +206,7 @@ impl ListVisitor for OneShard<'_> {
     fn visit<B: ListBackend + Sync>(
         self,
         shards: &[&B],
-        _disk_text: &dyn Fn(PhraseId) -> Option<String>,
+        _charge_text: &dyn Fn(usize, PhraseId) -> u64,
     ) -> ShardOutcome {
         let p = self.params;
         let tuning = NraTuning {
@@ -145,22 +218,25 @@ impl ListVisitor for OneShard<'_> {
     }
 }
 
-/// Renders hits into response rows under one `text_resolve` span. Texts
-/// come from `disk_text` where it answers, else from the miner's
-/// in-memory dictionary.
+/// Renders hits into response rows under one `text_resolve` span: calls
+/// `lookup` once per hit, then takes its text from the miner's
+/// dictionary (every backend's texts come from there).
 fn resolve_hits(
     ctx: &ExecContext<'_>,
     op: Operator,
     hits: Vec<PhraseHit>,
-    disk_text: impl Fn(PhraseId) -> Option<String>,
+    lookup: impl Fn(PhraseId),
 ) -> Vec<SearchHit> {
     let span = ctx.tracer.span(StageKind::TextResolve);
     let resolved = hits
         .into_iter()
-        .map(|hit| SearchHit {
-            text: disk_text(hit.phrase).unwrap_or_else(|| ctx.miner.phrase_text(hit.phrase)),
-            interestingness: estimated_interestingness(op, hit.score),
-            hit,
+        .map(|hit| {
+            lookup(hit.phrase);
+            SearchHit {
+                text: ctx.miner.phrase_text(hit.phrase),
+                interestingness: estimated_interestingness(op, hit.score),
+                hit,
+            }
         })
         .collect();
     span.end();
@@ -367,7 +443,6 @@ impl QueryEngine {
         }
 
         let exec_span = ctx.tracer.span(StageKind::Execute);
-        let no_disk_text = |_| None;
         let executed: Executed = match source {
             Source::Local(decode) => {
                 let run = LocalRun {
@@ -383,7 +458,7 @@ impl QueryEngine {
             // No per-item IO: the shared scan's IO is a group quantity,
             // accumulated once into the engine totals by the fused scan.
             Source::Fused(fused) => {
-                let hits = resolve_hits(ctx, query.op, fused.hits, no_disk_text);
+                let hits = resolve_hits(ctx, query.op, fused.hits, |_| {});
                 (hits, fused.stats, None, RunReport::default())
             }
             Source::Routed(executors) => {
@@ -396,7 +471,7 @@ impl QueryEngine {
                     seed_floor(ctx, &refs, &query, fetch)
                 };
                 let (hits, stats, report) = run_query_on(ctx, executors, &seed, &query, k);
-                let hits = resolve_hits(ctx, query.op, hits, no_disk_text);
+                let hits = resolve_hits(ctx, query.op, hits, |_| {});
                 (hits, stats, None, report)
             }
         };
@@ -484,75 +559,54 @@ impl QueryEngine {
         decode: Option<&DecodeBinding<'_>>,
         visitor: V,
     ) -> (V::Out, Option<IoStats>) {
-        let no_disk_text = |_| None;
         let layout = (fanout > 1).then(|| self.sharded_index(state, fanout));
-        match (backend, &layout) {
-            (BackendChoice::Memory, _) => {
-                let backends = match &layout {
+        let layout = layout.as_deref();
+        match backend {
+            BackendChoice::Memory => {
+                let backends = match layout {
                     Some(layout) => layout.memory_backends(),
                     None => vec![state.miner.memory_backend()],
                 };
                 let refs: Vec<_> = backends.iter().collect();
-                (visitor.visit(&refs, &no_disk_text), None)
+                (visitor.visit(&refs, &|_, _| 0), None)
             }
-            (BackendChoice::Disk, None) => {
-                let disk = self.disk_for(state);
-                self.charged(
-                    || disk.reset_io(),
-                    || disk.io_stats(),
-                    || visitor.visit(&[&*disk], &|p| disk.phrase_text(p)),
-                )
-            }
-            (BackendChoice::Disk, Some(layout)) => {
-                // On a sharded image the text lookup charges the shard
-                // owning the hit.
-                let image = self.sharded_disk(state, layout);
-                let refs: Vec<_> = image.shards().iter().collect();
-                self.charged(
-                    || image.reset_io(),
-                    || image.io_stats(),
-                    || visitor.visit(&refs, &|p| image.phrase_text(p)),
-                )
-            }
-            (BackendChoice::Block, _) => {
-                // The block image carries no phrase file: texts resolve
-                // from the in-memory dictionary and the IoStats are pure
-                // list traffic.
-                let unsharded;
-                let images: &[BlockImage] = match &layout {
-                    Some(layout) => self.sharded_block(state, layout).shards(),
-                    None => {
-                        unsharded = self.block_for(state);
-                        std::slice::from_ref(&*unsharded)
-                    }
-                };
-                let io_stats = || {
-                    images.iter().fold(IoStats::default(), |mut total, image| {
-                        total.accumulate(&image.io_stats());
-                        total
-                    })
-                };
-                let run = || match decode {
-                    Some(d) => {
-                        let cached: Vec<_> = images
-                            .iter()
-                            .map(|image| CachedBlockImage::new(image, d.cache, d.epoch, d.stats))
-                            .collect();
-                        let refs: Vec<_> = cached.iter().collect();
-                        visitor.visit(&refs, &no_disk_text)
-                    }
-                    None => {
-                        let refs: Vec<_> = images.iter().collect();
-                        visitor.visit(&refs, &no_disk_text)
-                    }
-                };
-                self.charged(
-                    || images.iter().for_each(BlockImage::reset_io),
-                    io_stats,
-                    run,
-                )
+            BackendChoice::Disk => self.lease_paged::<FlatLists, V>(state, layout, decode, visitor),
+            BackendChoice::Block => {
+                self.lease_paged::<BlockLists, V>(state, layout, decode, visitor)
             }
         }
+    }
+
+    /// The lease's one arm for both simulated-IO backends: the images of
+    /// encoding `E` (one per shard of `layout`, or the generation's
+    /// unsharded one), run as one charged unit.
+    fn lease_paged<E: Paged, V: ListVisitor>(
+        &self,
+        state: &IndexState,
+        layout: Option<&ShardedIndex>,
+        decode: Option<&DecodeBinding<'_>>,
+        visitor: V,
+    ) -> (V::Out, Option<IoStats>) {
+        let unsharded;
+        let images: &[PagedImage<E>] = match layout {
+            Some(layout) => self.shard_images(state, layout),
+            None => {
+                unsharded = self.image(state);
+                std::slice::from_ref(&*unsharded)
+            }
+        };
+        let io_stats = || {
+            images.iter().fold(IoStats::default(), |mut total, image| {
+                total.accumulate(&image.io_stats());
+                total
+            })
+        };
+        let charge_text = |shard: usize, phrase| images[shard].charge_text(phrase);
+        self.charged(
+            || images.iter().for_each(PagedImage::reset_io),
+            io_stats,
+            || E::visit(images, decode, visitor, &charge_text),
+        )
     }
 
     /// Runs `run` against simulated-IO images as one serialized, cold,

@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
+use super::exec::Paged;
 use super::QueryEngine;
 use crate::delta::DeltaIndex;
 use crate::miner::PhraseMiner;
@@ -14,7 +15,7 @@ use ipm_corpus::hash::FxHashMap;
 use ipm_corpus::{DocId, FacetId, WordId};
 use ipm_index::backend::MemoryBackend;
 use ipm_index::sharding::{ListShard, ShardedWordLists};
-use ipm_storage::{BlockImage, DiskLists, ShardedBlockImage, ShardedDiskImage};
+use ipm_storage::{BlockImage, DiskLists, PagedImage};
 
 /// Most distinct shard layouts the engine keeps cached at once. The
 /// fanout is client-controllable per request (CLI flag, wire field) and
@@ -26,14 +27,13 @@ use ipm_storage::{BlockImage, DiskLists, ShardedBlockImage, ShardedDiskImage};
 const MAX_CACHED_LAYOUTS: usize = 4;
 
 /// One lazily built shard layout: the in-memory partitions, plus (once a
-/// disk-backed sharded request arrives) their serialized disk images.
+/// disk- or block-backed sharded request arrives) one image per shard in
+/// that request's encoding.
 #[derive(Debug)]
 pub(super) struct ShardedIndex {
     pub(super) mem: ShardedWordLists,
-    pub(super) disk: OnceLock<ShardedDiskImage>,
-    /// Lazily built block-compressed images, one per shard (first
-    /// block-backed sharded request pays the encode).
-    pub(super) block: OnceLock<ShardedBlockImage>,
+    pub(super) disk: OnceLock<Vec<DiskLists>>,
+    pub(super) block: OnceLock<Vec<BlockImage>>,
     /// Eviction stamp (engine-wide logical clock; larger = more recent).
     last_used: AtomicU64,
 }
@@ -45,11 +45,10 @@ pub(super) struct ShardedIndex {
 #[derive(Debug)]
 pub(super) struct IndexState {
     pub(super) miner: Arc<PhraseMiner>,
-    /// Lazily built disk image (first disk-backed request pays the build).
-    disk: OnceLock<Arc<DiskLists>>,
-    /// Lazily built block-compressed image (first block-backed request
-    /// pays the encode).
-    block: OnceLock<Arc<BlockImage>>,
+    /// Lazily built unsharded images, one per encoding (the first request
+    /// on that backend pays the encode).
+    pub(super) disk: OnceLock<Arc<DiskLists>>,
+    pub(super) block: OnceLock<Arc<BlockImage>>,
     /// Lazily built shard layouts, keyed by fanout (a request may ask for
     /// any fanout; layouts are built once and reused, bounded by
     /// [`MAX_CACHED_LAYOUTS`] with LRU eviction).
@@ -157,39 +156,30 @@ impl QueryEngine {
 
     /// The current generation's disk image, building it on first use.
     pub fn disk(&self) -> Arc<DiskLists> {
-        let state = self.live().index;
-        self.disk_for(&state)
-    }
-
-    pub(super) fn disk_for(&self, state: &IndexState) -> Arc<DiskLists> {
-        state
-            .disk
-            .get_or_init(|| {
-                Arc::new(state.miner.to_disk_with(
-                    self.inner.disk_fraction,
-                    self.inner.pool,
-                    self.inner.cost,
-                ))
-            })
-            .clone()
+        self.image(&self.live().index)
     }
 
     /// The current generation's block-compressed image, encoding it on
-    /// first use ([`super::EngineConfig::disk_fraction`] applies here too: both
-    /// simulated images truncate at the same build-time cut).
+    /// first use ([`super::EngineConfig::disk_fraction`] applies here too:
+    /// both simulated images truncate at the same build-time cut).
     pub fn block(&self) -> Arc<BlockImage> {
-        let state = self.live().index;
-        self.block_for(&state)
+        self.image(&self.live().index)
     }
 
-    pub(super) fn block_for(&self, state: &IndexState) -> Arc<BlockImage> {
-        state
-            .block
+    /// One generation's unsharded image in encoding `E`, built on first
+    /// use.
+    pub(super) fn image<E: Paged>(&self, state: &IndexState) -> Arc<PagedImage<E>> {
+        let m = &state.miner;
+        let inner = &self.inner;
+        E::image_slot(state)
             .get_or_init(|| {
-                Arc::new(state.miner.to_block_with(
-                    self.inner.disk_fraction,
-                    self.inner.pool,
-                    self.inner.cost,
+                Arc::new(PagedImage::build(
+                    m.index(),
+                    m.lists(),
+                    m.id_lists(),
+                    inner.disk_fraction,
+                    inner.pool,
+                    inner.cost,
                 ))
             })
             .clone()
@@ -243,39 +233,20 @@ impl QueryEngine {
         idx
     }
 
-    /// The per-shard disk images of one layout, serialized on first use.
-    pub(super) fn sharded_disk<'a>(
+    /// One layout's per-shard images in encoding `E`, built on first use.
+    pub(super) fn shard_images<'a, E: Paged>(
         &self,
         state: &IndexState,
         layout: &'a ShardedIndex,
-    ) -> &'a ShardedDiskImage {
-        let m = &state.miner;
-        layout.disk.get_or_init(|| {
-            ShardedDiskImage::build(
-                m.corpus(),
-                &m.index().dict,
-                &layout.mem,
-                self.inner.disk_fraction,
-                self.inner.pool,
-                self.inner.cost,
-            )
-        })
-    }
-
-    /// The per-shard block-compressed images of one layout, encoded on
-    /// first use.
-    pub(super) fn sharded_block<'a>(
-        &self,
-        state: &IndexState,
-        layout: &'a ShardedIndex,
-    ) -> &'a ShardedBlockImage {
-        layout.block.get_or_init(|| {
-            ShardedBlockImage::build(
+    ) -> &'a [PagedImage<E>] {
+        let inner = &self.inner;
+        E::shards_slot(layout).get_or_init(|| {
+            PagedImage::shards(
                 state.miner.index(),
                 &layout.mem,
-                self.inner.disk_fraction,
-                self.inner.pool,
-                self.inner.cost,
+                inner.disk_fraction,
+                inner.pool,
+                inner.cost,
             )
         })
     }

@@ -8,7 +8,7 @@
 //! * a string-query API and per-query algorithm choice (all four: NRA,
 //!   SMJ, TA, exact);
 //! * per-query **backend** choice ([`BackendChoice`]): the in-memory lists
-//!   or the simulated-disk image (`ipm_storage::DiskLists`), which is
+//!   or a simulated-disk image (`ipm_storage::PagedImage`), which is
 //!   built lazily on first use and reports per-query [`IoStats`];
 //! * a sharded LRU **result cache** keyed by `(query, k, options)`
 //!   ([`crate::cache`]), so repeated interactive queries skip list
@@ -107,12 +107,14 @@ pub enum BackendChoice {
     /// The in-memory word lists — the default.
     #[default]
     Memory,
-    /// The serialized disk image behind the simulated buffer pool; the
-    /// response carries the query's [`IoStats`].
+    /// The flat simulated-disk image (`ipm_storage::DiskLists`): 12-byte
+    /// entries behind a buffer pool, charging every entry a cursor passes
+    /// over; the response carries the query's [`IoStats`].
     Disk,
-    /// The block-compressed image (`ipm_storage::BlockImage`): bit-packed
-    /// 128-entry blocks with skip metadata behind a buffer pool of its
-    /// own, charging per-*block* fetches — skipped blocks cost no IO. The
+    /// The block-compressed simulated-disk image
+    /// (`ipm_storage::BlockImage`): bit-packed 128-entry blocks with skip
+    /// metadata behind a buffer pool, charging per-*block* fetches —
+    /// skipped blocks cost no IO. The
     /// response carries the query's [`IoStats`]; scores are bit-identical
     /// to the memory backend (integer-rational dequantization).
     Block,

@@ -153,13 +153,10 @@ fn block_backend_matches_memory_bit_for_bit() {
                 );
                 assert_eq!(a.text, b.text);
             }
+            // Even the exact scorer, which never touches the lists,
+            // charges its hits' text lookups.
             let io = block.io.expect("block run reports IoStats");
-            if alg != Algorithm::Exact {
-                // The exact scorer never touches the lists, and the
-                // block image resolves texts in memory — only the
-                // list algorithms charge block fetches.
-                assert!(io.total_accesses() > 0, "{alg:?} {op}: no IO charged");
-            }
+            assert!(io.total_accesses() > 0, "{alg:?} {op}: no IO charged");
         }
     }
 }
@@ -817,6 +814,38 @@ fn uncached_engine() -> QueryEngine {
             ..Default::default()
         },
     )
+}
+
+#[test]
+fn text_lookups_charge_the_owning_shard_inside_the_lease() {
+    // Each hit's text lookup is charged inside the lease, to the pool of
+    // the shard owning the hit, and booked into that shard's trace row:
+    // the rows sum to the response's IO. A request under an IO cap it
+    // never reaches skips the lookups and fetches strictly less.
+    let e = uncached_engine();
+    let q = query_string(&e, Operator::Or);
+    for backend in [BackendChoice::Disk, BackendChoice::Block] {
+        for n in [1, 4] {
+            let request = || {
+                e.request(&q)
+                    .k(5)
+                    .algorithm(Algorithm::Smj)
+                    .backend(backend)
+                    .shards(n)
+            };
+            let resp = request().trace(true).run().unwrap();
+            assert!(!resp.hits.is_empty());
+            let io = resp.io.unwrap().total_fetches();
+            let trace = resp.trace.unwrap();
+            let rows: u64 = trace.shard_totals().iter().map(|s| s.io_fetches).sum();
+            assert_eq!(rows, io, "{backend:?} @ {n}: trace rows vs response IO");
+            let capped = request().io_budget(u64::MAX).run().unwrap();
+            assert!(
+                capped.io.unwrap().total_fetches() < io,
+                "{backend:?} @ {n}: text lookups must fetch"
+            );
+        }
+    }
 }
 
 /// The batch parity contract, per item: same hits, score bits, texts and

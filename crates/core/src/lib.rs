@@ -3,7 +3,7 @@
 //! word-specific lists — each written once against the
 //! `ipm_index::backend::ListBackend` abstraction, so the same code serves
 //! from the in-memory lists and from the simulated disk
-//! (`ipm_storage::DiskLists`) with IO accounting.
+//! (`ipm_storage::PagedImage`) with IO accounting.
 //!
 //! Layout:
 //!

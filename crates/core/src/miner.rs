@@ -10,9 +10,9 @@
 //!   NRA over in-memory score-ordered lists;
 //! * [`PhraseMiner::top_k_ta`] — TA over both list orders.
 //!
-//! Every variation that involves another backend ([`PhraseMiner::to_disk`],
-//! [`PhraseMiner::to_block`]), simulated-IO accounting or post-filtering
-//! exists only on [`crate::engine::QueryEngine`]'s spine.
+//! Every variation that involves another backend (the simulated-disk
+//! images, `ipm_storage::PagedImage`), simulated-IO accounting or
+//! post-filtering exists only on [`crate::engine::QueryEngine`]'s spine.
 
 use crate::delta::DeltaIndex;
 use crate::exact;
@@ -25,7 +25,6 @@ use ipm_index::backend::MemoryBackend;
 use ipm_index::corpus_index::{CorpusIndex, IndexConfig};
 use ipm_index::cursor::MemoryCursor;
 use ipm_index::wordlists::{IdOrderedLists, WordListConfig, WordPhraseLists};
-use ipm_storage::DiskLists;
 
 /// Build configuration for [`PhraseMiner`].
 #[derive(Debug, Clone, Default)]
@@ -56,11 +55,10 @@ impl PhraseMiner {
     pub fn build(corpus: &Corpus, config: MinerConfig) -> Self {
         let index = CorpusIndex::build(corpus, &config.index);
         let lists = WordPhraseLists::build(corpus, &index, &config.wordlists);
-        let smj_source = match config.smj_fraction {
-            Some(f) if f < 1.0 => lists.partial(f),
-            _ => lists.clone(),
+        let id_lists = match config.smj_fraction {
+            Some(f) if f < 1.0 => IdOrderedLists::from_score_ordered(&lists.partial(f)),
+            _ => IdOrderedLists::from_score_ordered(&lists),
         };
-        let id_lists = IdOrderedLists::from_score_ordered(&smj_source);
         Self {
             corpus: corpus.clone(),
             index,
@@ -96,8 +94,8 @@ impl PhraseMiner {
     }
 
     /// The in-memory [`ListBackend`](ipm_index::backend::ListBackend) view over this miner's lists. Every
-    /// retrieval algorithm runs over it; `ipm_storage::DiskLists` is the
-    /// drop-in disk-resident alternative (see [`PhraseMiner::to_disk`]).
+    /// retrieval algorithm runs over it; `ipm_storage::PagedImage` is the
+    /// drop-in simulated-disk alternative.
     pub fn memory_backend(&self) -> MemoryBackend<'_> {
         MemoryBackend::new(&self.lists, &self.id_lists)
     }
@@ -160,75 +158,6 @@ impl PhraseMiner {
             ..self.config.nra.clone()
         };
         run_nra(cursors, query.op, &cfg)
-    }
-
-    /// Serializes the word lists (optionally truncated to `fraction`), the
-    /// miner's id-ordered lists (which carry the build-time
-    /// `smj_fraction`, paper §4.4.2 — so disk SMJ/TA mirror the in-memory
-    /// backend exactly) and the phrase file into a simulated-disk index.
-    pub fn to_disk(&self, fraction: f64) -> DiskLists {
-        self.to_disk_with(
-            fraction,
-            ipm_storage::PoolConfig::default(),
-            ipm_storage::CostModel::default(),
-        )
-    }
-
-    /// [`PhraseMiner::to_disk`] with an explicit buffer-pool geometry and
-    /// cost model (the engine's `EngineConfig::pool`/`cost` plumb through
-    /// here).
-    pub fn to_disk_with(
-        &self,
-        fraction: f64,
-        pool: ipm_storage::PoolConfig,
-        cost: ipm_storage::CostModel,
-    ) -> DiskLists {
-        let source = if fraction < 1.0 {
-            self.lists.partial(fraction)
-        } else {
-            self.lists.clone()
-        };
-        DiskLists::with_lists(
-            &self.corpus,
-            &self.index.dict,
-            &source,
-            &self.id_lists,
-            pool,
-            cost,
-        )
-    }
-
-    /// Encodes the word lists into the block-compressed image
-    /// ([`ipm_storage::BlockImage`]): bit-packed 128-entry blocks with
-    /// skip metadata, integer-rational scores dequantized bit-identically
-    /// to the in-memory lists, per-*block* IO charging. Like
-    /// [`PhraseMiner::to_disk`], `fraction < 1.0` freezes a build-time cut
-    /// of the score-ordered lists; the id-ordered side carries the
-    /// miner's `smj_fraction`.
-    pub fn to_block(&self, fraction: f64) -> ipm_storage::BlockImage {
-        self.to_block_with(
-            fraction,
-            ipm_storage::PoolConfig::default(),
-            ipm_storage::CostModel::default(),
-        )
-    }
-
-    /// [`PhraseMiner::to_block`] with an explicit buffer-pool geometry and
-    /// cost model.
-    pub fn to_block_with(
-        &self,
-        fraction: f64,
-        pool: ipm_storage::PoolConfig,
-        cost: ipm_storage::CostModel,
-    ) -> ipm_storage::BlockImage {
-        ipm_storage::BlockImage::build(
-            &self.index,
-            &self.lists,
-            &self.id_lists,
-            fraction,
-            pool,
-            cost,
-        )
     }
 
     /// TA top-k: sorted access over the score-ordered lists with random

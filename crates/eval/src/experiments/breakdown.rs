@@ -28,7 +28,7 @@ pub fn run(ds: &DatasetBundle, op: Operator, fractions: &[f64], k: usize) -> Rep
     }
     report.push_note(
         "cold buffer pool per query; IO simulated at 1 ms sequential / 10 ms random, \
-         phrase-file lookups of the k results included",
+         phrase-region lookups of the k results included",
     );
     report
 }
@@ -53,10 +53,12 @@ mod tests {
         let (_, io_small) = disk_nra_times(ds, Operator::Or, 0.1, k);
         let (_, io_full) = disk_nra_times(ds, Operator::Or, 1.0, k);
         // List-region IO grows with the fraction read; the served path
-        // also charges each query's phrase-file lookups (at most `k`
-        // random fetches, and which pages they land on depends on the
-        // result set), so the totals are monotone only up to that term.
-        let lookups = k as f64 * ds.engine.disk().cost_model().random_ms;
+        // also charges each query's phrase-region lookups (at most `k`
+        // random fetches plus their lookahead, and which pages they land
+        // on depends on the result set), so the totals are monotone only
+        // up to that term.
+        let cost = *ds.engine.disk().cost_model();
+        let lookups = k as f64 * (cost.random_ms + cost.sequential_ms);
         assert!(io_full.mean_ms + lookups + 1e-9 >= io_small.mean_ms);
     }
 }

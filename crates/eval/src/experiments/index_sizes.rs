@@ -28,7 +28,7 @@ pub fn run(ds: &DatasetBundle, fractions: &[f64], k: usize) -> Report {
         // id side from the same truncated score lists so all three size
         // columns describe the same entry set.
         let id_partial = ipm_index::IdOrderedLists::from_score_ordered(&partial);
-        let block = ipm_index::BlockLists::build(&partial, &id_partial, df.clone(), None);
+        let block = ipm_index::BlockLists::build(&partial, &id_partial, df.clone());
         let and = evaluate(ds, Operator::And, f, k);
         let or = evaluate(ds, Operator::Or, f, k);
         report.push_row(vec![
@@ -41,7 +41,7 @@ pub fn run(ds: &DatasetBundle, fractions: &[f64], k: usize) -> Report {
         ]);
     }
     let full_id = ipm_index::IdOrderedLists::from_score_ordered(ds.miner.lists());
-    let full_block = ipm_index::BlockLists::build(ds.miner.lists(), &full_id, df, None);
+    let full_block = ipm_index::BlockLists::build(ds.miner.lists(), &full_id, df);
     report.push_note(format!(
         "block layout at 100%: {} encoded (both list orders + df table) vs {} flat \
          at 12 B/entry — {:.2}x compression",
@@ -112,7 +112,7 @@ mod tests {
         let lists = ds.miner.lists();
         let ids = ipm_index::IdOrderedLists::from_score_ordered(lists);
         let df = std::sync::Arc::new(ipm_index::block::df_table(ds.miner.index()));
-        let block = ipm_index::BlockLists::build(lists, &ids, df, None);
+        let block = ipm_index::BlockLists::build(lists, &ids, df);
         assert!(block.encoded_bytes() + block.df_bytes() < block.flat_bytes());
     }
 

@@ -63,7 +63,7 @@ pub fn nra_times(ds: &DatasetBundle, op: Operator, fraction: f64, k: usize) -> T
 /// Disk-NRA per-query times: `(compute_ms, io_ms)` summaries, measured on
 /// the served path — one request per query through the bundle's engine
 /// on its disk backend, the response's `IoStats` (cold pool per query;
-/// the final phrase-file lookups that resolve the hit texts included)
+/// the hits' final text lookups in the image's phrase region included)
 /// priced by the engine's cost model.
 pub fn disk_nra_times(
     ds: &DatasetBundle,
@@ -153,7 +153,7 @@ pub fn run_nra_vs_gm(ds: &DatasetBundle, fraction: f64, k: usize) -> Report {
         ]);
     }
     report.push_note(format!(
-        "NRA reads disk-resident lists at {}% via the simulated pool (32 KiB pages, 16-page LRU, 1 ms seq / 10 ms rand), phrase-file lookups of the k results included; GM runs fully in memory",
+        "NRA reads disk-resident lists at {}% via the simulated pool (32 KiB pages, 16-page LRU, 1 ms seq / 10 ms rand), phrase-region lookups of the k results included; GM runs fully in memory",
         (fraction * 100.0).round() as u32
     ));
     report

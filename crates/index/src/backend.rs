@@ -13,11 +13,14 @@
 //! [`ListBackend`] bundles the three behind one trait so every algorithm
 //! in `ipm-core` is written once and runs unchanged over the in-memory
 //! lists ([`MemoryBackend`]) or the simulated disk
-//! (`ipm_storage::DiskLists`, which charges each access to its buffer
+//! (`ipm_storage::PagedImage`, which charges each access to its buffer
 //! pool). This is the seam that turns the disk simulation from a
 //! side-experiment reachable only via NRA into a first-class serving
 //! backend for all four algorithms.
 
+use std::sync::Arc;
+
+use crate::block::FetchHook;
 use crate::cursor::{IdListCursor, MemoryCursor, MemoryIdCursor, ScoredListCursor};
 use crate::wordlists::{IdOrderedLists, ListEntry, WordPhraseLists};
 use ipm_corpus::{Feature, PhraseId};
@@ -84,6 +87,49 @@ pub trait ListBackend {
     fn size_bytes(&self) -> usize {
         0
     }
+}
+
+/// How a simulated-disk image (`ipm_storage::PagedImage`) encodes its
+/// list region: both list orders, score-ordered runs first, id-ordered
+/// runs behind them. Cursors and probes report every byte range they read
+/// to a [`FetchHook`], as offsets within the region; the image charges
+/// them to its buffer pool. Two encodings exist: the block-compressed
+/// [`BlockLists`](crate::block::BlockLists), and `ipm_storage`'s flat
+/// 12-byte-entry `FlatLists`.
+pub trait ListEncoding: Send + Sync + Sized {
+    /// Score-ordered cursor type.
+    type ScoreCursor<'a>: ScoredListCursor
+    where
+        Self: 'a;
+    /// Phrase-id-ordered cursor type.
+    type IdCursor<'a>: IdListCursor
+    where
+        Self: 'a;
+
+    /// Encodes borrowed score-ordered and id-ordered lists; `df` is the
+    /// per-phrase document-frequency table, one per build.
+    fn encode(lists: &WordPhraseLists, id_lists: &IdOrderedLists, df: &Arc<Vec<u32>>) -> Self;
+
+    /// Length of the list region in bytes.
+    fn region_bytes(&self) -> u64;
+
+    /// Entries in `feature`'s untruncated score-ordered list.
+    fn entries(&self, feature: Feature) -> usize;
+
+    /// A cursor over the top-`fraction` prefix of `feature`'s
+    /// score-ordered list.
+    fn scan_scores<'a>(
+        &'a self,
+        feature: Feature,
+        fraction: f64,
+        fetch: FetchHook<'a>,
+    ) -> Self::ScoreCursor<'a>;
+
+    /// A cursor over `feature`'s id-ordered list.
+    fn scan_ids<'a>(&'a self, feature: Feature, fetch: FetchHook<'a>) -> Self::IdCursor<'a>;
+
+    /// Random probe of `P(feature|phrase)`; `0.0` when the pair is absent.
+    fn lookup(&self, feature: Feature, phrase: PhraseId, fetch: &dyn Fn(u64, u64)) -> f64;
 }
 
 /// Binary-searches an id-ordered list slice for a phrase's probability

@@ -27,7 +27,7 @@
 //! the scalar path is the default and the only path on other
 //! architectures.
 
-use crate::backend::{probe_id_ordered, ListBackend};
+use crate::backend::{probe_id_ordered, ListBackend, ListEncoding};
 use crate::corpus_index::CorpusIndex;
 use crate::cursor::{prefix_len, IdListCursor, ScoredListCursor};
 use crate::wordlists::{IdOrderedLists, ListEntry, WordPhraseLists, ENTRY_BYTES};
@@ -138,24 +138,16 @@ pub struct BlockLists {
     /// Per-phrase document frequency, indexed by raw phrase id. Shared
     /// (`Arc`) so shard slices dequantize against one table.
     df: Arc<Vec<u32>>,
-    range: Option<(PhraseId, PhraseId)>,
 }
 
 impl BlockLists {
     /// Encodes `lists` / `id_lists` against the per-phrase `df` table.
-    /// `range` marks a phrase-id shard (the inputs must already be
-    /// restricted to it), `None` the full space.
     ///
     /// # Panics
     /// Panics if any probability is not exactly `count / df(phrase)` for
     /// an integer count — the miner's Eq. 13 contract, which is what makes
     /// lossless integer storage (and hence bit-identical parity) possible.
-    pub fn build(
-        lists: &WordPhraseLists,
-        id_lists: &IdOrderedLists,
-        df: Arc<Vec<u32>>,
-        range: Option<(PhraseId, PhraseId)>,
-    ) -> Self {
+    pub fn build(lists: &WordPhraseLists, id_lists: &IdOrderedLists, df: Arc<Vec<u32>>) -> Self {
         let mut slots = FxHashMap::default();
         let mut features = Vec::new();
         let mut score_runs = Vec::new();
@@ -176,7 +168,6 @@ impl BlockLists {
             score_data,
             id_data,
             df,
-            range,
         }
     }
 
@@ -187,7 +178,7 @@ impl BlockLists {
         id_lists: &IdOrderedLists,
         index: &CorpusIndex,
     ) -> Self {
-        Self::build(lists, id_lists, Arc::new(df_table(index)), None)
+        Self::build(lists, id_lists, Arc::new(df_table(index)))
     }
 
     /// The shared df table (for building further shard slices).
@@ -238,18 +229,8 @@ impl BlockLists {
         self.flat_bytes() as f64 / self.encoded_bytes() as f64
     }
 
-    /// Score-ordered cursor with an optional per-block fetch observer.
-    pub fn score_cursor_with_hook<'a>(
-        &'a self,
-        feature: Feature,
-        fraction: f64,
-        hook: Option<FetchHook<'a>>,
-    ) -> BlockScoreCursor<'a> {
-        self.score_cursor_cached(feature, fraction, hook, None)
-    }
-
-    /// [`score_cursor_with_hook`](Self::score_cursor_with_hook) plus an
-    /// optional decoded-block provider consulted after the hook fires.
+    /// Score-ordered cursor with an optional per-block fetch observer and
+    /// an optional decoded-block provider consulted after the hook fires.
     pub fn score_cursor_cached<'a>(
         &'a self,
         feature: Feature,
@@ -278,17 +259,8 @@ impl BlockLists {
         }
     }
 
-    /// Id-ordered cursor with an optional per-block fetch observer.
-    pub fn id_cursor_with_hook<'a>(
-        &'a self,
-        feature: Feature,
-        hook: Option<FetchHook<'a>>,
-    ) -> BlockIdCursor<'a> {
-        self.id_cursor_cached(feature, hook, None)
-    }
-
-    /// [`id_cursor_with_hook`](Self::id_cursor_with_hook) plus an optional
-    /// decoded-block provider consulted after the hook fires.
+    /// Id-ordered cursor with an optional per-block fetch observer and an
+    /// optional decoded-block provider consulted after the hook fires.
     pub fn id_cursor_cached<'a>(
         &'a self,
         feature: Feature,
@@ -311,19 +283,9 @@ impl BlockLists {
         }
     }
 
-    /// Probe with an optional fetch observer: binary-searches the id-run
+    /// Probe with an optional fetch observer and an optional decoded-block
+    /// provider consulted after the hook fires: binary-searches the id-run
     /// skip metadata, decodes (at most) one block.
-    pub fn probe_with_hook(
-        &self,
-        feature: Feature,
-        phrase: PhraseId,
-        hook: Option<&dyn Fn(u64, u64)>,
-    ) -> f64 {
-        self.probe_cached(feature, phrase, hook, None)
-    }
-
-    /// [`probe_with_hook`](Self::probe_with_hook) plus an optional
-    /// decoded-block provider consulted after the hook fires.
     pub fn probe_cached(
         &self,
         feature: Feature,
@@ -372,15 +334,15 @@ impl ListBackend for BlockLists {
         Self: 'a;
 
     fn score_cursor(&self, feature: Feature, fraction: f64) -> BlockScoreCursor<'_> {
-        self.score_cursor_with_hook(feature, fraction, None)
+        self.score_cursor_cached(feature, fraction, None, None)
     }
 
     fn id_cursor(&self, feature: Feature) -> BlockIdCursor<'_> {
-        self.id_cursor_with_hook(feature, None)
+        self.id_cursor_cached(feature, None, None)
     }
 
     fn probe(&self, feature: Feature, phrase: PhraseId) -> f64 {
-        self.probe_with_hook(feature, phrase, None)
+        self.probe_cached(feature, phrase, None, None)
     }
 
     fn list_len(&self, feature: Feature) -> usize {
@@ -389,12 +351,44 @@ impl ListBackend for BlockLists {
             .map_or(0, |&s| self.score_runs[s as usize].len)
     }
 
-    fn phrase_range(&self) -> Option<(PhraseId, PhraseId)> {
-        self.range
-    }
-
     fn size_bytes(&self) -> usize {
         self.encoded_bytes() + self.df_bytes()
+    }
+}
+
+/// The block encoding of a simulated-disk image: both regions behind one
+/// another, and one fetch per decoded block.
+impl ListEncoding for BlockLists {
+    type ScoreCursor<'a> = BlockScoreCursor<'a>;
+    type IdCursor<'a> = BlockIdCursor<'a>;
+
+    fn encode(lists: &WordPhraseLists, id_lists: &IdOrderedLists, df: &Arc<Vec<u32>>) -> Self {
+        Self::build(lists, id_lists, df.clone())
+    }
+
+    fn region_bytes(&self) -> u64 {
+        self.image_bytes() as u64
+    }
+
+    fn entries(&self, feature: Feature) -> usize {
+        self.list_len(feature)
+    }
+
+    fn scan_scores<'a>(
+        &'a self,
+        feature: Feature,
+        fraction: f64,
+        fetch: FetchHook<'a>,
+    ) -> BlockScoreCursor<'a> {
+        self.score_cursor_cached(feature, fraction, Some(fetch), None)
+    }
+
+    fn scan_ids<'a>(&'a self, feature: Feature, fetch: FetchHook<'a>) -> BlockIdCursor<'a> {
+        self.id_cursor_cached(feature, Some(fetch), None)
+    }
+
+    fn lookup(&self, feature: Feature, phrase: PhraseId, fetch: &dyn Fn(u64, u64)) -> f64 {
+        self.probe_cached(feature, phrase, Some(fetch), None)
     }
 }
 
@@ -1184,7 +1178,7 @@ mod tests {
             .unwrap();
         let fetches = Cell::new(0u32);
         let hook: FetchHook<'_> = Box::new(|_, _| fetches.set(fetches.get() + 1));
-        let mut cur = b.score_cursor_with_hook(feat, 1.0, Some(hook));
+        let mut cur = b.score_cursor_cached(feat, 1.0, Some(hook), None);
         while cur.next_entry().is_some() {}
         let expected = lists.list(feat).len().div_ceil(BLOCK_SIZE) as u32;
         assert_eq!(fetches.get(), expected, "one fetch per block");
@@ -1192,7 +1186,7 @@ mod tests {
         // Skipping a block at a boundary must not fetch it.
         fetches.set(0);
         let hook: FetchHook<'_> = Box::new(|_, _| fetches.set(fetches.get() + 1));
-        let mut cur = b.score_cursor_with_hook(feat, 1.0, Some(hook));
+        let mut cur = b.score_cursor_cached(feat, 1.0, Some(hook), None);
         let n = cur.skip_block();
         assert!(n > 0);
         assert_eq!(fetches.get(), 0, "metadata-only skip");
@@ -1326,7 +1320,7 @@ mod tests {
         // df = 1 only probabilities 0 and 1 are representable, and the
         // lists carry plenty of proper fractions.
         let bogus = vec![1u32; df_table(&index).len()];
-        let _ = BlockLists::build(&lists, &idl, Arc::new(bogus), None);
+        let _ = BlockLists::build(&lists, &idl, Arc::new(bogus));
     }
 
     #[test]

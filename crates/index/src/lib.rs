@@ -23,7 +23,7 @@
 //! * [`backend`] — the [`backend::ListBackend`] trait unifying score
 //!   cursors, id cursors and random probes, so `ipm-core`'s algorithms run
 //!   unchanged over memory ([`backend::MemoryBackend`]) or the simulated
-//!   disk (`ipm_storage::DiskLists`);
+//!   disk (`ipm_storage::PagedImage`);
 //! * [`sharding`] — [`sharding::ShardedWordLists`]: disjoint
 //!   phrase-id-range partitions of both list orders, each shard a complete
 //!   backend of its own, whose local top-k merge into the exact global

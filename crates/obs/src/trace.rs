@@ -335,6 +335,24 @@ impl Tracer {
         }
     }
 
+    /// Adds `fetches` simulated page fetches to `shard`'s latest record:
+    /// IO its backend performed after the record was taken (the hits'
+    /// text lookups), so the shard rows keep summing to the response's IO.
+    pub fn add_shard_io(&self, shard: usize, fetches: u64) {
+        let Some(core) = self.core.as_ref().filter(|_| fetches > 0) else {
+            return;
+        };
+        let mut rows = core.shards.lock().unwrap();
+        match rows.iter_mut().rev().find(|s| s.shard == shard) {
+            Some(row) => row.io_fetches += fetches,
+            None => rows.push(ShardStats {
+                shard,
+                io_fetches: fetches,
+                ..Default::default()
+            }),
+        }
+    }
+
     /// Closes the trace: collects the recorded stages (sorted by start
     /// offset) and shard stats under `meta`. `None` for a disabled
     /// tracer.

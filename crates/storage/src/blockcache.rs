@@ -9,7 +9,7 @@
 //!   result cache: a generation swap (compaction, live-swap) strands every
 //!   old entry on a key no reader will ever form again, so invalidation is
 //!   free and a mid-batch bump can never serve a stale block.
-//! * **image** — [`BlockImage::image_id`], process-unique per image, so
+//! * **image** — the image's process-unique id, so
 //!   shard slices and rebuilt images never collide at equal offsets.
 //! * **offset** — the absolute payload offset inside the image's combined
 //!   data file (score region first, id region behind it; disjoint).
@@ -32,8 +32,8 @@ use ipm_index::backend::ListBackend;
 use ipm_index::block::{BlockIdCursor, BlockScoreCursor, DecodedBlockProvider};
 use ipm_index::wordlists::ListEntry;
 
-use crate::blockimage::BlockImage;
 use crate::cache::{CacheConfig, ShardedLruCache};
+use crate::paged::BlockImage;
 
 /// Lock shards: enough to keep batch members off each other's necks,
 /// small enough that a few thousand blocks still spread usefully.
@@ -82,17 +82,6 @@ impl DecodeStats {
     /// Lookups that fell through to a fresh decode.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// `hits / (hits + misses)`, `0.0` before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits();
-        let m = self.misses();
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
     }
 }
 
@@ -186,39 +175,31 @@ pub struct CachedBlockImage<'a> {
 
 impl<'a> CachedBlockImage<'a> {
     /// Views `image` through `cache` at `epoch`, tallying this view's
-    /// lookups into `batch`.
+    /// lookups into `batch`; each lookup stands in for `weight` logical
+    /// per-member reads (`1` per item; the member count on a fused shared
+    /// scan, where one cursor walks a list for several queries). Weights
+    /// below one round up.
     pub fn new(
         image: &'a BlockImage,
         cache: &'a DecodedBlockCache,
         epoch: u64,
         batch: &'a DecodeStats,
+        weight: u64,
     ) -> Self {
+        let weight = weight.max(1);
         Self {
             image,
             cache,
             epoch,
             batch,
-            weight: 1,
+            weight,
         }
-    }
-
-    /// A view whose every block lookup stands in for `weight` logical
-    /// per-member reads (fused shared scans: one cursor walks a list on
-    /// behalf of `weight` member queries). Weights below one round up.
-    pub fn with_weight(mut self, weight: u64) -> Self {
-        self.weight = weight.max(1);
-        self
-    }
-
-    /// The wrapped image.
-    pub fn image(&self) -> &'a BlockImage {
-        self.image
     }
 
     fn key(&self, offset: u64) -> BlockKey {
         BlockKey {
             epoch: self.epoch,
-            image: self.image.image_id(),
+            image: self.image.image_id,
             offset,
         }
     }
@@ -250,7 +231,7 @@ impl ListBackend for CachedBlockImage<'_> {
         self.image.lists().score_cursor_cached(
             feature,
             fraction,
-            Some(self.image.charge_hook()),
+            Some(self.image.fetch_hook()),
             Some(self),
         )
     }
@@ -258,16 +239,13 @@ impl ListBackend for CachedBlockImage<'_> {
     fn id_cursor(&self, feature: Feature) -> BlockIdCursor<'_> {
         self.image
             .lists()
-            .id_cursor_cached(feature, Some(self.image.charge_hook()), Some(self))
+            .id_cursor_cached(feature, Some(self.image.fetch_hook()), Some(self))
     }
 
     fn probe(&self, feature: Feature, phrase: PhraseId) -> f64 {
-        let file_len = self.image.file_len();
-        let pool = self.image.pool_handle();
-        let charge = |offset: u64, len: u64| pool.lock().access_range(offset, len, file_len);
-        self.image
-            .lists()
-            .probe_cached(feature, phrase, Some(&charge), Some(self))
+        let charge = |offset, len| self.image.charge(offset, len);
+        let lists = self.image.lists();
+        lists.probe_cached(feature, phrase, Some(&charge), Some(self))
     }
 
     fn list_len(&self, feature: Feature) -> usize {
@@ -280,10 +258,6 @@ impl ListBackend for CachedBlockImage<'_> {
 
     fn io_fetches(&self) -> u64 {
         self.image.io_fetches()
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.image.size_bytes()
     }
 }
 
@@ -336,7 +310,7 @@ mod tests {
         let feat = widest(&lists);
         let cache = DecodedBlockCache::new(4096);
         let batch = DecodeStats::default();
-        let cached = CachedBlockImage::new(&img, &cache, 7, &batch);
+        let cached = CachedBlockImage::new(&img, &cache, 7, &batch, 1);
 
         img.reset_io();
         let mut cur = cached.score_cursor(feat, 1.0);
@@ -371,7 +345,6 @@ mod tests {
         );
         assert!(batch.hits() > 0, "second scan must reuse decoded blocks");
         assert_eq!(cache.stats().hits(), batch.hits());
-        assert!(batch.hit_rate() > 0.0);
     }
 
     #[test]
@@ -381,7 +354,7 @@ mod tests {
         let cache = DecodedBlockCache::new(4096);
         let warm = DecodeStats::default();
         let at_epoch = |epoch: u64, stats: &DecodeStats| {
-            let cached = CachedBlockImage::new(&img, &cache, epoch, stats);
+            let cached = CachedBlockImage::new(&img, &cache, epoch, stats, 1);
             let mut cur = cached.score_cursor(feat, 1.0);
             while ScoredListCursor::next_entry(&mut cur).is_some() {}
         };
@@ -399,9 +372,9 @@ mod tests {
 
         // A different image at the same epoch shares nothing either.
         let (other, _) = image();
-        assert_ne!(other.image_id(), img.image_id());
+        assert_ne!(other.image_id, img.image_id);
         let cross = DecodeStats::default();
-        let cached = CachedBlockImage::new(&other, &cache, 2, &cross);
+        let cached = CachedBlockImage::new(&other, &cache, 2, &cross, 1);
         let mut cur = cached.score_cursor(feat, 1.0);
         while ScoredListCursor::next_entry(&mut cur).is_some() {}
         assert_eq!(cross.hits(), 0, "image ids must not collide");
@@ -413,7 +386,7 @@ mod tests {
         let feat = widest(&lists);
         let cache = DecodedBlockCache::new(4096);
         let batch = DecodeStats::default();
-        let cached = CachedBlockImage::new(&img, &cache, 3, &batch).with_weight(4);
+        let cached = CachedBlockImage::new(&img, &cache, 3, &batch, 4);
         let mut cur = cached.score_cursor(feat, 1.0);
         while ScoredListCursor::next_entry(&mut cur).is_some() {}
         // Cold walk at weight 4: every block books one decode (miss) and
@@ -436,7 +409,7 @@ mod tests {
         let feat = widest(&lists);
         let cache = DecodedBlockCache::new(1); // rounds to 1 block per shard
         let batch = DecodeStats::default();
-        let cached = CachedBlockImage::new(&img, &cache, 1, &batch);
+        let cached = CachedBlockImage::new(&img, &cache, 1, &batch, 1);
         let mut cur = cached.score_cursor(feat, 1.0);
         while ScoredListCursor::next_entry(&mut cur).is_some() {}
         assert!(cache.len() <= cache.capacity_blocks());

@@ -4,8 +4,6 @@
 //! for by adding 1ms and 10ms respectively, to the disk IO time. These disk
 //! IO costs are in line with reported numbers for Windows and Linux."
 
-use std::time::Duration;
-
 /// Per-access costs of the simulated disk.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
@@ -63,11 +61,6 @@ impl IoStats {
             + self.random_fetches as f64 * model.random_ms
     }
 
-    /// Simulated IO time as a [`Duration`].
-    pub fn io_time(&self, model: &CostModel) -> Duration {
-        Duration::from_secs_f64(self.io_ms(model) / 1000.0)
-    }
-
     /// Cache hit rate in `[0, 1]`; 0 when nothing was accessed.
     pub fn hit_rate(&self) -> f64 {
         let total = self.total_accesses();
@@ -108,7 +101,6 @@ mod tests {
         };
         let m = CostModel::default();
         assert_eq!(s.io_ms(&m), 5.0 + 30.0);
-        assert_eq!(s.io_time(&m), Duration::from_millis(35));
         assert_eq!(s.total_fetches(), 8);
         assert_eq!(s.total_accesses(), 108);
     }

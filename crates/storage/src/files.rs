@@ -11,16 +11,22 @@
 //!   in non-increasing score order (ties by ascending id). A small in-memory
 //!   directory maps features to their run.
 //!
-//! The byte images live in [`bytes::Bytes`]; the simulated [`crate::pool`]
-//! decides what each access would have cost.
+//! [`FlatLists`] is the disk backend's list encoding: two word-list files,
+//! the score-ordered runs first and the id-ordered runs behind them, as one
+//! region of a [`crate::PagedImage`]. Its cursors and probes report every
+//! 12-byte entry they read to the image's fetch hook; the image decides
+//! what each access would have cost.
+
+use std::sync::Arc;
 
 use bytes::Bytes;
 use ipm_corpus::hash::FxHashMap;
 use ipm_corpus::{Corpus, Feature, PhraseId};
+use ipm_index::backend::ListEncoding;
+use ipm_index::block::FetchHook;
+use ipm_index::cursor::{prefix_len, IdListCursor, ScoredListCursor};
 use ipm_index::phrase::PhraseDictionary;
 use ipm_index::wordlists::{IdOrderedLists, ListEntry, WordPhraseLists, ENTRY_BYTES};
-
-use crate::pool::BufferPool;
 
 /// Fixed entry width of the phrase list file (paper §4.2.1: "We use an s
 /// value of 50, and this was seen to cover all the phrases that we
@@ -43,14 +49,7 @@ impl PhraseListFile {
         let mut data = Vec::with_capacity(dict.len() * PHRASE_ENTRY_BYTES);
         for (id, _, _) in dict.iter() {
             let text = dict.render(id, corpus);
-            let mut bytes = text.as_bytes();
-            if bytes.len() > PHRASE_ENTRY_BYTES {
-                let mut cut = PHRASE_ENTRY_BYTES;
-                while !text.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                bytes = &bytes[..cut];
-            }
+            let bytes = &text.as_bytes()[..text.floor_char_boundary(PHRASE_ENTRY_BYTES)];
             data.extend_from_slice(bytes);
             data.resize(data.len() + (PHRASE_ENTRY_BYTES - bytes.len()), 0);
         }
@@ -70,27 +69,17 @@ impl PhraseListFile {
         self.num_phrases
     }
 
-    /// Reads the phrase text for `id` through the buffer pool (charging the
-    /// simulated IO), using the paper's offset calculation.
-    pub fn read(&self, id: PhraseId, pool: &mut BufferPool) -> Option<String> {
-        let i = id.index();
-        if i >= self.num_phrases {
-            return None;
-        }
-        let offset = i * PHRASE_ENTRY_BYTES;
-        pool.access_range(
-            offset as u64,
-            PHRASE_ENTRY_BYTES as u64,
-            self.data.len() as u64,
-        );
-        let raw = &self.data[offset..offset + PHRASE_ENTRY_BYTES];
+    /// Reads the phrase text for `id` by the paper's offset calculation.
+    pub fn read(&self, id: PhraseId) -> Option<String> {
+        let offset = id.index() * PHRASE_ENTRY_BYTES;
+        let raw = self.data.get(offset..offset + PHRASE_ENTRY_BYTES)?;
         let end = raw.iter().position(|&b| b == 0).unwrap_or(raw.len());
         Some(String::from_utf8_lossy(&raw[..end]).into_owned())
     }
 }
 
 /// Directory entry of one feature's list run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct ListRun {
     /// First entry index in the file (entry units, not bytes).
     pub(crate) start: u64,
@@ -123,7 +112,7 @@ impl WordListFile {
     /// Serializes phrase-ID-ordered lists: the same 12-byte layout, run
     /// order by feature, entries within a run ascending by phrase id. SMJ
     /// scans these runs sequentially; TA probes them by in-run binary
-    /// search (both through the buffer pool).
+    /// search.
     pub fn build_id_ordered(lists: &IdOrderedLists) -> Self {
         Self::build_from_runs(
             lists
@@ -174,23 +163,13 @@ impl WordListFile {
 
     /// Length (in entries) of a feature's list; 0 if absent.
     pub fn list_len(&self, feature: Feature) -> usize {
-        self.directory
-            .get(&feature.encode())
-            .map(|r| r.len as usize)
-            .unwrap_or(0)
-    }
-
-    /// Whether the feature has a directory entry.
-    pub fn has_feature(&self, feature: Feature) -> bool {
-        self.directory.contains_key(&feature.encode())
+        self.run(feature).map_or(0, |r| r.len as usize)
     }
 
     /// Rehydrates the serialized image into in-memory
     /// [`WordPhraseLists`], so a process cold-starting from a persisted
     /// file (`crate::persist::load_word_lists`) can serve the in-memory
-    /// NRA/SMJ paths rather than only the simulated-disk path. Decodes the
-    /// raw image directly — no buffer-pool charge (this is the offline
-    /// load step, not a simulated query).
+    /// NRA/SMJ paths rather than only the simulated-disk path.
     ///
     /// Slot order is by ascending feature code, which is deterministic but
     /// may differ from the original build order; per-feature lists are
@@ -201,46 +180,103 @@ impl WordListFile {
         let lists = dir
             .into_iter()
             .map(|(code, run)| {
-                let mut list = Vec::with_capacity(run.len as usize);
-                for i in 0..run.len {
-                    let o = ((run.start + i) * ENTRY_BYTES as u64) as usize;
-                    let phrase = u32::from_le_bytes(self.data[o..o + 4].try_into().unwrap());
-                    let prob = f64::from_le_bytes(self.data[o + 4..o + 12].try_into().unwrap());
-                    list.push(ListEntry {
-                        phrase: PhraseId(phrase),
-                        prob,
-                    });
-                }
+                let list = (run.start..run.start + run.len)
+                    .map(|i| self.entry(i))
+                    .collect();
                 (Feature::decode(code), list)
             })
             .collect();
         WordPhraseLists::from_feature_lists(lists)
     }
 
-    /// Random probe into an **id-ordered** run: binary search for `phrase`
-    /// in `feature`'s list, every touched entry charged to the pool. This
-    /// is the disk price of TA-style random access the paper's §5.5
-    /// analysis warns about — `O(log n)` page touches, most of them
-    /// classified random.
-    ///
-    /// Only meaningful on files built with
-    /// [`WordListFile::build_id_ordered`]; on score-ordered runs the search
-    /// invariant does not hold.
-    pub fn probe_id_ordered(
-        &self,
+    /// Reads entry `i` of `feature`'s list; `None` past the end of the
+    /// list.
+    pub fn read_entry(&self, feature: Feature, i: usize) -> Option<ListEntry> {
+        let run = self.run(feature)?;
+        (i < run.len as usize).then(|| self.entry(run.start + i as u64))
+    }
+
+    fn run(&self, feature: Feature) -> Option<ListRun> {
+        self.directory.get(&feature.encode()).copied()
+    }
+
+    /// Decodes the entry at file-wide entry index `i`.
+    fn entry(&self, i: u64) -> ListEntry {
+        let o = i as usize * ENTRY_BYTES;
+        decode_entry(&self.data[o..o + ENTRY_BYTES])
+    }
+}
+
+/// Decodes one 12-byte `[phrase_id, prob]` entry.
+fn decode_entry(bytes: &[u8]) -> ListEntry {
+    ListEntry {
+        phrase: PhraseId(u32::from_le_bytes(bytes[..4].try_into().unwrap())),
+        prob: f64::from_le_bytes(bytes[4..ENTRY_BYTES].try_into().unwrap()),
+    }
+}
+
+/// The flat list encoding: the score-ordered file at offset 0, the
+/// id-ordered file right behind it.
+#[derive(Debug)]
+pub struct FlatLists {
+    score: WordListFile,
+    id: WordListFile,
+}
+
+impl FlatLists {
+    /// Where the id-ordered file starts in the list region.
+    fn id_base(&self) -> u64 {
+        self.score.len_bytes() as u64
+    }
+}
+
+impl ListEncoding for FlatLists {
+    type ScoreCursor<'a> = FlatCursor<'a>;
+    type IdCursor<'a> = FlatCursor<'a>;
+
+    fn encode(lists: &WordPhraseLists, id_lists: &IdOrderedLists, _df: &Arc<Vec<u32>>) -> Self {
+        Self {
+            score: WordListFile::build(lists),
+            id: WordListFile::build_id_ordered(id_lists),
+        }
+    }
+
+    fn region_bytes(&self) -> u64 {
+        self.id_base() + self.id.len_bytes() as u64
+    }
+
+    fn entries(&self, feature: Feature) -> usize {
+        self.score.list_len(feature)
+    }
+
+    fn scan_scores<'a>(
+        &'a self,
         feature: Feature,
-        phrase: PhraseId,
-        pool: &mut BufferPool,
-    ) -> f64 {
-        let Some(run) = self.directory.get(&feature.encode()).copied() else {
+        fraction: f64,
+        fetch: FetchHook<'a>,
+    ) -> FlatCursor<'a> {
+        FlatCursor::open(&self.score, 0, feature, fraction, fetch)
+    }
+
+    fn scan_ids<'a>(&'a self, feature: Feature, fetch: FetchHook<'a>) -> FlatCursor<'a> {
+        FlatCursor::open(&self.id, self.id_base(), feature, 1.0, fetch)
+    }
+
+    /// Binary search in the id-ordered run, every touched entry fetched:
+    /// the disk price of TA-style random access the paper's §5.5 analysis
+    /// warns about — `O(log n)` page touches, most of them random.
+    fn lookup(&self, feature: Feature, phrase: PhraseId, fetch: &dyn Fn(u64, u64)) -> f64 {
+        let Some(run) = self.id.run(feature) else {
             return 0.0;
         };
-        let (mut lo, mut hi) = (0u64, run.len);
+        let (mut lo, mut hi) = (run.start, run.start + run.len);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let e = self
-                .read_entry(feature, mid as usize, pool)
-                .expect("mid index within run");
+            fetch(
+                self.id_base() + mid * ENTRY_BYTES as u64,
+                ENTRY_BYTES as u64,
+            );
+            let e = self.id.entry(mid);
             match e.phrase.cmp(&phrase) {
                 std::cmp::Ordering::Equal => return e.prob,
                 std::cmp::Ordering::Less => lo = mid + 1,
@@ -249,28 +285,72 @@ impl WordListFile {
         }
         0.0
     }
+}
 
-    /// Reads entry `i` of `feature`'s list through the buffer pool.
-    /// Returns `None` past the end of the list.
-    pub fn read_entry(
-        &self,
+/// A forward cursor over one flat list run (score-ordered or id-ordered,
+/// depending on the file it was opened on) that fetches each entry it
+/// reads.
+pub struct FlatCursor<'a> {
+    /// The entries this cursor may read.
+    run: &'a [u8],
+    /// Offset of `run` within the image's list region.
+    offset: u64,
+    /// Entries read so far.
+    pos: usize,
+    fetch: FetchHook<'a>,
+}
+
+impl<'a> FlatCursor<'a> {
+    /// A cursor over the top-`fraction` prefix of `feature`'s run in
+    /// `file`, which starts at `base` in the list region.
+    fn open(
+        file: &'a WordListFile,
+        base: u64,
         feature: Feature,
-        i: usize,
-        pool: &mut BufferPool,
-    ) -> Option<ListEntry> {
-        let run = self.directory.get(&feature.encode())?;
-        if i as u64 >= run.len {
-            return None;
+        fraction: f64,
+        fetch: FetchHook<'a>,
+    ) -> Self {
+        let run = file.run(feature).unwrap_or_default();
+        let start = run.start as usize * ENTRY_BYTES;
+        let end = start + prefix_len(run.len as usize, fraction) * ENTRY_BYTES;
+        Self {
+            run: &file.data[start..end],
+            offset: base + start as u64,
+            pos: 0,
+            fetch,
         }
-        let offset = (run.start + i as u64) * ENTRY_BYTES as u64;
-        pool.access_range(offset, ENTRY_BYTES as u64, self.data.len() as u64);
-        let o = offset as usize;
-        let phrase = u32::from_le_bytes(self.data[o..o + 4].try_into().unwrap());
-        let prob = f64::from_le_bytes(self.data[o + 4..o + 12].try_into().unwrap());
-        Some(ListEntry {
-            phrase: PhraseId(phrase),
-            prob,
-        })
+    }
+
+    fn advance(&mut self) -> Option<ListEntry> {
+        let at = self.pos * ENTRY_BYTES;
+        let bytes = self.run.get(at..at + ENTRY_BYTES)?;
+        (self.fetch)(self.offset + at as u64, ENTRY_BYTES as u64);
+        self.pos += 1;
+        Some(decode_entry(bytes))
+    }
+}
+
+impl ScoredListCursor for FlatCursor<'_> {
+    fn next_entry(&mut self) -> Option<ListEntry> {
+        self.advance()
+    }
+
+    fn len(&self) -> usize {
+        self.run.len() / ENTRY_BYTES
+    }
+
+    fn position(&self) -> usize {
+        self.pos
+    }
+}
+
+impl IdListCursor for FlatCursor<'_> {
+    fn next_entry(&mut self) -> Option<ListEntry> {
+        self.advance()
+    }
+
+    fn len(&self) -> usize {
+        self.run.len() / ENTRY_BYTES
     }
 }
 
@@ -309,34 +389,22 @@ mod tests {
         (c, index, lists)
     }
 
-    fn small_pool() -> BufferPool {
-        BufferPool::new(PoolConfig {
-            page_size: 64,
-            capacity_pages: 4,
-            lookahead_pages: 1,
-        })
-    }
-
     #[test]
     fn phrase_file_roundtrip() {
         let (c, index, _) = setup();
         let file = PhraseListFile::build(&c, &index.dict);
         assert_eq!(file.len_bytes(), index.dict.len() * PHRASE_ENTRY_BYTES);
-        let mut pool = small_pool();
         for (id, _, _) in index.dict.iter() {
             let want = index.dict.render(id, &c);
-            assert_eq!(file.read(id, &mut pool), Some(want));
+            assert_eq!(file.read(id), Some(want));
         }
-        assert!(pool.stats().total_accesses() > 0);
     }
 
     #[test]
     fn phrase_file_out_of_range() {
         let (c, index, _) = setup();
         let file = PhraseListFile::build(&c, &index.dict);
-        let mut pool = small_pool();
-        assert_eq!(file.read(PhraseId(u32::MAX), &mut pool), None);
-        assert_eq!(pool.stats().total_accesses(), 0);
+        assert_eq!(file.read(PhraseId(u32::MAX)), None);
     }
 
     #[test]
@@ -351,8 +419,7 @@ mod tests {
         let id = dict.insert(&[w0, w1], 1);
         let file = PhraseListFile::build(&c, &dict);
         assert_eq!(file.len_bytes(), PHRASE_ENTRY_BYTES);
-        let mut pool = small_pool();
-        let text = file.read(id, &mut pool).unwrap();
+        let text = file.read(id).unwrap();
         assert!(text.len() <= PHRASE_ENTRY_BYTES);
         assert!(text.chars().all(|ch| ch == 'α' || ch == 'β' || ch == ' '));
     }
@@ -363,16 +430,15 @@ mod tests {
         let file = WordListFile::build(&lists);
         assert_eq!(file.total_entries(), lists.total_entries());
         assert_eq!(file.len_bytes(), lists.total_entries() * ENTRY_BYTES);
-        let mut pool = small_pool();
         for feat in lists.features() {
             let want = lists.list(*feat);
             assert_eq!(file.list_len(*feat), want.len());
             for (i, e) in want.iter().enumerate() {
-                let got = file.read_entry(*feat, i, &mut pool).unwrap();
+                let got = file.read_entry(*feat, i).unwrap();
                 assert_eq!(got.phrase, e.phrase);
                 assert_eq!(got.prob.to_bits(), e.prob.to_bits());
             }
-            assert!(file.read_entry(*feat, want.len(), &mut pool).is_none());
+            assert!(file.read_entry(*feat, want.len()).is_none());
         }
     }
 
@@ -399,29 +465,37 @@ mod tests {
         let (_, _, lists) = setup();
         let file = WordListFile::build(&lists);
         let missing = Feature::Word(WordId(999_999));
-        assert!(!file.has_feature(missing));
         assert_eq!(file.list_len(missing), 0);
-        let mut pool = small_pool();
-        assert!(file.read_entry(missing, 0, &mut pool).is_none());
+        assert!(file.read_entry(missing, 0).is_none());
     }
 
     #[test]
     fn sequential_list_scan_is_mostly_sequential_io() {
         let (_, _, lists) = setup();
-        let file = WordListFile::build(&lists);
+        let flat = FlatLists::encode(
+            &lists,
+            &IdOrderedLists::from_score_ordered(&lists),
+            &Arc::default(),
+        );
         // Find the longest list and scan it end to end.
         let feat = *lists
             .features()
             .iter()
-            .max_by_key(|f| file.list_len(**f))
+            .max_by_key(|f| flat.entries(**f))
             .unwrap();
-        let mut pool = small_pool();
-        let n = file.list_len(feat);
-        for i in 0..n {
-            file.read_entry(feat, i, &mut pool).unwrap();
-        }
-        let s = pool.stats();
+        let pool = std::cell::RefCell::new(BufferPool::new(PoolConfig {
+            page_size: 64,
+            capacity_pages: 4,
+            lookahead_pages: 1,
+        }));
+        let end = flat.region_bytes();
+        let fetch = Box::new(|offset, len| pool.borrow_mut().access_range(offset, len, end));
+        let mut cursor = flat.scan_scores(feat, 1.0, fetch);
+        while ScoredListCursor::next_entry(&mut cursor).is_some() {}
+        drop(cursor);
+        let s = pool.borrow().stats();
         // All fetches beyond the first must be sequential for a pure scan.
+        assert!(s.total_fetches() > 1);
         assert!(s.random_fetches <= 1, "scan produced {s:?}");
     }
 

@@ -9,44 +9,34 @@
 //!   10 ms per random fetch — the paper's constants) and IO statistics;
 //! * [`pool`] — a 16-page LRU buffer pool over 32 KiB pages with 1-page
 //!   lookahead on access (again the paper's configuration);
+//! * [`paged`] — [`PagedImage`], the one simulated device both list
+//!   backends serve from: a list region in one of two encodings (flat
+//!   12-byte entries, [`DiskLists`]; block-compressed, [`BlockImage`]) and
+//!   an accounted phrase region behind one pool, one image per phrase-id
+//!   shard;
 //! * [`files`] — the serialized index layouts: the fixed-width phrase list
-//!   (50-byte entries, paper §4.2.1 and Figure 1) and the per-word scored
-//!   list file (12-byte `[phrase_id, prob]` entries, §4.2.2);
-//! * [`disklists`] — score-ordered list cursors that pull entries through
-//!   the buffer pool, implementing `ipm_index::cursor::ScoredListCursor` so
-//!   the NRA algorithm runs unchanged over memory or "disk";
-//! * [`persist`] — writing/reading the serialized images to real files
-//!   (magic + header + CRC-32, fully validated on load) so the offline
-//!   build runs once and query processes cold-start from disk;
+//!   (50-byte entries, paper §4.2.1 and Figure 1), the per-word scored
+//!   list file (12-byte `[phrase_id, prob]` entries, §4.2.2) and the flat
+//!   list encoding built from two such files;
+//! * [`persist`] — writing/reading the serialized files to real files
+//!   (magic + header + CRC-32, fully validated on load);
 //! * [`checksum`] — the CRC-32 used by [`persist`];
-//! * [`sharded`] — [`sharded::ShardedDiskImage`]: one serialized list
-//!   region per phrase-id shard, one pool per shard (deterministic
-//!   per-shard accounting under parallel execution), one shared phrase
-//!   file;
 //! * [`cache`] — the workspace's one sharded LRU
 //!   ([`cache::ShardedLruCache`]): the engine's result cache and
-//!   [`blockcache`]'s decoded-block cache are its two instantiations;
-//! * [`blockimage`] — [`blockimage::BlockImage`]: the block-compressed
-//!   lists behind a pool of their own, charging per-*block* fetches so
-//!   skipped blocks cost no simulated IO (plus its sharded counterpart
-//!   [`blockimage::ShardedBlockImage`]).
+//!   [`blockcache`]'s decoded-block cache are its two instantiations.
 
 pub mod blockcache;
-pub mod blockimage;
 pub mod cache;
 pub mod checksum;
 pub mod cost;
-pub mod disklists;
 pub mod files;
+pub mod paged;
 pub mod persist;
 pub mod pool;
-pub mod sharded;
 
 pub use blockcache::{CachedBlockImage, DecodeStats, DecodedBlockCache};
-pub use blockimage::{BlockImage, ShardedBlockImage};
 pub use cost::{CostModel, IoStats};
-pub use disklists::DiskLists;
-pub use files::{PhraseListFile, WordListFile};
+pub use files::{FlatLists, PhraseListFile, WordListFile};
+pub use paged::{BlockImage, DiskLists, PagedImage};
 pub use persist::PersistError;
 pub use pool::{BufferPool, PoolConfig};
-pub use sharded::ShardedDiskImage;

@@ -261,7 +261,6 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::{BufferPool, PoolConfig};
     use ipm_corpus::Feature;
     use ipm_index::corpus_index::{CorpusIndex, IndexConfig};
     use ipm_index::mining::MiningConfig;
@@ -298,12 +297,11 @@ mod tests {
         save_word_lists(&file, &path).unwrap();
         let loaded = load_word_lists(&path).unwrap();
         assert_eq!(loaded.total_entries(), file.total_entries());
-        let mut pool = BufferPool::new(PoolConfig::default());
         for feat in lists.features() {
             assert_eq!(loaded.list_len(*feat), file.list_len(*feat));
             for i in 0..file.list_len(*feat) {
-                let a = file.read_entry(*feat, i, &mut pool).unwrap();
-                let b = loaded.read_entry(*feat, i, &mut pool).unwrap();
+                let a = file.read_entry(*feat, i).unwrap();
+                let b = loaded.read_entry(*feat, i).unwrap();
                 assert_eq!(a.phrase, b.phrase);
                 assert_eq!(a.prob.to_bits(), b.prob.to_bits());
             }
@@ -320,9 +318,8 @@ mod tests {
         save_phrase_list(&file, &path).unwrap();
         let loaded = load_phrase_list(&path).unwrap();
         assert_eq!(loaded.num_phrases(), file.num_phrases());
-        let mut pool = BufferPool::new(PoolConfig::default());
         for (id, _, _) in index.dict.iter() {
-            assert_eq!(loaded.read(id, &mut pool), file.read(id, &mut pool));
+            assert_eq!(loaded.read(id), file.read(id));
         }
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -129,11 +129,6 @@ impl BufferPool {
         self.resident.contains(&page)
     }
 
-    /// Number of currently resident pages.
-    pub fn resident_pages(&self) -> usize {
-        self.resident.len()
-    }
-
     /// Moves `page` to most-recently-used if resident; returns whether it
     /// was resident.
     fn touch_resident(&mut self, page: u64) -> bool {
@@ -160,12 +155,6 @@ impl BufferPool {
             self.resident.remove(0); // least recently used is first
         }
         self.resident.push(page);
-    }
-}
-
-impl Default for BufferPool {
-    fn default() -> Self {
-        Self::new(PoolConfig::default())
     }
 }
 
@@ -277,7 +266,7 @@ mod tests {
         p.access(1, 10);
         p.reset();
         assert_eq!(p.stats(), IoStats::default());
-        assert_eq!(p.resident_pages(), 0);
+        assert!(!p.is_resident(1) && !p.is_resident(2));
         // classification starts over: next access is random again
         p.access(2, 10);
         assert_eq!(p.stats().random_fetches, 1);

@@ -10,6 +10,7 @@
 //! ```
 
 use interesting_phrases::prelude::*;
+use ipm_index::ListBackend;
 
 fn main() {
     let mut synth = ipm_corpus::synth::tiny();
@@ -26,7 +27,7 @@ fn main() {
 
     let disk = engine.disk();
     println!(
-        "serialized index: {} (word lists + phrase file)",
+        "simulated image: {} (word lists + phrase region)",
         human_bytes(disk.size_bytes())
     );
 
@@ -35,8 +36,8 @@ fn main() {
         .parse_query(&["w1", "w2"], Operator::Or)
         .unwrap();
     // One served request on the disk backend: the engine resets the pool
-    // (cold cache per query), runs the algorithm, resolves the hit texts
-    // from the on-disk phrase file and reports the IO of all of it.
+    // (cold cache per query), runs the algorithm, charges each hit's text
+    // lookup to the image's phrase region and reports the IO of all of it.
     let run = |algorithm: Algorithm, fraction: f64| {
         engine
             .request_query(query.clone())
@@ -82,11 +83,12 @@ fn main() {
         row(algorithm.name().into(), io);
     }
 
-    // Results come back as phrase IDs; the final texts are looked up in the
-    // fixed-width phrase file (also through the pool — paper Figure 1), and
-    // the response's IO includes those lookups.
+    // Results come back as phrase IDs; each final text lookup is charged
+    // as a read of its fixed-width slot in the image's phrase region (also
+    // through the pool — paper Figure 1), and the response's IO includes
+    // those lookups. The texts themselves come from the dictionary.
     let resp = run(Algorithm::Nra, 1.0);
-    println!("\ntop-5 phrases (texts read from the on-disk phrase list):");
+    println!("\ntop-5 phrases (each lookup charged to the phrase region):");
     for hit in &resp.hits {
         println!("  {:<30} S = {:.3}", hit.text, hit.hit.score);
     }

@@ -2,7 +2,7 @@
 //!
 //! Serializes the paper-layout index files (12-byte scored entries, 50-byte
 //! phrase slots) with checksummed containers, reloads them, and answers a
-//! query through the reloaded, disk-simulated index.
+//! query from the reloaded index.
 //!
 //! ```text
 //! cargo run --release --example save_load_index
@@ -10,7 +10,7 @@
 
 use interesting_phrases::prelude::*;
 use ipm_storage::persist;
-use ipm_storage::{BufferPool, PhraseListFile, WordListFile};
+use ipm_storage::{PhraseListFile, WordListFile};
 
 fn main() {
     let (corpus, _) = ipm_corpus::synth::generate(&ipm_corpus::synth::tiny());
@@ -43,23 +43,17 @@ fn main() {
         phrases.num_phrases()
     );
 
-    // Read a query's lists straight from the loaded image through a buffer
-    // pool, exactly as the disk-resident NRA does.
+    // Read a query's lists straight from the loaded image.
     let query = miner.parse_query_str("w1 OR w2").expect("query");
-    let mut pool = BufferPool::default();
     for feat in &query.features {
         let n = words.list_len(*feat).min(3);
         println!("\ntop {n} entries of {feat:?}'s reloaded list:");
         for i in 0..n {
-            let e = words.read_entry(*feat, i, &mut pool).expect("entry");
-            let text = phrases.read(e.phrase, &mut pool).unwrap_or_default();
+            let e = words.read_entry(*feat, i).expect("entry");
+            let text = phrases.read(e.phrase).unwrap_or_default();
             println!("  {text:<30} P(q|p) = {:.3}", e.prob);
         }
     }
-    println!(
-        "\nsimulated IO for those reads: {:.1} ms",
-        pool.stats().io_ms(&ipm_storage::CostModel::default())
-    );
 
     // Rehydrate the image into in-memory lists and answer with the fast
     // in-memory NRA path (cold-start lifecycle: build offline → load →
@@ -80,8 +74,7 @@ fn main() {
     );
     println!("\nin-memory NRA over the rehydrated index:");
     for h in &out.hits {
-        let mut pool2 = BufferPool::default();
-        let text = phrases.read(h.phrase, &mut pool2).unwrap_or_default();
+        let text = phrases.read(h.phrase).unwrap_or_default();
         println!("  {text:<30} score {:.3}", h.score);
     }
 

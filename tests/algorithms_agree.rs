@@ -25,6 +25,12 @@ fn miner() -> PhraseMiner {
     )
 }
 
+/// The miner's lists as a block image in the paper's default pool.
+fn block_image(m: &PhraseMiner) -> ipm_storage::BlockImage {
+    let (pool, cost) = Default::default();
+    ipm_storage::BlockImage::build(m.index(), m.lists(), m.id_lists(), 1.0, pool, cost)
+}
+
 fn queries(m: &PhraseMiner, op: Op) -> Vec<Query> {
     let ws = ipm_eval::harvest_queries(
         m.index(),
@@ -276,10 +282,9 @@ proptest! {
                     );
                     prop_assert_eq!(&a.text, &b.text);
                 }
-                // The exact scorer never traverses the lists (and the
-                // block image resolves texts in memory), so only the
-                // list algorithms charge per-block fetches.
-                if !block.served_from_cache && algorithm != Algorithm::Exact {
+                // Even the exact scorer, which never traverses the
+                // lists, charges its hits' text lookups.
+                if !block.served_from_cache {
                     let io = block.io.expect("block run reports IO");
                     prop_assert!(
                         io.total_accesses() > 0,
@@ -372,14 +377,7 @@ proptest! {
                             );
                             prop_assert_eq!(&a.text, &b.text);
                         }
-                        // The block image has no phrase file, so Exact
-                        // charges no block IO (texts resolve in memory).
-                        let charges_io = match backend {
-                            BackendChoice::Disk => true,
-                            BackendChoice::Block => algorithm != Algorithm::Exact,
-                            _ => false,
-                        };
-                        if charges_io
+                        if backend != BackendChoice::Memory
                             && !sharded.served_from_cache
                             && !sharded.hits.is_empty()
                         {
@@ -535,7 +533,7 @@ fn nra_traversal_is_pinned_on_harvested_queries() {
     use ipm_core::nra::{run_nra, NraConfig};
     use ipm_index::cursor::MemoryCursor;
     let m = miner();
-    let block = m.to_block(1.0);
+    let block = block_image(&m);
     let mut words = Vec::new();
     let (mut runs, mut early) = (0usize, 0usize);
     for op in [Op::And, Op::Or] {
@@ -659,6 +657,62 @@ fn backend_answers_and_block_io_are_pinned_on_harvested_queries() {
         0xa494_4f6b_04ab_f749,
         "a backend's hits, texts or block list IO changed on the harvested query mix"
     );
+}
+
+#[test]
+fn hit_texts_are_whole_on_every_backend() {
+    // The paper's phrase slot is 50 bytes (§4.2.1). The simulated image
+    // charges a lookup per hit against that slot, but every backend
+    // renders the text from the dictionary, so a phrase longer than one
+    // slot comes back whole — the same string on memory, disk and block.
+    let (a, b) = ("α".repeat(25), "β".repeat(24));
+    let mut builder = ipm_corpus::CorpusBuilder::new(ipm_corpus::TokenizerConfig::default());
+    for doc in [
+        format!("{a} {b} one"),
+        format!("two {a} {b}"),
+        format!("{a} {b} three"),
+        format!("four five {a}"),
+    ] {
+        builder.add_text(&doc);
+    }
+    let miner = PhraseMiner::build(
+        &builder.build(),
+        MinerConfig {
+            index: ipm_index::corpus_index::IndexConfig {
+                mining: ipm_index::mining::MiningConfig {
+                    min_df: 2,
+                    max_len: 2,
+                    min_len: 1,
+                },
+            },
+            ..Default::default()
+        },
+    );
+    let long = format!("{a} {b}");
+    assert!(long.len() > 50, "the fixture must overflow one phrase slot");
+    let query = miner.parse_query(&[&a, &b], Op::Or).unwrap();
+    let engine = QueryEngine::new(miner);
+    for algorithm in [
+        Algorithm::Nra,
+        Algorithm::Smj,
+        Algorithm::Ta,
+        Algorithm::Exact,
+    ] {
+        let texts = |backend| -> Vec<String> {
+            let resp = engine
+                .request_query(query.clone())
+                .k(5)
+                .algorithm(algorithm)
+                .backend(backend)
+                .run()
+                .unwrap();
+            resp.hits.into_iter().map(|h| h.text).collect()
+        };
+        let memory = texts(BackendChoice::Memory);
+        assert!(memory.contains(&long), "{algorithm:?}: {memory:?}");
+        assert_eq!(texts(BackendChoice::Disk), memory, "{algorithm:?}: disk");
+        assert_eq!(texts(BackendChoice::Block), memory, "{algorithm:?}: block");
+    }
 }
 
 /// A score cursor that panics once it has yielded `left` entries.
@@ -800,7 +854,7 @@ fn block_max_nra_is_sound_and_reads_no_more() {
     // traversal must never read more entries than the plain one.
     use ipm_core::nra::NraConfig;
     let m = miner();
-    let block = m.to_block(1.0);
+    let block = block_image(&m);
     let k = 5;
     let mut skipped_total = 0usize;
     for op in [Op::And, Op::Or] {
@@ -874,7 +928,7 @@ fn block_skipping_reduces_sorted_accesses_on_skewed_lists() {
     // total is monotone.
     use ipm_core::nra::NraConfig;
     let m = miner();
-    let image = m.to_block(1.0);
+    let image = block_image(&m);
     let (mut plain_read, mut bm_read) = (0usize, 0usize);
     let (mut mem_sorted, mut block_sorted) = (0usize, 0usize);
     for op in [Op::And, Op::Or] {

@@ -48,20 +48,16 @@ fn save_load_roundtrip_preserves_query_results() {
     assert_eq!(loaded_words.total_entries(), word_file.total_entries());
     assert_eq!(loaded_phrases.num_phrases(), phrase_file.num_phrases());
 
-    let mut pool = ipm_storage::BufferPool::default();
     for feat in m.lists().features() {
         for i in 0..word_file.list_len(*feat) {
-            let a = word_file.read_entry(*feat, i, &mut pool).unwrap();
-            let b = loaded_words.read_entry(*feat, i, &mut pool).unwrap();
+            let a = word_file.read_entry(*feat, i).unwrap();
+            let b = loaded_words.read_entry(*feat, i).unwrap();
             assert_eq!(a.phrase, b.phrase);
             assert_eq!(a.prob.to_bits(), b.prob.to_bits());
         }
     }
     for (id, _, _) in m.index().dict.iter() {
-        assert_eq!(
-            phrase_file.read(id, &mut pool),
-            loaded_phrases.read(id, &mut pool)
-        );
+        assert_eq!(phrase_file.read(id), loaded_phrases.read(id));
     }
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -1079,6 +1079,23 @@ fn trace_flag_returns_inline_stage_trace() {
         .collect();
     assert!(warm_stages.contains(&"cache_probe"));
     assert!(!warm_stages.contains(&"shard_exec"));
+
+    // The trace row above includes the hits' text lookups, and they are
+    // real fetches: the image's phrase region shares no page with its
+    // lists. An IO cap the query never reaches skips those lookups, so
+    // the capped run fetches strictly less.
+    handle.engine().clear_cache();
+    req.trace = false;
+    req.io_budget = Some(1_000_000_000);
+    let capped = client.search(&req).expect("roundtrip");
+    let capped_io = capped["result"]["io"]["sequential_fetches"]
+        .as_u64()
+        .unwrap()
+        + capped["result"]["io"]["random_fetches"].as_u64().unwrap();
+    assert!(
+        io_total > capped_io,
+        "text lookups must fetch: {io_total} fetches unbudgeted, {capped_io} capped"
+    );
 }
 
 // ---------------------------------------------------------------------------
