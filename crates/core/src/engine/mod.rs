@@ -114,9 +114,9 @@ pub enum BackendChoice {
     /// The block-compressed simulated-disk image
     /// (`ipm_storage::BlockImage`): bit-packed 128-entry blocks with skip
     /// metadata behind a buffer pool, charging per-*block* fetches —
-    /// skipped blocks cost no IO. The
-    /// response carries the query's [`IoStats`]; scores are bit-identical
-    /// to the memory backend (integer-rational dequantization).
+    /// skipped blocks cost no IO. The response carries the query's
+    /// [`IoStats`]; scores are bit-identical to the memory backend
+    /// (integer-rational dequantization).
     Block,
 }
 
