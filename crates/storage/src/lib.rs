@@ -34,6 +34,19 @@ pub mod paged;
 pub mod persist;
 pub mod pool;
 
+// Unit tests of `paged` by the image they exercise: the flat `disk` image,
+// the `block` image alone and sharded, and a sharded `disk` layout. They
+// share `paged`'s own test fixture.
+#[cfg(test)]
+#[path = "paged/blockimage_tests.rs"]
+mod blockimage;
+#[cfg(test)]
+#[path = "paged/disklists_tests.rs"]
+mod disklists;
+#[cfg(test)]
+#[path = "paged/sharded_tests.rs"]
+mod sharded;
+
 pub use blockcache::{CachedBlockImage, DecodeStats, DecodedBlockCache};
 pub use cost::{CostModel, IoStats};
 pub use files::{FlatLists, PhraseListFile, WordListFile};

@@ -223,21 +223,23 @@ impl<E: ListEncoding> ListBackend for PagedImage<E> {
     }
 }
 
+/// The tiny-corpus fixture and cursor helpers, shared with the
+/// per-backend test modules declared in the crate root.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ipm_index::corpus_index::IndexConfig;
     use ipm_index::cursor::{IdListCursor, ScoredListCursor};
     use ipm_index::mining::MiningConfig;
     use ipm_index::wordlists::{ListEntry, WordListConfig};
 
-    struct Fixture {
-        index: CorpusIndex,
-        lists: WordPhraseLists,
-        id_lists: IdOrderedLists,
+    pub(crate) struct Fixture {
+        pub(crate) index: CorpusIndex,
+        pub(crate) lists: WordPhraseLists,
+        pub(crate) id_lists: IdOrderedLists,
     }
 
-    fn fixture() -> Fixture {
+    pub(crate) fn fixture() -> Fixture {
         let (c, _) = ipm_corpus::synth::generate(&ipm_corpus::synth::tiny());
         let index = CorpusIndex::build(
             &c,
@@ -259,7 +261,11 @@ mod tests {
     }
 
     impl Fixture {
-        fn image<E: ListEncoding>(&self, fraction: f64, pool: PoolConfig) -> PagedImage<E> {
+        pub(crate) fn image<E: ListEncoding>(
+            &self,
+            fraction: f64,
+            pool: PoolConfig,
+        ) -> PagedImage<E> {
             let cost = CostModel::default();
             PagedImage::build(
                 &self.index,
@@ -271,14 +277,14 @@ mod tests {
             )
         }
 
-        fn shards<E: ListEncoding>(&self, n: usize) -> Vec<PagedImage<E>> {
+        pub(crate) fn shards<E: ListEncoding>(&self, n: usize) -> Vec<PagedImage<E>> {
             let dict = self.index.dict.len();
             let sharded = ShardedWordLists::build(&self.lists, &self.id_lists, dict, n);
             let (pool, cost) = Default::default();
             PagedImage::shards(&self.index, &sharded, 1.0, pool, cost)
         }
 
-        fn widest(&self) -> Feature {
+        pub(crate) fn widest(&self) -> Feature {
             *self
                 .lists
                 .features()
@@ -288,18 +294,18 @@ mod tests {
         }
     }
 
-    fn bits(entries: impl IntoIterator<Item = ListEntry>) -> Vec<(PhraseId, u64)> {
+    pub(crate) fn bits(entries: impl IntoIterator<Item = ListEntry>) -> Vec<(PhraseId, u64)> {
         entries
             .into_iter()
             .map(|e| (e.phrase, e.prob.to_bits()))
             .collect()
     }
 
-    fn drain_scores(mut c: impl ScoredListCursor) -> Vec<(PhraseId, u64)> {
+    pub(crate) fn drain_scores(mut c: impl ScoredListCursor) -> Vec<(PhraseId, u64)> {
         bits(std::iter::from_fn(|| c.next_entry()))
     }
 
-    fn drain_ids(mut c: impl IdListCursor) -> Vec<(PhraseId, u64)> {
+    pub(crate) fn drain_ids(mut c: impl IdListCursor) -> Vec<(PhraseId, u64)> {
         bits(std::iter::from_fn(|| c.next_entry()))
     }
 
@@ -309,71 +315,6 @@ mod tests {
             $check::<FlatLists>($($arg),*);
             $check::<BlockLists>($($arg),*);
         };
-    }
-
-    #[test]
-    fn cursors_match_memory_lists_and_charge_io() {
-        fn check<E: ListEncoding>(f: &Fixture) {
-            let img = f.image::<E>(1.0, PoolConfig::default());
-            for &feat in f.lists.features() {
-                let scores = drain_scores(img.score_cursor(feat, 1.0));
-                assert_eq!(scores, bits(f.lists.list(feat).iter().copied()));
-                let ids = drain_ids(img.id_cursor(feat));
-                assert_eq!(ids, bits(f.id_lists.list(feat).iter().copied()));
-                assert_eq!(img.list_len(feat), f.lists.list(feat).len());
-            }
-            assert!(img.io_stats().total_fetches() > 0, "reads reach the pool");
-        }
-        both_encodings!(check, &fixture());
-    }
-
-    #[test]
-    fn probes_match_memory_and_charge_io() {
-        fn check<E: ListEncoding>(f: &Fixture) {
-            let img = f.image::<E>(1.0, PoolConfig::default());
-            let feat = f.widest();
-            for e in f.lists.list(feat).iter().take(10) {
-                assert_eq!(img.probe(feat, e.phrase).to_bits(), e.prob.to_bits());
-            }
-            assert_eq!(img.probe(feat, PhraseId(u32::MAX)), 0.0);
-            assert!(img.io_stats().total_accesses() >= 10);
-        }
-        both_encodings!(check, &fixture());
-    }
-
-    #[test]
-    fn fractions_cut_the_score_side_only() {
-        // A build-time cut freezes a prefix of each score-ordered list; a
-        // run-time fraction shortens the cursor; the id side keeps its
-        // own (build-time SMJ) fraction either way.
-        fn check<E: ListEncoding>(f: &Fixture) {
-            let feat = f.widest();
-            let full = f.lists.list(feat).len();
-            let quarter = ipm_index::cursor::prefix_len(full, 0.25);
-            let cut = f.image::<E>(0.25, PoolConfig::default());
-            assert_eq!(cut.list_len(feat), quarter);
-            assert_eq!(drain_scores(cut.score_cursor(feat, 1.0)).len(), quarter);
-            assert_eq!(drain_ids(cut.id_cursor(feat)).len(), full);
-            let whole = f.image::<E>(1.0, PoolConfig::default());
-            let cursor = whole.score_cursor(feat, 0.25);
-            assert_eq!(ScoredListCursor::len(&cursor), quarter);
-            assert_eq!(drain_scores(cursor).len(), quarter);
-        }
-        both_encodings!(check, &fixture());
-    }
-
-    #[test]
-    fn io_accounting_and_reset() {
-        fn check<E: ListEncoding>(f: &Fixture) {
-            let img = f.image::<E>(1.0, PoolConfig::default());
-            drain_scores(img.score_cursor(f.widest(), 1.0));
-            let paid = img.io_stats();
-            assert!(paid.io_ms(img.cost_model()) > 0.0);
-            assert_eq!(img.io_fetches(), paid.total_fetches());
-            img.reset_io();
-            assert_eq!(img.io_stats(), IoStats::default());
-        }
-        both_encodings!(check, &fixture());
     }
 
     #[test]
@@ -417,101 +358,5 @@ mod tests {
         );
         let block = f.image::<BlockLists>(1.0, PoolConfig::default());
         assert_eq!(block.size_bytes(), block.lists().image_bytes() + phrases);
-    }
-
-    #[test]
-    fn round_robin_cursors_produce_random_io() {
-        // Two cursors over far-apart lists read alternately: the head seeks
-        // between the runs, which the simulator must classify as random.
-        let f = fixture();
-        let img = f.image::<FlatLists>(
-            1.0,
-            PoolConfig {
-                page_size: 256, // small pages to force many fetches
-                capacity_pages: 4,
-                lookahead_pages: 1,
-            },
-        );
-        let mut big: Vec<Feature> = f
-            .lists
-            .features()
-            .iter()
-            .copied()
-            .filter(|feat| f.lists.list(*feat).len() > 64)
-            .collect();
-        big.sort_by_key(|feat| f.lists.list(*feat).len());
-        let mut a = img.score_cursor(big[0], 1.0);
-        let mut b = img.score_cursor(big[big.len() - 1], 1.0);
-        for _ in 0..50 {
-            ScoredListCursor::next_entry(&mut a);
-            ScoredListCursor::next_entry(&mut b);
-        }
-        let s = img.io_stats();
-        assert!(s.random_fetches > 2, "interleaved reads should seek: {s:?}");
-    }
-
-    #[test]
-    fn seek_skips_blocks_without_fetching_them() {
-        // Galloping to the tail of a long id-ordered list must touch fewer
-        // pages than streaming it: skipped blocks are never decoded, so
-        // their byte ranges never reach the pool.
-        let f = fixture();
-        let small = PoolConfig {
-            page_size: 64,
-            capacity_pages: 16,
-            lookahead_pages: 0,
-        };
-        let feat = f.widest();
-        let last = f.id_lists.list(feat).last().unwrap().phrase;
-        let streamed = f.image::<BlockLists>(1.0, small);
-        drain_ids(streamed.id_cursor(feat));
-        let full = streamed.io_stats().total_accesses();
-        let sought = f.image::<BlockLists>(1.0, small);
-        assert_eq!(sought.id_cursor(feat).seek(last).unwrap().phrase, last);
-        let skipped = sought.io_stats().total_accesses();
-        assert!(
-            skipped < full,
-            "seek paid {skipped} accesses, full stream paid {full}"
-        );
-    }
-
-    #[test]
-    fn shard_images_partition_every_list() {
-        fn check<E: ListEncoding>(f: &Fixture) {
-            let shards = f.shards::<E>(3);
-            assert_eq!(shards.len(), 3);
-            let feat = f.widest();
-            let want = bits(f.lists.list(feat).iter().copied());
-            let mut seen = 0;
-            for shard in &shards {
-                let (lo, hi) = shard.phrase_range().unwrap();
-                for e in drain_scores(shard.score_cursor(feat, 1.0)) {
-                    assert!(lo <= e.0 && e.0 < hi);
-                    assert!(want.contains(&e), "no entry invented");
-                    seen += 1;
-                }
-            }
-            assert_eq!(seen, want.len(), "no entry lost");
-            // Each shard is its own device.
-            shards.iter().for_each(PagedImage::reset_io);
-            drain_scores(shards[0].score_cursor(feat, 1.0));
-            assert!(shards[0].io_fetches() > 0);
-            assert!(shards[1..]
-                .iter()
-                .all(|s| s.io_stats() == IoStats::default()));
-        }
-        let f = fixture();
-        both_encodings!(check, &f);
-        // Flat shards re-cut the same entries: the list regions sum to
-        // the unsharded one.
-        let flat = f.shards::<FlatLists>(4);
-        let whole = f.image::<FlatLists>(1.0, PoolConfig::default());
-        let regions: u64 = flat.iter().map(|s| s.lists().region_bytes()).sum();
-        assert_eq!(regions, whole.lists().region_bytes());
-        // Block shards dequantize against one shared df table.
-        let block = f.shards::<BlockLists>(4);
-        assert!(block
-            .iter()
-            .all(|s| Arc::ptr_eq(s.lists().df(), block[0].lists().df())));
     }
 }
