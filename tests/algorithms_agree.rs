@@ -660,6 +660,65 @@ fn backend_answers_and_block_io_are_pinned_on_harvested_queries() {
 }
 
 #[test]
+fn paged_io_is_pinned_on_harvested_queries() {
+    // Pins the bill of both simulated-IO backends: per backend, harvested
+    // query, operator, algorithm and fanout, the unbudgeted response's
+    // IoStats — list traffic plus each hit's text lookup. Who owns the
+    // buffer pool and how a run starts cold must leave this unchanged. On
+    // a mismatch every case is printed, one line each, for diffing.
+    let engine = QueryEngine::with_config(
+        miner(),
+        EngineConfig {
+            cache: None,
+            ..Default::default()
+        },
+    );
+    let m = engine.miner();
+    let (mut words, mut lines) = (Vec::new(), Vec::new());
+    for backend in [BackendChoice::Disk, BackendChoice::Block] {
+        for op in [Op::And, Op::Or] {
+            for q in queries(&m, op) {
+                for algorithm in [
+                    Algorithm::Nra,
+                    Algorithm::Smj,
+                    Algorithm::Ta,
+                    Algorithm::Exact,
+                ] {
+                    for n in [1usize, 2, 4] {
+                        let io = engine
+                            .request_query(q.clone())
+                            .k(5)
+                            .algorithm(algorithm)
+                            .backend(backend)
+                            .shards(n)
+                            .run()
+                            .unwrap()
+                            .io
+                            .expect("a simulated-IO run reports IO");
+                        words.extend([io.cache_hits, io.sequential_fetches, io.random_fetches]);
+                        lines.push(format!(
+                            "{backend:?} {algorithm:?} @{n} {}: {} hits {} seq {} rand",
+                            q.render(m.corpus()),
+                            io.cache_hits,
+                            io.sequential_fetches,
+                            io.random_fetches
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    let digest = fnv1a(words);
+    if digest != 0x66f9_9f55_b808_4bdb {
+        lines.iter().for_each(|line| eprintln!("{line}"));
+    }
+    assert_eq!(
+        digest, 0x66f9_9f55_b808_4bdb,
+        "the disk or block backend's IO changed on the harvested query mix"
+    );
+}
+
+#[test]
 fn hit_texts_are_whole_on_every_backend() {
     // The paper's phrase slot is 50 bytes (§4.2.1). The simulated image
     // charges a lookup per hit against that slot, but every backend
