@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 
 use ipm_core::{
     ApproxReason, Completeness, Query, QueryEngine, SearchError, SearchOptions, ShardError,
-    ShardExecutor, ShardOutcome, StageKind,
+    ShardExecutor, ShardOutcome, StageKind, MAX_SHARDS,
 };
 use ipm_obs::{Counter, Histogram, HistogramSnapshot};
 use serde_json::Value;
@@ -282,13 +282,21 @@ impl Router {
     /// derived range disagrees rejects the call loudly.
     ///
     /// # Errors
-    /// The bind failure, or `InvalidInput` when `config.shards` is empty
-    /// or any shard has no replicas.
+    /// The bind failure, or `InvalidInput` when `config.shards` is empty,
+    /// holds more than [`MAX_SHARDS`] shards (a node executes at most that
+    /// fanout, so a shard past it would be answered with another shard's
+    /// hits) or any shard has no replicas.
     pub fn spawn(engine: QueryEngine, config: RouterConfig) -> std::io::Result<RouterHandle> {
         if config.shards.is_empty() || config.shards.iter().any(Vec::is_empty) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 "router needs at least one shard, each with at least one replica",
+            ));
+        }
+        if config.shards.len() > MAX_SHARDS {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("router supports at most {MAX_SHARDS} shards"),
             ));
         }
         let listener = TcpListener::bind(&config.addr)?;

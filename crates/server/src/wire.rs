@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 use ipm_core::{
     Algorithm, ApproxReason, BackendChoice, Budget, BudgetKind, Completeness, ExecStats, PhraseHit,
     QueryTrace, RedundancyConfig, SearchOptions, SearchResponse, ShardExecParams, ShardOutcome,
+    MAX_SHARDS,
 };
 use ipm_corpus::Corpus;
 use ipm_storage::IoStats;
@@ -690,6 +691,11 @@ fn build_shard_exec(v: &Value) -> Result<ShardExecRequest, String> {
         .to_owned();
     let fanout = field_u64(v, "fanout", 1)?.max(1) as usize;
     let shard = field_u64(v, "shard", 0)? as usize;
+    if fanout > MAX_SHARDS {
+        return Err(format!(
+            "fanout {fanout} exceeds the maximum of {MAX_SHARDS}"
+        ));
+    }
     if shard >= fanout {
         return Err(format!("shard {shard} out of range for fanout {fanout}"));
     }
@@ -1294,6 +1300,17 @@ mod tests {
         ] {
             assert!(parse_request(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn shard_exec_fanout_above_max_shards_is_rejected() {
+        // A node executes at most MAX_SHARDS shards: a wider scatter's
+        // shards past the cap would all answer with the last shard's hits.
+        let top = ShardExecRequest::new("a", MAX_SHARDS, MAX_SHARDS - 1, 10);
+        assert!(parse_request(&top.to_line()).is_ok());
+        let wide = ShardExecRequest::new("a", MAX_SHARDS + 1, MAX_SHARDS, 10);
+        let err = parse_request(&wide.to_line()).unwrap_err();
+        assert!(err.contains("fanout"), "{err}");
     }
 
     #[test]

@@ -1131,6 +1131,28 @@ fn spawn_router(
     .expect("bind router")
 }
 
+/// A router scatters over at most `MAX_SHARDS` shards: a node executes
+/// no wider fanout, so every shard past the cap would answer with the
+/// last shard's hits and the merge would repeat them.
+#[test]
+fn router_rejects_more_shards_than_max_shards() {
+    let unreachable = |n| vec![vec!["127.0.0.1:1".to_owned()]; n];
+    let wide = ipm_server::Router::spawn(
+        build_engine(false),
+        ipm_server::RouterConfig {
+            shards: unreachable(ipm_core::MAX_SHARDS + 1),
+            ..Default::default()
+        },
+    );
+    let err = wide.err().expect("a router past MAX_SHARDS must not start");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    // The cap itself is accepted; binding needs no shard to be up.
+    drop(spawn_router(
+        unreachable(ipm_core::MAX_SHARDS),
+        ipm_server::HedgeConfig::default(),
+    ));
+}
+
 /// Routed execution over two remote shard servers returns hits
 /// byte-identical to single-process sharded execution of the same
 /// query — the distributed merge is the same merge.
