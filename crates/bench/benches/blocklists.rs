@@ -89,7 +89,7 @@ fn footprints(e: &QueryEngine) -> Vec<FootprintRow> {
     ]
 }
 
-/// Micro-benchmarks the four block kernels over one 128-entry block: a
+/// Micro-benchmarks the two block kernels over one 128-entry block: a
 /// hand-written scalar reference always, plus the dispatched `simd`
 /// module path labelled `avx2` when the vector path is live. `black_box`
 /// keeps the reductions from folding away.
@@ -152,24 +152,6 @@ fn kernel_rows(simd_active: bool) -> Vec<KernelRow> {
         },
         &mut || {
             black_box(ipm_index::block::simd::max_scan(black_box(&probs)));
-        },
-    );
-    push(
-        "or_sum",
-        &mut || {
-            black_box(black_box(&probs).iter().sum::<f64>());
-        },
-        &mut || {
-            black_box(ipm_index::block::simd::or_sum(black_box(&probs)));
-        },
-    );
-    push(
-        "and_log_product",
-        &mut || {
-            black_box(black_box(&probs).iter().product::<f64>().ln());
-        },
-        &mut || {
-            black_box(ipm_index::block::simd::and_log_product(black_box(&probs)));
         },
     );
     rows

@@ -48,7 +48,7 @@ pub struct FootprintRow {
 /// vector path both appear in the same artifact.
 #[derive(Debug, Clone)]
 pub struct KernelRow {
-    /// Kernel name (`dequantize`, `max_scan`, `or_sum`, `and_log_product`).
+    /// Kernel name (`dequantize`, `max_scan`).
     pub kernel: String,
     /// `scalar` or `avx2`.
     pub path: String,
@@ -258,7 +258,7 @@ mod tests {
             compression_ratio: 12.0,
         }];
         let kr = [KernelRow {
-            kernel: "or_sum".into(),
+            kernel: "max_scan".into(),
             path: "avx2".into(),
             ns_per_block: 10.0,
         }];

@@ -847,8 +847,7 @@ fn read_bits(data: &[u8], bit_offset: u64, bits: u32) -> u64 {
 /// targets. [`dequantize`](simd::dequantize) and
 /// [`max_scan`](simd::max_scan) are elementwise / order-insensitive IEEE
 /// operations, so both paths produce bit-identical results and sit on the
-/// exact decode path; the Eq. 8/12 accumulators reassociate additions and
-/// are therefore *bench kernels only*, never used where parity matters.
+/// exact decode path.
 pub mod simd {
     /// `out[i] = counts[i] as f64 / dfs[i]` — the block dequantize step.
     /// Conversion and division are exact elementwise IEEE ops: the AVX2
@@ -881,30 +880,6 @@ pub mod simd {
             return unsafe { avx2::max_scan(vals) };
         }
         vals.iter().copied().fold(vals[0], f64::max)
-    }
-
-    /// Eq. 12 union cut over a block: `Σ probs`. The vector path
-    /// reassociates additions, so this is a throughput kernel for the
-    /// bench harness — **not** bit-identical to a left-to-right sum and
-    /// never used on the parity-sensitive scoring path.
-    pub fn or_sum(probs: &[f64]) -> f64 {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 confirmed at runtime.
-            return unsafe { avx2::sum(probs) };
-        }
-        probs.iter().sum()
-    }
-
-    /// Eq. 8 log-accumulation over a block: `ln Π probs`, the multiply
-    /// form of `Σ ln p`. Same caveat as [`or_sum`]: bench kernel only.
-    pub fn and_log_product(probs: &[f64]) -> f64 {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 confirmed at runtime.
-            return unsafe { avx2::product(probs) }.ln();
-        }
-        probs.iter().product::<f64>().ln()
     }
 
     /// Whether the AVX2 fast path is compiled in *and* available on this
@@ -970,48 +945,6 @@ pub mod simd {
                 i += 1;
             }
             best
-        }
-
-        /// # Safety
-        /// Caller must have verified AVX2 support.
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn sum(vals: &[f64]) -> f64 {
-            let n = vals.len();
-            let mut acc = _mm256_setzero_pd();
-            let mut i = 0;
-            while i + 4 <= n {
-                acc = _mm256_add_pd(acc, _mm256_loadu_pd(vals.as_ptr().add(i)));
-                i += 4;
-            }
-            let mut lanes = [0.0f64; 4];
-            _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
-            let mut total = lanes.iter().sum::<f64>();
-            while i < n {
-                total += vals[i];
-                i += 1;
-            }
-            total
-        }
-
-        /// # Safety
-        /// Caller must have verified AVX2 support.
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn product(vals: &[f64]) -> f64 {
-            let n = vals.len();
-            let mut acc = _mm256_set1_pd(1.0);
-            let mut i = 0;
-            while i + 4 <= n {
-                acc = _mm256_mul_pd(acc, _mm256_loadu_pd(vals.as_ptr().add(i)));
-                i += 4;
-            }
-            let mut lanes = [0.0f64; 4];
-            _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
-            let mut total = lanes.iter().product::<f64>();
-            while i < n {
-                total *= vals[i];
-                i += 1;
-            }
-            total
         }
     }
 }
@@ -1303,12 +1236,6 @@ mod tests {
         let max = simd::max_scan(&out);
         let want = out.iter().copied().fold(out[0], f64::max);
         assert_eq!(max.to_bits(), want.to_bits());
-        // Accumulators: numerically close to the scalar forms (they may
-        // reassociate, so no bit equality here).
-        let s: f64 = out.iter().sum();
-        assert!((simd::or_sum(&out) - s).abs() < 1e-9 * s.abs().max(1.0));
-        let p: f64 = out.iter().map(|p| p.ln()).sum();
-        assert!((simd::and_log_product(&out) - p).abs() < 1e-6 * p.abs().max(1.0));
         let _ = simd::active();
     }
 
