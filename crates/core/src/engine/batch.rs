@@ -202,8 +202,8 @@ impl QueryEngine {
         // The per-feature weighted views cannot come out of the list lease
         // without the lease knowing it serves a fused scan, so this path
         // keeps its own two-arm choice (memory or block; single shard and
-        // no disk are gated above) and shares the lease's gate / cold
-        // reset / IO accounting (`charged`).
+        // no disk are gated above) and, like the lease, scans a cold view
+        // of the block image and books its IO once (`book_io`).
         let results = match plan.backend {
             BackendChoice::Memory => {
                 let backend = live.index.miner.memory_backend();
@@ -213,15 +213,14 @@ impl QueryEngine {
                 )
             }
             _ => {
-                let block = self.image::<BlockLists>(&live.index);
-                let block = &*block;
+                let block = self.image::<BlockLists>(&live.index).cold_view();
                 // One shared cold scan for the whole group; its IO lands
                 // in the engine totals, not in any member's response.
-                let scan = || match decode {
+                let results = match decode {
                     Some(d) => {
                         let views: Vec<CachedBlockImage<'_>> = multiplicity
                             .iter()
-                            .map(|&w| CachedBlockImage::new(block, d.cache, d.epoch, d.stats, w))
+                            .map(|&w| CachedBlockImage::new(&block, d.cache, d.epoch, d.stats, w))
                             .collect();
                         let cursors = views
                             .iter()
@@ -235,8 +234,8 @@ impl QueryEngine {
                         &specs,
                     ),
                 };
-                self.charged(|| block.reset_io(), || block.io_stats(), scan)
-                    .0
+                self.book_io(&block.io_stats());
+                results
             }
         };
         for (&i, (hits, smj)) in eligible.iter().zip(results) {

@@ -8,8 +8,8 @@
 //!    │         base completeness
 //! cache probe  (skipped for routed requests) ── hit ──┐
 //!    │ miss                                           │
-//! list lease   backend × fanout, disk gate, cold      │
-//!    │         pool, IO read-back                     │
+//! list lease   backend × fanout, cold views (a pool   │
+//!    │         per lease), IO booked once             │
 //! run          fan-out │ fused hits │ scatter         │
 //!    │                                                │
 //! epilogue     trip → completeness, counters, cache insert, latency,
@@ -366,10 +366,9 @@ impl QueryEngine {
     /// plus, on NRA's exact path, resolution of the shard's own hits.
     ///
     /// Disk- and block-backed calls go through the same list lease as
-    /// local execution: they serialize on the engine's disk gate, start
-    /// from a cold simulated pool (paper §5.5) that then covers this
-    /// shard's run alone, and add their IO to
-    /// [`QueryEngine::io_totals`].
+    /// local execution: they run on cold views of the images, whose fresh
+    /// simulated pools (paper §5.5) cover this shard's run alone, and add
+    /// their IO to [`QueryEngine::io_totals`].
     ///
     /// A budget that trips *during* the run returns `Ok` with
     /// [`ShardOutcome::tripped`] set — the anytime envelope at the
@@ -546,12 +545,12 @@ impl QueryEngine {
 
     /// The list lease — the only place that picks the backend(s) for a
     /// `(BackendChoice, fanout)` pair. It builds the lazily derived image
-    /// or shard layout, and for the simulated-IO backends takes the disk
-    /// gate, resets the pool(s) to the per-query cold cache (paper §5.5),
-    /// wraps block shards in the batch's decoded-block cache when
-    /// `decode` binds one, and after the visitor returns reads the
-    /// [`IoStats`] back and books them (engine totals, `ipm_io_*`) — once.
-    fn lease<V: ListVisitor>(
+    /// or shard layout, and for the simulated-IO backends runs the visitor
+    /// on cold views of the images — each with a fresh pool, the paper's
+    /// per-query cold cache (§5.5) — wraps block shards in the batch's
+    /// decoded-block cache when `decode` binds one, and after the visitor
+    /// returns sums the views' [`IoStats`] and books them — once.
+    pub(super) fn lease<V: ListVisitor>(
         &self,
         state: &IndexState,
         backend: BackendChoice,
@@ -577,9 +576,10 @@ impl QueryEngine {
         }
     }
 
-    /// The lease's one arm for both simulated-IO backends: the images of
-    /// encoding `E` (one per shard of `layout`, or the generation's
-    /// unsharded one), run as one charged unit.
+    /// The lease's one arm for both simulated-IO backends: cold views of
+    /// the images of encoding `E` (one per shard of `layout`, or the
+    /// generation's unsharded one). The views are this lease's alone, so
+    /// concurrent leases neither wait for nor charge each other.
     fn lease_paged<E: Paged, V: ListVisitor>(
         &self,
         state: &IndexState,
@@ -595,40 +595,22 @@ impl QueryEngine {
                 std::slice::from_ref(&*unsharded)
             }
         };
-        let io_stats = || {
-            images.iter().fold(IoStats::default(), |mut total, image| {
-                total.accumulate(&image.io_stats());
-                total
-            })
-        };
-        let charge_text = |shard: usize, phrase| images[shard].charge_text(phrase);
-        self.charged(
-            || images.iter().for_each(PagedImage::reset_io),
-            io_stats,
-            || E::visit(images, decode, visitor, &charge_text),
-        )
+        let views: Vec<_> = images.iter().map(PagedImage::cold_view).collect();
+        let charge_text = |shard: usize, phrase| views[shard].charge_text(phrase);
+        let out = E::visit(&views, decode, visitor, &charge_text);
+        let mut io = IoStats::default();
+        for view in &views {
+            io.accumulate(&view.io_stats());
+        }
+        self.book_io(&io);
+        (out, Some(io))
     }
 
-    /// Runs `run` against simulated-IO images as one serialized, cold,
-    /// accounted unit: takes the disk gate (the simulated pools model one
-    /// device set, and per-query accounting is only meaningful for one
-    /// query at a time — shards of *one* query still run in parallel
-    /// inside `run`, each against its own pool), `reset`s the pool(s),
-    /// and afterwards reads the bill with `stats` and adds it — once — to
-    /// the engine's IO totals and the `ipm_io_*` metric series.
-    pub(super) fn charged<R>(
-        &self,
-        reset: impl FnOnce(),
-        stats: impl FnOnce() -> IoStats,
-        run: impl FnOnce() -> R,
-    ) -> (R, Option<IoStats>) {
-        let _serial = self.inner.disk_gate.lock().unwrap();
-        reset();
-        let out = run();
-        let io = stats();
-        self.inner.io_totals.lock().unwrap().accumulate(&io);
-        self.inner.obs.record_io(&io);
-        (out, Some(io))
+    /// Adds one lease's simulated IO to the engine totals and the
+    /// `ipm_io_*` metric series.
+    pub(super) fn book_io(&self, io: &IoStats) {
+        self.inner.io_totals.lock().unwrap().accumulate(io);
+        self.inner.obs.record_io(io);
     }
 
     /// The epilogue: turns a cache hit (`Err`) or an uncached execution

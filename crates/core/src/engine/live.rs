@@ -14,8 +14,9 @@ use crate::miner::PhraseMiner;
 use ipm_corpus::hash::FxHashMap;
 use ipm_corpus::{DocId, FacetId, WordId};
 use ipm_index::backend::MemoryBackend;
+use ipm_index::block::BlockLists;
 use ipm_index::sharding::{ListShard, ShardedWordLists};
-use ipm_storage::{BlockImage, DiskLists, PagedImage};
+use ipm_storage::{FlatLists, PagedImage};
 
 /// Most distinct shard layouts the engine keeps cached at once. The
 /// fanout is client-controllable per request (CLI flag, wire field) and
@@ -32,8 +33,8 @@ const MAX_CACHED_LAYOUTS: usize = 4;
 #[derive(Debug)]
 pub(super) struct ShardedIndex {
     pub(super) mem: ShardedWordLists,
-    pub(super) disk: OnceLock<Vec<DiskLists>>,
-    pub(super) block: OnceLock<Vec<BlockImage>>,
+    pub(super) disk: OnceLock<Vec<PagedImage<FlatLists>>>,
+    pub(super) block: OnceLock<Vec<PagedImage<BlockLists>>>,
     /// Eviction stamp (engine-wide logical clock; larger = more recent).
     last_used: AtomicU64,
 }
@@ -47,8 +48,8 @@ pub(super) struct IndexState {
     pub(super) miner: Arc<PhraseMiner>,
     /// Lazily built unsharded images, one per encoding (the first request
     /// on that backend pays the encode).
-    pub(super) disk: OnceLock<Arc<DiskLists>>,
-    pub(super) block: OnceLock<Arc<BlockImage>>,
+    pub(super) disk: OnceLock<Arc<PagedImage<FlatLists>>>,
+    pub(super) block: OnceLock<Arc<PagedImage<BlockLists>>>,
     /// Lazily built shard layouts, keyed by fanout (a request may ask for
     /// any fanout; layouts are built once and reused, bounded by
     /// [`MAX_CACHED_LAYOUTS`] with LRU eviction).
@@ -155,14 +156,14 @@ impl QueryEngine {
     }
 
     /// The current generation's disk image, building it on first use.
-    pub fn disk(&self) -> Arc<DiskLists> {
+    pub fn disk(&self) -> Arc<PagedImage<FlatLists>> {
         self.image(&self.live().index)
     }
 
     /// The current generation's block-compressed image, encoding it on
     /// first use ([`super::EngineConfig::disk_fraction`] applies here too:
     /// both simulated images truncate at the same build-time cut).
-    pub fn block(&self) -> Arc<BlockImage> {
+    pub fn block(&self) -> Arc<PagedImage<BlockLists>> {
         self.image(&self.live().index)
     }
 

@@ -31,11 +31,10 @@
 //! [`QueryEngine::compact`], which rebuilds offline and atomically swaps
 //! the serving generation). Every mutation bumps a monotonic **epoch**
 //! that tags [`CacheKey`]s, so cached results age out by key mismatch
-//! instead of wholesale cache clears. Disk-backed requests serialize on
-//! an internal lock: the simulated buffer pools model one device set, and
-//! per-query cold-cache IO accounting (the paper's §5.5 methodology) is
-//! only meaningful for one query at a time — shards of a single query
-//! still run in parallel, each against its own per-shard pool.
+//! instead of wholesale cache clears. Disk- and block-backed requests run
+//! concurrently: each one leases cold views of the simulated images, so
+//! it gets the paper's per-query cold pool (§5.5) and its own IO bill —
+//! one pool per shard, shards of a single query in parallel.
 //!
 //! The module is split along its seams:
 //!
@@ -107,14 +106,15 @@ pub enum BackendChoice {
     /// The in-memory word lists — the default.
     #[default]
     Memory,
-    /// The flat simulated-disk image (`ipm_storage::DiskLists`): 12-byte
-    /// entries behind a buffer pool, charging every entry a cursor passes
-    /// over; the response carries the query's [`IoStats`].
+    /// The flat simulated-disk image (`ipm_storage::PagedImage` of
+    /// `FlatLists`): 12-byte entries behind a buffer pool, charging every
+    /// entry a cursor passes over; the response carries the query's
+    /// [`IoStats`].
     Disk,
-    /// The block-compressed simulated-disk image
-    /// (`ipm_storage::BlockImage`): bit-packed 128-entry blocks with skip
-    /// metadata behind a buffer pool, charging per-*block* fetches —
-    /// skipped blocks cost no IO. The response carries the query's
+    /// The block-compressed simulated-disk image (`ipm_storage::PagedImage`
+    /// of `BlockLists`): bit-packed 128-entry blocks with skip metadata
+    /// behind a buffer pool, charging per-*block* fetches — skipped
+    /// blocks cost no IO. The response carries the query's
     /// [`IoStats`]; scores are bit-identical to the memory backend
     /// (integer-rational dequantization).
     Block,
@@ -396,11 +396,6 @@ struct Inner {
     /// Buffer-pool geometry / cost model every disk image is built with.
     pool: PoolConfig,
     cost: CostModel,
-    /// Serializes disk-backed execution for exact per-query IO accounting
-    /// over the shared simulated pool. Held across a whole sharded fan-out
-    /// too: shards of *one* query run in parallel against their own pools,
-    /// but two concurrent queries must not interleave.
-    disk_gate: Mutex<()>,
     cache: Option<ResultCache>,
     /// Decoded-block cache shared by block-backed **batch** executions
     /// (`None` when [`EngineConfig::decode_cache_blocks`] is `0`).
@@ -416,8 +411,9 @@ struct Inner {
     ingested: AtomicU64,
     deleted: AtomicU64,
     compactions: AtomicU64,
-    /// Simulated IO accumulated across every disk-backed query served
-    /// (cache hits add nothing — they perform no list IO).
+    /// Simulated IO accumulated across every disk- and block-backed
+    /// lease and fused block scan (cache hits add nothing — they perform
+    /// no list IO).
     io_totals: Mutex<IoStats>,
     /// Metrics registry, pre-registered handles and the slow-query ring.
     obs: EngineObs,
@@ -451,7 +447,6 @@ impl QueryEngine {
                 disk_fraction: config.disk_fraction,
                 pool: config.pool,
                 cost: config.cost,
-                disk_gate: Mutex::new(()),
                 cache: config.cache.map(ShardedLruCache::new),
                 decode_cache: (config.decode_cache_blocks > 0)
                     .then(|| DecodedBlockCache::new(config.decode_cache_blocks)),
@@ -504,8 +499,11 @@ impl QueryEngine {
         }
     }
 
-    /// Simulated IO accumulated across all disk-backed queries served by
-    /// every clone of this engine (cache hits contribute nothing).
+    /// Simulated IO accumulated by every clone of this engine across all
+    /// disk- *and* block-backed queries, `shard_exec` calls and fused
+    /// block batch scans (cache hits contribute nothing). The server's
+    /// stats verb serves it as `io.disk`, which therefore covers the
+    /// block backend too.
     pub fn io_totals(&self) -> IoStats {
         *self.inner.io_totals.lock().unwrap()
     }

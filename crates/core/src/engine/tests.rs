@@ -393,35 +393,146 @@ fn nra_fraction_composes_with_redundancy() {
 fn concurrent_clones_serve_identical_results() {
     let e = engine();
     let q = query_string(&e, Operator::And);
-    let baseline = phrases(&e.request(&q).k(5).run().unwrap());
-    let threads = 8;
+    let backends = [
+        BackendChoice::Memory,
+        BackendChoice::Disk,
+        BackendChoice::Block,
+    ];
+    // Every (backend, k) run alone on an engine of its own: the hits and
+    // the IO bill each concurrent execution must reproduce.
+    let solo = uncached_engine();
+    let alone: Vec<Vec<_>> = backends
+        .iter()
+        .map(|&backend| {
+            (1..=5)
+                .map(|k| {
+                    let resp = solo.request(&q).k(k).backend(backend).run().unwrap();
+                    (phrases(&resp), resp.io)
+                })
+                .collect()
+        })
+        .collect();
+    let threads = 9;
     let per_thread = 25;
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let eng = e.clone();
-            let q = q.clone();
-            let want = baseline.clone();
-            s.spawn(move || {
-                // Half the threads hit the disk backend to exercise the
-                // serialization gate concurrently with memory serving.
-                let opts = if t % 2 == 0 {
-                    SearchOptions::default()
-                } else {
-                    SearchOptions {
-                        backend: BackendChoice::Disk,
-                        ..Default::default()
+    let booked = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let (eng, q, alone) = (e.clone(), &q, &alone);
+                s.spawn(move || {
+                    // The threads split over the three backends, so disk
+                    // and block leases overlap each other and memory
+                    // serving; cycling k makes every thread execute
+                    // before its repeats hit the cache.
+                    let b = t % backends.len();
+                    let mut booked = ipm_storage::IoStats::default();
+                    for i in 0..per_thread {
+                        let k = 1 + i % 5;
+                        let resp = eng.request(q).k(k).backend(backends[b]).run().unwrap();
+                        let (want, io) = &alone[b][k - 1];
+                        assert_eq!(&phrases(&resp), want);
+                        if !resp.served_from_cache {
+                            assert_eq!(&resp.io, io, "{:?} k={k}: bill", backends[b]);
+                        }
+                        if let Some(io) = resp.io {
+                            booked.accumulate(&io);
+                        }
                     }
-                };
-                for _ in 0..per_thread {
-                    let got = phrases(&eng.search_with(&q, 5, &opts).unwrap());
-                    assert_eq!(got, want);
-                }
-            });
-        }
+                    booked
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .fold(ipm_storage::IoStats::default(), |mut total, h| {
+                total.accumulate(&h.join().unwrap());
+                total
+            })
     });
-    assert_eq!(e.queries_served(), 1 + (threads * per_thread) as u64);
+    assert!(booked.total_fetches() > 0);
+    assert_eq!(e.io_totals(), booked, "each lease is booked exactly once");
+    assert_eq!(e.queries_served(), (threads * per_thread) as u64);
     let stats = e.cache_stats();
     assert!(stats.hits > 0, "repeat queries must hit the cache");
+}
+
+/// A list visitor that holds its lease open: it scans one list of the
+/// leased disk image, signals `opened`, and returns once `release` fires.
+struct HeldLease {
+    feature: ipm_corpus::Feature,
+    opened: std::sync::mpsc::Sender<()>,
+    release: std::sync::mpsc::Receiver<()>,
+}
+
+impl super::exec::ListVisitor for HeldLease {
+    type Out = ();
+
+    fn visit<B: ipm_index::backend::ListBackend + Sync>(
+        self,
+        shards: &[&B],
+        _charge_text: &dyn Fn(usize, ipm_corpus::PhraseId) -> u64,
+    ) {
+        use ipm_index::cursor::ScoredListCursor;
+        let mut cursor = shards[0].score_cursor(self.feature, 1.0);
+        while cursor.next_entry().is_some() {}
+        self.opened.send(()).unwrap();
+        let _ = self.release.recv();
+    }
+}
+
+#[test]
+fn an_open_lease_does_not_block_other_simulated_io_requests() {
+    // While one disk lease is held open, disk- and block-backed requests
+    // from other threads complete, each billed exactly what it pays
+    // alone: leases share no pool and wait on no lock.
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let e = uncached_engine();
+    let q = query_string(&e, Operator::Or);
+    let run = |backend| e.request(&q).k(5).backend(backend).run().unwrap().io;
+    let alone = [BackendChoice::Disk, BackendChoice::Block].map(|b| (b, run(b)));
+    let before = e.io_totals();
+    let feature = e.miner().parse_query_str(&q).unwrap().features[0];
+    let (opened, opened_rx) = mpsc::channel();
+    let (release_tx, release) = mpsc::channel();
+    std::thread::scope(|s| {
+        let e = &e;
+        let holder = s.spawn(move || {
+            let held = HeldLease {
+                feature,
+                opened,
+                release,
+            };
+            let live = e.live();
+            e.lease(&live.index, BackendChoice::Disk, 1, None, held).1
+        });
+        opened_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the held lease opens");
+        let (done, done_rx) = mpsc::channel();
+        for &(backend, _) in &alone {
+            let (eng, q, done) = (e.clone(), q.clone(), done.clone());
+            s.spawn(move || {
+                let io = eng.request(&q).k(5).backend(backend).run().unwrap().io;
+                let _ = done.send((backend, io));
+            });
+        }
+        let served: Vec<_> = alone
+            .iter()
+            .map(|_| done_rx.recv_timeout(Duration::from_secs(10)))
+            .collect();
+        release_tx.send(()).unwrap();
+        let held = holder.join().unwrap().expect("a disk lease bills IO");
+        assert!(held.total_fetches() > 0, "the held lease read its list");
+        let mut want = before;
+        want.accumulate(&held);
+        for got in served {
+            let (backend, io) = got.expect("a request waited behind the open lease");
+            let solo = alone.iter().find(|(b, _)| *b == backend).unwrap().1;
+            assert_eq!(io, solo, "{backend:?}: billed as if alone");
+            want.accumulate(&io.unwrap());
+        }
+        assert_eq!(e.io_totals(), want, "every lease booked once");
+    });
 }
 
 #[test]

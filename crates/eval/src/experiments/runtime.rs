@@ -8,8 +8,9 @@
 //! * Figures 12/13: the *disk-based* NRA (IO simulated per §5.5) against
 //!   the in-memory GM baseline — the comparison "unfairly biased in favor
 //!   of GM" that the paper still wins. Measured through the bundle's
-//!   `QueryEngine` ([`disk_nra_times`]): its lease resets the pool, runs
-//!   NRA and reads the `IoStats` back, so nothing here hand-wires that.
+//!   `QueryEngine` ([`disk_nra_times`]): its lease runs NRA on a cold
+//!   pool of its own and reports that pool's `IoStats`, so nothing here
+//!   hand-wires that.
 
 use super::datasets::DatasetBundle;
 use super::report::{ms, Report};

@@ -29,8 +29,7 @@ pub enum StageKind {
     Plan,
     /// Result-cache lookup.
     CacheProbe,
-    /// The whole uncached execution (covers the nested stages below,
-    /// including any wait on the disk serialization gate).
+    /// The whole uncached execution (covers the nested stages below).
     Execute,
     /// TPUT-style threshold seeding before a sharded NRA fan-out.
     SeedFloor,

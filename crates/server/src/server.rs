@@ -108,7 +108,10 @@ pub struct ServerStats {
     pub sharded_queries: u64,
     /// Engine result-cache counters.
     pub cache: CacheStats,
-    /// Aggregate simulated IO of all disk-backed queries.
+    /// Aggregate simulated IO of every run on the simulated device
+    /// ([`QueryEngine::io_totals`]): disk- *and* block-backed
+    /// queries, `shard_exec` calls and fused block batch scans. Served
+    /// as the stats verb's `io.disk`.
     pub disk_io: IoStats,
     /// Jobs waiting in the queue right now.
     pub queue_depth: usize,

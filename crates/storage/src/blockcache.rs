@@ -29,11 +29,11 @@ use std::sync::Arc;
 
 use ipm_corpus::{Feature, PhraseId};
 use ipm_index::backend::ListBackend;
-use ipm_index::block::{BlockIdCursor, BlockScoreCursor, DecodedBlockProvider};
+use ipm_index::block::{BlockIdCursor, BlockLists, BlockScoreCursor, DecodedBlockProvider};
 use ipm_index::wordlists::ListEntry;
 
 use crate::cache::{CacheConfig, ShardedLruCache};
-use crate::paged::BlockImage;
+use crate::paged::PagedImage;
 
 /// Lock shards: enough to keep batch members off each other's necks,
 /// small enough that a few thousand blocks still spread usefully.
@@ -152,7 +152,7 @@ impl std::fmt::Debug for DecodedBlockCache {
     }
 }
 
-/// A [`BlockImage`] viewed through the decoded-block cache at a pinned
+/// A block-encoded [`PagedImage`] viewed through the decoded-block cache at a pinned
 /// epoch: the batch executor's per-group backend. Delegates every
 /// `ListBackend` call to the underlying image — same pool-charging fetch
 /// hooks, same IO accounting — but lets the block cursors reuse (and
@@ -162,7 +162,7 @@ impl std::fmt::Debug for DecodedBlockCache {
 /// local hit rate without racing other traffic on the shared cumulative
 /// counters.
 pub struct CachedBlockImage<'a> {
-    image: &'a BlockImage,
+    image: &'a PagedImage<BlockLists>,
     cache: &'a DecodedBlockCache,
     epoch: u64,
     batch: &'a DecodeStats,
@@ -180,7 +180,7 @@ impl<'a> CachedBlockImage<'a> {
     /// scan, where one cursor walks a list for several queries). Weights
     /// below one round up.
     pub fn new(
-        image: &'a BlockImage,
+        image: &'a PagedImage<BlockLists>,
         cache: &'a DecodedBlockCache,
         epoch: u64,
         batch: &'a DecodeStats,
@@ -271,7 +271,7 @@ mod tests {
     use ipm_index::mining::MiningConfig;
     use ipm_index::wordlists::{IdOrderedLists, WordListConfig, WordPhraseLists};
 
-    fn image() -> (BlockImage, WordPhraseLists) {
+    fn image() -> (PagedImage<BlockLists>, WordPhraseLists) {
         let (c, _) = ipm_corpus::synth::generate(&ipm_corpus::synth::tiny());
         let index = CorpusIndex::build(
             &c,
@@ -285,7 +285,7 @@ mod tests {
         );
         let lists = WordPhraseLists::build(&c, &index, &WordListConfig::default());
         let idl = IdOrderedLists::from_score_ordered(&lists);
-        let img = BlockImage::build(
+        let img = PagedImage::build(
             &index,
             &lists,
             &idl,
@@ -310,19 +310,17 @@ mod tests {
         let feat = widest(&lists);
         let cache = DecodedBlockCache::new(4096);
         let batch = DecodeStats::default();
-        let cached = CachedBlockImage::new(&img, &cache, 7, &batch, 1);
-
-        img.reset_io();
+        let first = img.cold_view();
+        let cached = CachedBlockImage::new(&first, &cache, 7, &batch, 1);
         let mut cur = cached.score_cursor(feat, 1.0);
         while ScoredListCursor::next_entry(&mut cur).is_some() {}
-        let first_io = img.io_stats();
+        let first_io = first.io_stats();
         assert_eq!(batch.hits(), 0);
         assert!(batch.misses() > 0);
 
         // Uncached pass on a fresh image: the IO it pays from cold is what
         // the cached hit pass must also pay — the cache saves decode only.
         let (plain, _) = image();
-        plain.reset_io();
         let mut cur = plain.score_cursor(feat, 1.0);
         let mut want = Vec::new();
         while let Some(e) = ScoredListCursor::next_entry(&mut cur) {
@@ -330,7 +328,10 @@ mod tests {
         }
         assert_eq!(plain.io_stats().total_fetches(), first_io.total_fetches());
 
-        img.reset_io();
+        // A second cold view keeps the image id, so it reads the blocks
+        // the first view admitted.
+        let second = img.cold_view();
+        let cached = CachedBlockImage::new(&second, &cache, 7, &batch, 1);
         let mut cur = cached.score_cursor(feat, 1.0);
         for e in &want {
             let got = ScoredListCursor::next_entry(&mut cur).unwrap();
@@ -339,7 +340,7 @@ mod tests {
         }
         assert!(ScoredListCursor::next_entry(&mut cur).is_none());
         assert_eq!(
-            img.io_stats().total_fetches(),
+            second.io_stats().total_fetches(),
             first_io.total_fetches(),
             "a hit pass charges the pool exactly like a cold pass"
         );

@@ -11,9 +11,10 @@
 //!   lookahead on access (again the paper's configuration);
 //! * [`paged`] — [`PagedImage`], the one simulated device both list
 //!   backends serve from: a list region in one of two encodings (flat
-//!   12-byte entries, [`DiskLists`]; block-compressed, [`BlockImage`]) and
-//!   an accounted phrase region behind one pool, one image per phrase-id
-//!   shard;
+//!   12-byte entries, [`FlatLists`]; block-compressed,
+//!   [`BlockLists`](ipm_index::block::BlockLists)) and an accounted phrase region
+//!   behind one pool, one image per phrase-id shard, each query on a cold
+//!   view of its own;
 //! * [`files`] — the serialized index layouts: the fixed-width phrase list
 //!   (50-byte entries, paper §4.2.1 and Figure 1), the per-word scored
 //!   list file (12-byte `[phrase_id, prob]` entries, §4.2.2) and the flat
@@ -50,6 +51,6 @@ mod sharded;
 pub use blockcache::{CachedBlockImage, DecodeStats, DecodedBlockCache};
 pub use cost::{CostModel, IoStats};
 pub use files::{FlatLists, PhraseListFile, WordListFile};
-pub use paged::{BlockImage, DiskLists, PagedImage};
+pub use paged::PagedImage;
 pub use persist::PersistError;
 pub use pool::{BufferPool, PoolConfig};

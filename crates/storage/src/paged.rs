@@ -10,13 +10,13 @@
 //! lookahead stops at the end of its own region.
 //!
 //! The encoding is the only thing the two backends differ in
-//! ([`ListEncoding`]): [`FlatLists`] stores 12-byte entries and fetches
-//! each entry its cursors pass over (the `disk` backend, [`DiskLists`]);
-//! [`BlockLists`] stores bit-packed 128-entry blocks and fetches each
-//! block it decodes, so blocks that block-max pruning or `seek` skips
-//! cost no IO (the `block` backend, [`BlockImage`]). Cursors and probes
-//! report every byte range they read through a fetch hook, and the image
-//! charges it to its pool.
+//! ([`ListEncoding`]): [`FlatLists`](crate::FlatLists) stores 12-byte
+//! entries and fetches each entry its cursors pass over (the `disk`
+//! backend); [`BlockLists`](ipm_index::block::BlockLists) stores
+//! bit-packed 128-entry blocks and fetches each block it decodes, so
+//! blocks that block-max pruning or `seek` skips cost no IO (the `block`
+//! backend). Cursors and probes report every byte range they read through
+//! a fetch hook, and the image charges it to its pool.
 //!
 //! **The text rule.** Each hit's text lookup — the paper's last
 //! retrieval step — is one 50-byte read at `id × 50` in the phrase region
@@ -29,6 +29,12 @@
 //! ([`PagedImage::shards`]). Each shard owns its pool: shards execute on
 //! separate threads, and one shared pool would make the §5.5
 //! sequential/random classification depend on thread interleaving.
+//!
+//! **Cold views.** The §5.5 pool is cold at the start of every query, so
+//! a query runs against [`PagedImage::cold_view`]s rather than the cached
+//! image: each view shares the encoded lists and the image id and brings
+//! a fresh pool, and the view's [`PagedImage::io_stats`] is that query's
+//! bill. Concurrent queries share no pool and need no reset.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,28 +42,24 @@ use std::sync::Arc;
 
 use ipm_corpus::{Feature, PhraseId};
 use ipm_index::backend::{ListBackend, ListEncoding};
-use ipm_index::block::{df_table, BlockLists, FetchHook};
+use ipm_index::block::{df_table, FetchHook};
 use ipm_index::corpus_index::CorpusIndex;
 use ipm_index::sharding::ShardedWordLists;
 use ipm_index::wordlists::{IdOrderedLists, WordPhraseLists};
 use parking_lot::Mutex;
 
 use crate::cost::{CostModel, IoStats};
-use crate::files::{FlatLists, PHRASE_ENTRY_BYTES};
+use crate::files::PHRASE_ENTRY_BYTES;
 use crate::pool::{BufferPool, PoolConfig};
-
-/// The `disk` backend's image: flat 12-byte entries.
-pub type DiskLists = PagedImage<FlatLists>;
-
-/// The `block` backend's image: block-compressed lists.
-pub type BlockImage = PagedImage<BlockLists>;
 
 /// One simulated device: an encoded list region and an accounted phrase
 /// region behind one buffer pool (see the module docs).
 #[derive(Debug)]
 pub struct PagedImage<E> {
-    lists: E,
+    /// The encoded lists, shared by the image and its cold views.
+    lists: Arc<E>,
     pool: Mutex<BufferPool>,
+    pool_config: PoolConfig,
     cost: CostModel,
     /// Phrase-id partition this image serves (`None` = full space).
     range: Option<(PhraseId, PhraseId)>,
@@ -124,12 +126,29 @@ impl<E: ListEncoding> PagedImage<E> {
             Cow::Borrowed(lists)
         };
         Self {
-            lists: E::encode(&lists, id_lists, df),
+            lists: Arc::new(E::encode(&lists, id_lists, df)),
             pool: Mutex::new(BufferPool::new(pool)),
+            pool_config: pool,
             cost,
             range,
             image_id: NEXT_IMAGE_ID.fetch_add(1, Ordering::Relaxed),
             num_phrases: df.len(),
+        }
+    }
+
+    /// The same device with a cold pool: shares the encoded lists, the
+    /// phrase range and the image id (so decoded blocks cached for the
+    /// image serve the view too) and charges a fresh pool of the same
+    /// geometry. Per the §5.5 methodology, every query runs on its own.
+    pub fn cold_view(&self) -> Self {
+        Self {
+            lists: Arc::clone(&self.lists),
+            pool: Mutex::new(BufferPool::new(self.pool_config)),
+            pool_config: self.pool_config,
+            cost: self.cost,
+            range: self.range,
+            image_id: self.image_id,
+            num_phrases: self.num_phrases,
         }
     }
 
@@ -143,14 +162,9 @@ impl<E: ListEncoding> PagedImage<E> {
         &self.cost
     }
 
-    /// Snapshot of the IO accumulated since the last reset.
+    /// Snapshot of the IO this pool has charged since it was built.
     pub fn io_stats(&self) -> IoStats {
         self.pool.lock().stats()
-    }
-
-    /// Cold-cache reset (between queries, per the §5.5 methodology).
-    pub fn reset_io(&self) {
-        self.pool.lock().reset();
     }
 
     /// Charges a read of `[offset, offset + len)` in the list region.
@@ -172,8 +186,8 @@ impl<E: ListEncoding> PagedImage<E> {
             return 0;
         }
         let slot = PHRASE_ENTRY_BYTES as u64;
+        let page = self.pool_config.page_size as u64;
         let mut pool = self.pool.lock();
-        let page = pool.config().page_size as u64;
         let base = self.lists.region_bytes().div_ceil(page) * page;
         let before = pool.stats().total_fetches();
         let end = base + self.num_phrases as u64 * slot;
@@ -228,6 +242,8 @@ impl<E: ListEncoding> ListBackend for PagedImage<E> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::files::FlatLists;
+    use ipm_index::block::BlockLists;
     use ipm_index::corpus_index::IndexConfig;
     use ipm_index::cursor::{IdListCursor, ScoredListCursor};
     use ipm_index::mining::MiningConfig;
@@ -339,9 +355,9 @@ pub(crate) mod tests {
             let after = img.io_stats();
             assert_eq!(after.cache_hits, listed.cache_hits + 1);
             // The last list page was fetched without lookahead.
-            img.reset_io();
-            img.charge(img.lists().region_bytes() - 1, 1);
-            assert_eq!(img.io_stats().total_fetches(), 1);
+            let cold = img.cold_view();
+            cold.charge(cold.lists().region_bytes() - 1, 1);
+            assert_eq!(cold.io_stats().total_fetches(), 1);
         }
         both_encodings!(check, &fixture());
     }

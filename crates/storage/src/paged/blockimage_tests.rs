@@ -1,5 +1,5 @@
-//! Unit tests of the `block` backend's image, [`crate::BlockImage`]:
-//! 128-entry blocks, one fetch per block a cursor or probe decodes, alone
+//! Unit tests of the `block` backend's image, a [`crate::PagedImage`] of
+//! `BlockLists`: 128-entry blocks, one fetch per block a cursor or probe decodes, alone
 //! and one image per shard.
 
 #[cfg(test)]
@@ -15,9 +15,9 @@ mod tests {
     use crate::files::PHRASE_ENTRY_BYTES;
     use crate::paged::tests::{bits, drain_ids, drain_scores, fixture, Fixture};
     use crate::pool::PoolConfig;
-    use crate::BlockImage;
+    use crate::PagedImage;
 
-    fn block(f: &Fixture, fraction: f64) -> BlockImage {
+    fn block(f: &Fixture, fraction: f64) -> PagedImage<BlockLists> {
         f.image(fraction, PoolConfig::default())
     }
 
@@ -73,8 +73,11 @@ mod tests {
         // A second identical pass re-decodes, but pages may be resident.
         drain_scores(img.score_cursor(feat, 1.0));
         assert!(img.io_stats().total_accesses() > paid.total_accesses());
-        img.reset_io();
-        assert_eq!(img.io_stats(), IoStats::default());
+        // A cold view pays the first pass's bill again, from its own pool.
+        let cold = img.cold_view();
+        assert_eq!(cold.io_stats(), IoStats::default());
+        drain_scores(cold.score_cursor(feat, 1.0));
+        assert_eq!(cold.io_stats(), paid);
     }
 
     #[test]
@@ -125,12 +128,10 @@ mod tests {
             })
             .unwrap();
         assert!(owner.io_fetches() > 0);
-        shards.iter().for_each(BlockImage::reset_io);
-        drain_scores(shards[0].score_cursor(feat, 1.0));
-        assert!(shards[0].io_fetches() > 0);
-        assert!(shards[1..]
-            .iter()
-            .all(|s| s.io_stats() == IoStats::default()));
+        let cold: Vec<_> = shards.iter().map(PagedImage::cold_view).collect();
+        drain_scores(cold[0].score_cursor(feat, 1.0));
+        assert!(cold[0].io_fetches() > 0);
+        assert!(cold[1..].iter().all(|s| s.io_stats() == IoStats::default()));
     }
 
     #[test]

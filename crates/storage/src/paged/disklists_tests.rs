@@ -1,5 +1,5 @@
-//! Unit tests of the `disk` backend's image, [`crate::DiskLists`]: flat
-//! 12-byte entries, one fetch per entry a cursor or probe reads.
+//! Unit tests of the `disk` backend's image, a [`crate::PagedImage`] of
+//! [`crate::FlatLists`]: flat 12-byte entries, one fetch per entry a cursor or probe reads.
 
 #[cfg(test)]
 mod tests {
@@ -10,9 +10,9 @@ mod tests {
     use crate::cost::IoStats;
     use crate::paged::tests::{drain_ids, drain_scores, fixture, Fixture};
     use crate::pool::PoolConfig;
-    use crate::DiskLists;
+    use crate::{FlatLists, PagedImage};
 
-    fn disk(f: &Fixture, fraction: f64) -> DiskLists {
+    fn disk(f: &Fixture, fraction: f64) -> PagedImage<FlatLists> {
         f.image(fraction, PoolConfig::default())
     }
 
@@ -102,8 +102,13 @@ mod tests {
         let paid = disk.io_stats();
         assert!(paid.io_ms(disk.cost_model()) > 0.0);
         assert_eq!(disk.io_fetches(), paid.total_fetches());
-        disk.reset_io();
-        assert_eq!(disk.io_stats(), IoStats::default());
+        // A cold view starts from an empty pool, pays the same bill for
+        // the same scan and charges nothing to the image it came from.
+        let cold = disk.cold_view();
+        assert_eq!(cold.io_stats(), IoStats::default());
+        drain_scores(cold.score_cursor(f.widest(), 1.0));
+        assert_eq!(cold.io_stats(), paid);
+        assert_eq!(disk.io_stats(), paid);
     }
 
     #[test]
@@ -111,7 +116,7 @@ mod tests {
         // Two cursors over far-apart lists read alternately: the head seeks
         // between the runs, which the simulator must classify as random.
         let f = fixture();
-        let img: DiskLists = f.image(
+        let img: PagedImage<FlatLists> = f.image(
             1.0,
             PoolConfig {
                 page_size: 256, // small pages to force many fetches

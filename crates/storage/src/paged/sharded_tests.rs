@@ -1,5 +1,5 @@
-//! Unit tests of a sharded `disk` layout: one [`crate::DiskLists`] per
-//! phrase-id shard ([`crate::PagedImage::shards`]), each with its own pool.
+//! Unit tests of a sharded `disk` layout: one flat [`crate::PagedImage`]
+//! per phrase-id shard ([`crate::PagedImage::shards`]), each with its own pool.
 
 #[cfg(test)]
 mod tests {
@@ -10,7 +10,7 @@ mod tests {
     use crate::files::{FlatLists, PHRASE_ENTRY_BYTES};
     use crate::paged::tests::{bits, drain_scores, fixture};
     use crate::pool::PoolConfig;
-    use crate::DiskLists;
+    use crate::PagedImage;
 
     #[test]
     fn shard_cursors_reproduce_range_filtered_lists() {
@@ -51,12 +51,12 @@ mod tests {
             total >= f.lists.list(feat).len() as u64,
             "each entry is read"
         );
-        shards.iter().for_each(DiskLists::reset_io);
-        assert!(shards.iter().all(|s| s.io_stats() == IoStats::default()));
+        let cold: Vec<_> = shards.iter().map(PagedImage::cold_view).collect();
+        assert!(cold.iter().all(|s| s.io_stats() == IoStats::default()));
         // Each shard owns its pool: a read on one charges no other.
-        drain_scores(shards[1].score_cursor(feat, 1.0));
-        assert!(shards[1].io_fetches() > 0);
-        assert_eq!(shards[0].io_stats(), IoStats::default());
+        drain_scores(cold[1].score_cursor(feat, 1.0));
+        assert!(cold[1].io_fetches() > 0);
+        assert_eq!(cold[0].io_stats(), IoStats::default());
     }
 
     #[test]
@@ -65,7 +65,7 @@ mod tests {
         // regions sum to the unsharded one. Every shard accounts the same
         // whole-dictionary phrase region, so the layout holds it once.
         let f = fixture();
-        let one: DiskLists = f.image(1.0, PoolConfig::default());
+        let one: PagedImage<FlatLists> = f.image(1.0, PoolConfig::default());
         let four = f.shards::<FlatLists>(4);
         let phrases = f.index.dict.len() * PHRASE_ENTRY_BYTES;
         let regions: u64 = four.iter().map(|s| s.lists().region_bytes()).sum();

@@ -74,14 +74,6 @@ impl BufferPool {
         self.stats
     }
 
-    /// Clears residency and statistics (a "cold cache" reset between
-    /// queries, used by the experiment harness).
-    pub fn reset(&mut self) {
-        self.resident.clear();
-        self.last_fetched = None;
-        self.stats = IoStats::default();
-    }
-
     /// Simulates accessing `page` (of file `file_pages` pages): classifies
     /// hit/sequential/random, updates LRU order, and prefetches lookahead
     /// pages.
@@ -258,18 +250,6 @@ mod tests {
         // empty range touches nothing
         p.access_range(0, 0, 1000);
         assert_eq!(p.stats().total_accesses(), 3);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut p = pool(4, 1);
-        p.access(1, 10);
-        p.reset();
-        assert_eq!(p.stats(), IoStats::default());
-        assert!(!p.is_resident(1) && !p.is_resident(2));
-        // classification starts over: next access is random again
-        p.access(2, 10);
-        assert_eq!(p.stats().random_fetches, 1);
     }
 
     #[test]

@@ -35,9 +35,10 @@ fn main() {
         .miner()
         .parse_query(&["w1", "w2"], Operator::Or)
         .unwrap();
-    // One served request on the disk backend: the engine resets the pool
-    // (cold cache per query), runs the algorithm, charges each hit's text
-    // lookup to the image's phrase region and reports the IO of all of it.
+    // One served request on the disk backend: the engine gives it a cold
+    // pool of its own (per query, §5.5), runs the algorithm, charges each
+    // hit's text lookup to the image's phrase region and reports the IO of
+    // all of it.
     let run = |algorithm: Algorithm, fraction: f64| {
         engine
             .request_query(query.clone())

@@ -26,9 +26,9 @@ fn miner() -> PhraseMiner {
 }
 
 /// The miner's lists as a block image in the paper's default pool.
-fn block_image(m: &PhraseMiner) -> ipm_storage::BlockImage {
+fn block_image(m: &PhraseMiner) -> ipm_storage::PagedImage<ipm_index::block::BlockLists> {
     let (pool, cost) = Default::default();
-    ipm_storage::BlockImage::build(m.index(), m.lists(), m.id_lists(), 1.0, pool, cost)
+    ipm_storage::PagedImage::build(m.index(), m.lists(), m.id_lists(), 1.0, pool, cost)
 }
 
 fn queries(m: &PhraseMiner, op: Op) -> Vec<Query> {
