@@ -980,8 +980,8 @@ fn batch_matches_serial_execution_and_reuses_decoded_blocks() {
         algorithm: Algorithm::Smj,
         ..Default::default()
     };
-    // Serial baseline first (fresh IO state either way: per-query
-    // reset).
+    // Serial baseline first (fresh IO state either way: every query
+    // runs on a cold pool of its own).
     let serial: Vec<SearchResponse> = (0..6)
         .map(|_| e.search_with(&q, 5, &opts).unwrap())
         .collect();

@@ -152,11 +152,11 @@ impl std::fmt::Debug for DecodedBlockCache {
     }
 }
 
-/// A block-encoded [`PagedImage`] viewed through the decoded-block cache at a pinned
-/// epoch: the batch executor's per-group backend. Delegates every
-/// `ListBackend` call to the underlying image — same pool-charging fetch
-/// hooks, same IO accounting — but lets the block cursors reuse (and
-/// admit) decoded blocks under `(epoch, image_id, offset)` keys.
+/// A block-encoded [`PagedImage`] viewed through the decoded-block cache
+/// at a pinned epoch: the batch executor's per-group backend. Delegates
+/// every `ListBackend` call to the underlying image — same pool-charging
+/// fetch hooks, same IO accounting — but lets the block cursors reuse
+/// (and admit) decoded blocks under `(epoch, image_id, offset)` keys.
 ///
 /// `batch` counts this wrapper's own lookups, so a batch can report its
 /// local hit rate without racing other traffic on the shared cumulative

@@ -12,9 +12,9 @@
 //! * [`paged`] — [`PagedImage`], the one simulated device both list
 //!   backends serve from: a list region in one of two encodings (flat
 //!   12-byte entries, [`FlatLists`]; block-compressed,
-//!   [`BlockLists`](ipm_index::block::BlockLists)) and an accounted phrase region
-//!   behind one pool, one image per phrase-id shard, each query on a cold
-//!   view of its own;
+//!   [`BlockLists`](ipm_index::block::BlockLists)) and an accounted
+//!   phrase region behind one pool, one image per phrase-id shard, each
+//!   query on a cold view of its own;
 //! * [`files`] — the serialized index layouts: the fixed-width phrase list
 //!   (50-byte entries, paper §4.2.1 and Figure 1), the per-word scored
 //!   list file (12-byte `[phrase_id, prob]` entries, §4.2.2) and the flat

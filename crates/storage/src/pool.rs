@@ -64,11 +64,6 @@ impl BufferPool {
         }
     }
 
-    /// The pool's configuration.
-    pub fn config(&self) -> &PoolConfig {
-        &self.config
-    }
-
     /// Accumulated IO statistics.
     pub fn stats(&self) -> IoStats {
         self.stats
