@@ -505,7 +505,6 @@ fn nra_digest_words(out: &ipm_core::nra::NraOutcome) -> Vec<u64> {
     let s = &out.stats;
     let mut words: Vec<u64> = s.entries_read.iter().map(|&n| n as u64).collect();
     words.extend([
-        s.entries_skipped as u64,
         s.prune_rounds as u64,
         s.peak_candidates as u64,
         u64::from(s.stopped_early),
@@ -533,7 +532,6 @@ fn nra_traversal_is_pinned_on_harvested_queries() {
     use ipm_core::nra::{run_nra, NraConfig};
     use ipm_index::cursor::MemoryCursor;
     let m = miner();
-    let block = block_image(&m);
     let mut words = Vec::new();
     let (mut runs, mut early) = (0usize, 0usize);
     for op in [Op::And, Op::Or] {
@@ -556,7 +554,31 @@ fn nra_traversal_is_pinned_on_harvested_queries() {
                     early += usize::from(out.stats.stopped_early);
                     words.extend(nra_digest_words(&out));
                 }
-                // The block-max dead-list drain over block cursors.
+            }
+        }
+    }
+    assert!(
+        early > 0 && early < runs,
+        "the pinned mix must hold both early stops and exhausted runs ({early} of {runs})"
+    );
+    assert_eq!(
+        fnv1a(words),
+        0xd769_87c4_ba9c_b4f5,
+        "NRA's traversal or its hit bits changed on the harvested query mix"
+    );
+}
+
+#[test]
+fn nra_block_max_traversal_is_pinned_on_harvested_queries() {
+    // The block-max dead-list drain over block cursors, pinned apart from
+    // the memory runs above: the same words plus the entries it skipped.
+    use ipm_core::nra::{run_nra, NraConfig};
+    let m = miner();
+    let block = block_image(&m);
+    let mut words = Vec::new();
+    for op in [Op::And, Op::Or] {
+        for q in queries(&m, op) {
+            for batch_size in [1usize, 16, 1024] {
                 let cursors: Vec<_> = q
                     .features
                     .iter()
@@ -568,18 +590,16 @@ fn nra_traversal_is_pinned_on_harvested_queries() {
                     use_block_max: true,
                     ..Default::default()
                 };
-                words.extend(nra_digest_words(&run_nra(cursors, q.op, &cfg)));
+                let out = run_nra(cursors, q.op, &cfg);
+                words.push(out.stats.entries_skipped as u64);
+                words.extend(nra_digest_words(&out));
             }
         }
     }
-    assert!(
-        early > 0 && early < runs,
-        "the pinned mix must hold both early stops and exhausted runs ({early} of {runs})"
-    );
     assert_eq!(
         fnv1a(words),
-        0x5c4b_88d8_3102_68c6,
-        "NRA's traversal or its hit bits changed on the harvested query mix"
+        0xf41a_6500_6dd3_6aa2,
+        "block-max NRA's traversal or its hit bits changed on the harvested query mix"
     );
 }
 
