@@ -8,7 +8,7 @@
 //! timings. `IPM_BLOCKBENCH_SAMPLES` overrides the per-cell iteration
 //! count (CI uses a small value; the default is sized for a laptop run).
 
-use ipm_bench::blockbench::{self, FootprintRow, KernelRow, LatencyRow};
+use ipm_bench::blockbench::{self, FootprintRow, LatencyRow};
 use ipm_core::{Algorithm, BackendChoice, EngineConfig, MinerConfig, PhraseMiner, QueryEngine};
 use ipm_index::ListBackend;
 use ipm_server::wire;
@@ -89,74 +89,6 @@ fn footprints(e: &QueryEngine) -> Vec<FootprintRow> {
     ]
 }
 
-/// Micro-benchmarks the two block kernels over one 128-entry block: a
-/// hand-written scalar reference always, plus the dispatched `simd`
-/// module path labelled `avx2` when the vector path is live. `black_box`
-/// keeps the reductions from folding away.
-fn kernel_rows(simd_active: bool) -> Vec<KernelRow> {
-    use std::hint::black_box;
-    const N: usize = 128;
-    const REPS: u32 = 20_000;
-    let counts: Vec<u32> = (0..N as u32).map(|i| (i % 37) + 1).collect();
-    let dfs: Vec<f64> = (0..N).map(|i| ((i % 97) + 3) as f64).collect();
-    let mut probs = Vec::new();
-    ipm_index::block::simd::dequantize(&counts, &dfs, &mut probs);
-
-    let time = |f: &mut dyn FnMut()| {
-        let t = Instant::now();
-        for _ in 0..REPS {
-            f();
-        }
-        t.elapsed().as_secs_f64() * 1e9 / f64::from(REPS)
-    };
-    let mut rows = Vec::new();
-    let mut push = |kernel: &str, scalar: &mut dyn FnMut(), dispatched: &mut dyn FnMut()| {
-        rows.push(KernelRow {
-            kernel: kernel.to_owned(),
-            path: "scalar".to_owned(),
-            ns_per_block: time(scalar),
-        });
-        if simd_active {
-            rows.push(KernelRow {
-                kernel: kernel.to_owned(),
-                path: "avx2".to_owned(),
-                ns_per_block: time(dispatched),
-            });
-        }
-    };
-
-    // Separate scratch buffers: the two closures live at the same time.
-    let mut scalar_out = Vec::new();
-    let mut simd_out = Vec::new();
-    push(
-        "dequantize",
-        &mut || {
-            scalar_out.clear();
-            scalar_out.extend(
-                counts
-                    .iter()
-                    .zip(&dfs)
-                    .map(|(&c, &d)| f64::from(black_box(c)) / d),
-            );
-            black_box(&scalar_out);
-        },
-        &mut || {
-            ipm_index::block::simd::dequantize(black_box(&counts), &dfs, &mut simd_out);
-            black_box(&simd_out);
-        },
-    );
-    push(
-        "max_scan",
-        &mut || {
-            black_box(black_box(&probs).iter().copied().fold(f64::MIN, f64::max));
-        },
-        &mut || {
-            black_box(ipm_index::block::simd::max_scan(black_box(&probs)));
-        },
-    );
-    rows
-}
-
 fn main() {
     let (corpus, _) = ipm_corpus::synth::generate(&ipm_corpus::synth::tiny());
     // Cache off: every measured request pays the full traversal.
@@ -168,9 +100,8 @@ fn main() {
         },
     );
     let q = top_query(&engine);
-    let simd = ipm_index::block::simd::active();
     eprintln!(
-        "blocklists bench: {} docs, query \"{q}\", k={K}, {} samples/cell, simd={simd}",
+        "blocklists bench: {} docs, query \"{q}\", k={K}, {} samples/cell",
         corpus.num_docs(),
         samples_per_cell(),
     );
@@ -204,15 +135,7 @@ fn main() {
         );
     }
 
-    let kernels = kernel_rows(simd);
-    for kr in &kernels {
-        println!(
-            "kernel {:<16} {:<6} {:>8.1} ns/block",
-            kr.kernel, kr.path, kr.ns_per_block
-        );
-    }
-
-    let doc = blockbench::report("synth-tiny", K, simd, &latencies, &sizes, &kernels);
+    let doc = blockbench::report("synth-tiny", K, &latencies, &sizes);
     blockbench::validate(&doc).expect("generated artifact must match its own schema");
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_blocklists.json");
     let json = serde_json::to_string_pretty(&doc).expect("serialize artifact");

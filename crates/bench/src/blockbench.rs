@@ -12,7 +12,7 @@ use crate::{obj, ordered_percentiles, rows, text, Kind, Schema};
 use serde_json::Value;
 
 /// Bump when the JSON shape changes; CI pins the current value.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// One latency measurement: an (algorithm, backend) cell.
 #[derive(Debug, Clone)]
@@ -43,19 +43,6 @@ pub struct FootprintRow {
     pub compression_ratio: f64,
 }
 
-/// One kernel micro-measurement: a (kernel, dispatch path) cell, so the
-/// scalar reference and — where AVX2 is compiled in and detected — the
-/// vector path both appear in the same artifact.
-#[derive(Debug, Clone)]
-pub struct KernelRow {
-    /// Kernel name (`dequantize`, `max_scan`).
-    pub kernel: String,
-    /// `scalar` or `avx2`.
-    pub path: String,
-    /// Nanoseconds per 128-entry block.
-    pub ns_per_block: f64,
-}
-
 /// Nearest-rank percentile over an ascending-sorted sample.
 pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of an empty sample");
@@ -68,10 +55,8 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
 pub fn report(
     corpus: &str,
     k: usize,
-    simd_active: bool,
     latencies: &[LatencyRow],
     footprints: &[FootprintRow],
-    kernels: &[KernelRow],
 ) -> Value {
     let latency_rows: Vec<Value> = latencies
         .iter()
@@ -96,24 +81,12 @@ pub fn report(
             ])
         })
         .collect();
-    let kernel_rows: Vec<Value> = kernels
-        .iter()
-        .map(|r| {
-            obj(vec![
-                ("kernel", Value::from(r.kernel.as_str())),
-                ("path", Value::from(r.path.as_str())),
-                ("ns_per_block", Value::from(r.ns_per_block)),
-            ])
-        })
-        .collect();
     obj(vec![
         ("schema_version", Value::from(SCHEMA_VERSION)),
         ("corpus", Value::from(corpus)),
         ("k", Value::from(k)),
-        ("simd", Value::from(simd_active)),
         ("latency_us", Value::Array(latency_rows)),
         ("footprint", Value::Array(footprint_rows)),
-        ("kernels", Value::Array(kernel_rows)),
     ])
 }
 
@@ -122,7 +95,6 @@ const SCHEMA: Schema = Schema {
     fields: &[
         ("corpus", Kind::Str),
         ("k", Kind::UInt),
-        ("simd", Kind::Bool),
         (
             "latency_us",
             Kind::Rows(&[
@@ -142,14 +114,6 @@ const SCHEMA: Schema = Schema {
                 ("compression_ratio", Kind::Num),
             ]),
         ),
-        (
-            "kernels",
-            Kind::Rows(&[
-                ("kernel", Kind::Str),
-                ("path", Kind::Str),
-                ("ns_per_block", Kind::Num),
-            ]),
-        ),
     ],
     invariants,
 };
@@ -161,8 +125,8 @@ pub fn validate(v: &Value) -> Result<(), String> {
 }
 
 /// What the field table cannot say: latencies were measured and their
-/// percentiles are ordered, the block backend's footprint is on record,
-/// and kernel rows name a known dispatch path next to a scalar reference.
+/// percentiles are ordered, and the block backend's footprint is on
+/// record.
 fn invariants(v: &Value) -> Result<(), String> {
     let latency = rows(v, "latency_us");
     if latency.is_empty() {
@@ -175,16 +139,6 @@ fn invariants(v: &Value) -> Result<(), String> {
     if !footprint.iter().any(|row| text(row, "backend") == "block") {
         return Err("footprint has no block backend row".into());
     }
-    let kernels = rows(v, "kernels");
-    for row in kernels {
-        let path = text(row, "path");
-        if !matches!(path, "scalar" | "avx2") {
-            return Err(format!("unknown kernel path: {path}"));
-        }
-    }
-    if !kernels.is_empty() && !kernels.iter().any(|row| text(row, "path") == "scalar") {
-        return Err("kernels has no scalar reference row".into());
-    }
     Ok(())
 }
 
@@ -196,7 +150,6 @@ mod tests {
         report(
             "synth-tiny",
             10,
-            false,
             &[LatencyRow {
                 backend: "block".into(),
                 algorithm: "nra".into(),
@@ -209,11 +162,6 @@ mod tests {
                 size_bytes: 4096,
                 flat_bytes: 12288,
                 compression_ratio: 3.0,
-            }],
-            &[KernelRow {
-                kernel: "dequantize".into(),
-                path: "scalar".into(),
-                ns_per_block: 85.0,
             }],
         )
     }
@@ -245,24 +193,10 @@ mod tests {
             p50_us: 1.0,
             p95_us: 1.0,
         }];
-        let v = report("c", 5, true, &lat, &[], &[]);
+        let v = report("c", 5, &lat, &[]);
         assert!(validate(&v).is_err());
         // Empty latency table.
-        let v = report("c", 5, true, &[], &[], &[]);
-        assert!(validate(&v).is_err());
-        // Vector rows without a scalar reference.
-        let fp = [FootprintRow {
-            backend: "block".into(),
-            size_bytes: 1,
-            flat_bytes: 12,
-            compression_ratio: 12.0,
-        }];
-        let kr = [KernelRow {
-            kernel: "max_scan".into(),
-            path: "avx2".into(),
-            ns_per_block: 10.0,
-        }];
-        let v = report("c", 5, true, &lat, &fp, &kr);
+        let v = report("c", 5, &[], &[]);
         assert!(validate(&v).is_err());
     }
 

@@ -253,7 +253,7 @@ mod tests {
         committed_passes_and_corruptions_fail(
             "BENCH_blocklists.json",
             blockbench::validate,
-            ("kernels", "ns_per_block"),
+            ("footprint", "flat_bytes"),
             |v| {
                 object(row(v, "latency_us", None)).insert("p95_us".into(), Value::from(0.0));
             },

@@ -59,7 +59,6 @@ use std::sync::Arc;
 /// * decode round-trips the exact `(phrase, count/df)` entries in order;
 /// * at every score-cursor position, `block_max_hint()` bounds every
 ///   entry the cursor has not yet yielded (block-max pruning soundness);
-/// * `skip_block()` advances by exactly the entries the hint bounded;
 /// * `probe(phrase)` returns the exact stored probability, and `0.0` for
 ///   absent phrases.
 ///
@@ -129,25 +128,6 @@ pub fn check_block_roundtrip_and_bounds(counts: &[u32], dfs: &[u32]) {
         cur.block_max_hint().is_none(),
         "exhausted cursor hints None"
     );
-
-    // Skip soundness: skipping from any block boundary drops exactly the
-    // entries the pre-skip hint bounded.
-    let mut cur = blocks.score_cursor(feature, 1.0);
-    let mut pos = 0usize;
-    while pos < by_score.len() {
-        let hint = cur.block_max_hint().expect("entries remain");
-        let skipped = cur.skip_block();
-        assert!(skipped >= 1, "skip at position {pos} must make progress");
-        for e in &by_score[pos..pos + skipped] {
-            assert!(
-                e.prob <= hint,
-                "skip dropped prob {} above its hint {hint}",
-                e.prob
-            );
-        }
-        pos += skipped;
-        assert_eq!(cur.position(), pos, "cursor position tracks skips");
-    }
 
     // Probe agreement, present and absent.
     for e in &by_id {
@@ -472,7 +452,7 @@ mod tests {
     #[test]
     fn block_bounds_hold_on_multi_block_lists() {
         // 300 entries = 3 blocks (BLOCK_SIZE = 128): hints cross block
-        // boundaries, skips hit both mid-block and boundary paths.
+        // boundaries.
         let mut seed = 42;
         let dfs: Vec<u32> = (0..300)
             .map(|_| 1 + (splitmix(&mut seed) % 1000) as u32)

@@ -432,12 +432,9 @@ impl std::fmt::Display for Completeness {
 /// ([`Completeness::Approximate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApproxReason {
-    /// Run-time or build-time partial lists (paper §4.3/§4.4.2): a list
-    /// prefix, not the full list, fed the run.
+    /// Run-time partial lists (paper §4.3): a list prefix, not the full
+    /// list, fed the run.
     PartialLists,
-    /// The engine's disk image was serialized below full fraction
-    /// (`EngineConfig::disk_fraction < 1`).
-    TruncatedImage,
     /// §4.5.1 delta corrections were applied: the stale list order no
     /// longer guarantees NRA's pruning bounds.
     DeltaCorrections,
@@ -456,7 +453,6 @@ impl ApproxReason {
     pub fn name(self) -> &'static str {
         match self {
             ApproxReason::PartialLists => "partial_lists",
-            ApproxReason::TruncatedImage => "truncated_image",
             ApproxReason::DeltaCorrections => "delta_corrections",
             ApproxReason::ShardsMissing { .. } => "shards_missing",
         }

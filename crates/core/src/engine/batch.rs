@@ -246,7 +246,6 @@ impl QueryEngine {
                     stats: ExecStats {
                         sorted_accesses: smj.entries_read,
                         random_probes: 0,
-                        entries_skipped: 0,
                         rounds: smj.merge_steps,
                     },
                 },

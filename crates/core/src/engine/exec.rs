@@ -513,19 +513,8 @@ impl QueryEngine {
         } else {
             None
         };
-        let image_truncated = matches!(plan.backend, BackendChoice::Disk | BackendChoice::Block)
-            && self.inner.disk_fraction < 1.0;
         let miner = &*live.index.miner;
-        // Whether the backends' id-ordered (probe) lists are complete (no
-        // build-time SMJ fraction froze a prefix).
-        let exact_probes = miner.config().smj_fraction.is_none_or(|f| f >= 1.0);
-        let base = base_completeness(
-            options,
-            image_truncated,
-            delta.is_some(),
-            exact_probes,
-            plan.shards,
-        );
+        let base = base_completeness(options, delta.is_some());
         plan_span.end();
         Ok(Prepared {
             start,
@@ -534,9 +523,7 @@ impl QueryEngine {
             ctx: ExecContext {
                 miner,
                 options,
-                image_truncated,
                 delta,
-                exact_probes,
                 budget,
                 tracer,
             },

@@ -161,8 +161,7 @@ impl QueryEngine {
     }
 
     /// The current generation's block-compressed image, encoding it on
-    /// first use ([`super::EngineConfig::disk_fraction`] applies here too:
-    /// both simulated images truncate at the same build-time cut).
+    /// first use.
     pub fn block(&self) -> Arc<PagedImage<BlockLists>> {
         self.image(&self.live().index)
     }
@@ -178,7 +177,6 @@ impl QueryEngine {
                     m.index(),
                     m.lists(),
                     m.id_lists(),
-                    inner.disk_fraction,
                     inner.pool,
                     inner.cost,
                 ))
@@ -242,13 +240,7 @@ impl QueryEngine {
     ) -> &'a [PagedImage<E>] {
         let inner = &self.inner;
         E::shards_slot(layout).get_or_init(|| {
-            PagedImage::shards(
-                state.miner.index(),
-                &layout.mem,
-                inner.disk_fraction,
-                inner.pool,
-                inner.cost,
-            )
+            PagedImage::shards(state.miner.index(), &layout.mem, inner.pool, inner.cost)
         })
     }
 

@@ -139,8 +139,7 @@ pub struct SearchOptions {
     /// List backend.
     pub backend: BackendChoice,
     /// Fraction of each score-ordered list NRA may read (`1.0` = full;
-    /// ignored by the other algorithms — SMJ's fraction is fixed at build
-    /// time, paper §4.4.2). Composes with `redundancy`.
+    /// ignored by the other algorithms). Composes with `redundancy`.
     pub nra_fraction: Option<f64>,
     /// Optional §5.6 redundancy filter applied post-retrieval (the engine
     /// over-fetches until `k` survivors are found or candidates run out).
@@ -173,13 +172,6 @@ pub struct SearchOptions {
 /// Engine construction options.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Fraction of each score-ordered list serialized into the lazily
-    /// built disk image (`1.0` = full lists). Below `1.0`, disk-backed
-    /// NRA automatically runs with partial-list bound semantics (the
-    /// truncated tail may hold any phrase), and disk-backed SMJ/TA
-    /// become approximate exactly like their in-memory partial-list
-    /// counterparts (paper §4.3/§4.4.2).
-    pub disk_fraction: f64,
     /// Result-cache sizing; `None` disables caching.
     pub cache: Option<CacheConfig>,
     /// Default intra-query shard fanout for requests that leave
@@ -216,7 +208,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            disk_fraction: 1.0,
             cache: Some(CacheConfig::default()),
             shards: 1,
             pool: PoolConfig::default(),
@@ -392,7 +383,6 @@ struct Inner {
     /// grow underneath it, while the read path keeps serving the old
     /// generation until the swap.
     maintenance: Mutex<()>,
-    disk_fraction: f64,
     /// Buffer-pool geometry / cost model every disk image is built with.
     pool: PoolConfig,
     cost: CostModel,
@@ -444,7 +434,6 @@ impl QueryEngine {
                     delta: None,
                 }),
                 maintenance: Mutex::new(()),
-                disk_fraction: config.disk_fraction,
                 pool: config.pool,
                 cost: config.cost,
                 cache: config.cache.map(ShardedLruCache::new),

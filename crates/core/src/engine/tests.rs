@@ -219,68 +219,6 @@ fn disk_cache_hit_skips_io() {
 }
 
 #[test]
-fn truncated_disk_image_keeps_partial_nra_semantics() {
-    // Regression: with `disk_fraction < 1.0` and no run-time
-    // `nra_fraction`, disk NRA must use partial-list bounds — its
-    // results must match memory NRA at the same fraction, not drop
-    // AND candidates whose tail entries were truncated away.
-    let e = engine_with(
-        MinerConfig::default(),
-        EngineConfig {
-            disk_fraction: 0.5,
-            cache: None,
-            ..Default::default()
-        },
-    );
-    for op in [Operator::And, Operator::Or] {
-        let q = query_string(&e, op);
-        let disk = e
-            .request(&q)
-            .k(5)
-            .backend(BackendChoice::Disk)
-            .run()
-            .unwrap();
-        let mem_partial = e.request(&q).k(5).nra_fraction(0.5).run().unwrap();
-        assert_eq!(
-            phrases(&disk),
-            phrases(&mem_partial),
-            "{op}: truncated disk image must behave like run-time partial lists"
-        );
-    }
-}
-
-#[test]
-fn disk_image_freezes_build_time_smj_fraction() {
-    // A miner with a build-time SMJ fraction serves *partial* id lists
-    // in memory; its disk image must mirror them, not the full lists.
-    let e = engine_with(
-        MinerConfig {
-            smj_fraction: Some(0.2),
-            ..Default::default()
-        },
-        EngineConfig::default(),
-    );
-    let q = query_string(&e, Operator::Or);
-    let disk = e
-        .request(&q)
-        .k(5)
-        .algorithm(Algorithm::Smj)
-        .backend(BackendChoice::Disk)
-        .run()
-        .unwrap();
-    let query = e.miner().parse_query_str(&q).unwrap();
-    let mem = e.miner().top_k_smj(&query, 5);
-    assert_eq!(
-        phrases(&disk),
-        mem.iter().map(|h| h.phrase).collect::<Vec<_>>(),
-        "partial id lists must freeze into the disk image"
-    );
-    for (a, b) in disk.hits.iter().zip(&mem) {
-        assert!((a.hit.score - b.score).abs() < 1e-12);
-    }
-}
-
-#[test]
 fn cache_can_be_disabled() {
     let e = engine_with(
         MinerConfig::default(),

@@ -33,9 +33,6 @@ pub struct MinerConfig {
     pub index: IndexConfig,
     /// Word-list construction parameters.
     pub wordlists: WordListConfig,
-    /// Build-time partial fraction for the SMJ (ID-ordered) lists; `None`
-    /// keeps full lists. Frozen at build time (paper §4.4.2).
-    pub smj_fraction: Option<f64>,
     /// Default NRA tuning (per-query `k` overrides the one in here).
     pub nra: NraConfig,
 }
@@ -55,10 +52,7 @@ impl PhraseMiner {
     pub fn build(corpus: &Corpus, config: MinerConfig) -> Self {
         let index = CorpusIndex::build(corpus, &config.index);
         let lists = WordPhraseLists::build(corpus, &index, &config.wordlists);
-        let id_lists = match config.smj_fraction {
-            Some(f) if f < 1.0 => IdOrderedLists::from_score_ordered(&lists.partial(f)),
-            _ => IdOrderedLists::from_score_ordered(&lists),
-        };
+        let id_lists = IdOrderedLists::from_score_ordered(&lists);
         Self {
             corpus: corpus.clone(),
             index,
@@ -110,7 +104,7 @@ impl PhraseMiner {
         exact::exact_top_k(&self.index, query, k)
     }
 
-    /// SMJ top-k over the (possibly build-time-partial) ID-ordered lists.
+    /// SMJ top-k over the ID-ordered lists.
     pub fn top_k_smj(&self, query: &Query, k: usize) -> Vec<PhraseHit> {
         run_smj(&self.id_lists, query, k)
     }
@@ -292,25 +286,6 @@ mod tests {
         // Partial lists can only have read fewer entries than full lists.
         let full = m.top_k_nra(&q, 5);
         assert!(out.stats.total_entries_read() <= full.stats.total_entries_read());
-    }
-
-    #[test]
-    fn build_time_smj_fraction_freezes_lists() {
-        let (c, _) = ipm_corpus::synth::generate(&ipm_corpus::synth::tiny());
-        let full = PhraseMiner::build(&c, MinerConfig::default());
-        let partial = PhraseMiner::build(
-            &c,
-            MinerConfig {
-                smj_fraction: Some(0.2),
-                ..Default::default()
-            },
-        );
-        assert!(partial.id_lists().total_entries() < full.id_lists().total_entries());
-        // Score-ordered lists stay full either way (NRA truncates at run time).
-        assert_eq!(
-            partial.lists().total_entries(),
-            full.lists().total_entries()
-        );
     }
 
     #[test]

@@ -71,24 +71,6 @@ pub struct NraConfig {
     /// score: no phrase the merged result can contain is ever gated,
     /// pruned, or stopped over.
     pub lower_floor: f64,
-    /// Opt-in block-max pruning over cursors that expose skip metadata
-    /// ([`ScoredListCursor::block_max_hint`] / [`skip_block`]): per-list
-    /// bounds tighten to `min(last_seen, block max)`, and once `checknew`
-    /// is off a list every surviving candidate has already been seen on is
-    /// fast-forwarded block-wise instead of read entry by entry.
-    ///
-    /// Every phrase the *final result can contain* is unaffected — skipped
-    /// entries belong to phrases that are neither candidates nor
-    /// admissible (the block-max soundness property) — but the skipped
-    /// reads no longer drive `last_seen` down, so *unresolved* candidates
-    /// keep looser upper bounds and the anytime ranking can order ties
-    /// differently from the entry-by-entry run. Default `false`: the
-    /// engine's parity-guaranteed path; benches and IO-bound callers
-    /// enable it explicitly.
-    ///
-    /// [`ScoredListCursor::block_max_hint`]: ipm_index::cursor::ScoredListCursor::block_max_hint
-    /// [`skip_block`]: ipm_index::cursor::ScoredListCursor::skip_block
-    pub use_block_max: bool,
 }
 
 impl Default for NraConfig {
@@ -98,7 +80,6 @@ impl Default for NraConfig {
             batch_size: 1024,
             lists_are_partial: false,
             lower_floor: f64::NEG_INFINITY,
-            use_block_max: false,
         }
     }
 }
@@ -108,10 +89,6 @@ impl Default for NraConfig {
 pub struct TraversalStats {
     /// Entries read per list.
     pub entries_read: Vec<usize>,
-    /// Entries dropped by block-max fast-forwarding without being read
-    /// (always 0 unless [`NraConfig::use_block_max`] is on and the
-    /// cursors expose block structure).
-    pub entries_skipped: usize,
     /// Full (possibly truncated) list lengths.
     pub list_lens: Vec<usize>,
     /// Whether the stop condition fired before the lists were exhausted.
@@ -429,35 +406,11 @@ pub fn run_nra_with<C: ScoredListCursor>(
         if iter_in_batch >= batch || all_exhausted {
             iter_in_batch = 0;
             stats.prune_rounds += 1;
-            list_bounds(op, config, &last_seen, &exhausted, &cursors, &mut bounds);
+            list_bounds(op, config, &last_seen, &exhausted, &mut bounds);
             let done = table.prune_and_check(&mut checknew, op, config, full_mask, &bounds);
             if done && !all_exhausted {
                 stats.stopped_early = true;
                 break;
-            }
-            // Opt-in block skipping. Once `checknew` is off, a list on
-            // which every surviving candidate has already been seen can
-            // only yield (a) entries of phrases that are not candidates
-            // and can never be admitted, or (b) duplicates — and because
-            // candidates are only ever pruned from here on, that stays
-            // true for the rest of the run. The whole remainder is dead
-            // weight: drain it block by block without decoding (and,
-            // behind the block image, without fetching).
-            if config.use_block_max && !checknew && !all_exhausted {
-                let unseen_somewhere = table.live.iter().fold(0u32, |m, c| m | !c.seen_mask);
-                for i in 0..r {
-                    if exhausted[i] || unseen_somewhere & (1u32 << i) != 0 {
-                        continue;
-                    }
-                    loop {
-                        let n = cursors[i].skip_block();
-                        if n == 0 {
-                            break;
-                        }
-                        stats.entries_skipped += n;
-                    }
-                    exhausted[i] = true;
-                }
             }
         }
         if all_exhausted || !progressed {
@@ -465,7 +418,7 @@ pub fn run_nra_with<C: ScoredListCursor>(
         }
     }
 
-    list_bounds(op, config, &last_seen, &exhausted, &cursors, &mut bounds);
+    list_bounds(op, config, &last_seen, &exhausted, &mut bounds);
     let hits = table.rank(op, full_mask, &bounds, config.k);
     // Ignored only during thread teardown, when the table just goes away.
     let _ = TABLE.try_with(|cell| cell.set(table));
@@ -474,37 +427,22 @@ pub fn run_nra_with<C: ScoredListCursor>(
 
 /// Per-list bound on the score of an entry not yet seen on that list,
 /// written into `out`.
-fn list_bounds<C: ScoredListCursor>(
+fn list_bounds(
     op: Operator,
     config: &NraConfig,
     last_seen: &[f64],
     exhausted: &[bool],
-    cursors: &[C],
     out: &mut Vec<f64>,
 ) {
     out.clear();
-    out.extend(
-        last_seen
-            .iter()
-            .zip(exhausted)
-            .enumerate()
-            .map(|(i, (&s, &ex))| {
-                if ex && !config.lists_are_partial {
-                    // Fully read: any phrase not seen there is truly absent.
-                    absent_score(op)
-                } else if config.use_block_max {
-                    // Skip metadata bounds the unread remainder at least as
-                    // tightly as the last seen score (Eq. 8's per-round
-                    // envelope, tightened block-wise).
-                    match cursors[i].block_max_hint() {
-                        Some(p) => entry_score(op, p).min(s),
-                        None => s,
-                    }
-                } else {
-                    s
-                }
-            }),
-    );
+    out.extend(last_seen.iter().zip(exhausted).map(|(&s, &ex)| {
+        if ex && !config.lists_are_partial {
+            // Fully read: any phrase not seen there is truly absent.
+            absent_score(op)
+        } else {
+            s
+        }
+    }));
 }
 
 /// `(lower, upper)` bounds of one candidate given per-list bounds.
@@ -831,7 +769,6 @@ mod tests {
                 batch_size: batch,
                 lists_are_partial: false,
                 lower_floor: floor,
-                use_block_max: false,
             },
         )
     }

@@ -21,13 +21,12 @@
 //! extra step: its ranking is by *upper bound*, and an early-stopped run
 //! may return hits whose scores are still unresolved lower bounds that
 //! depend on how deep that particular run read. On the exact path (full
-//! lists, no delta, untruncated image, full probe lists) the executor
-//! resolves any such hit to its true aggregate with `r` random probes into
-//! the owning shard before merging, making the merged scores — and hence
-//! the merge order — independent of per-shard stopping points. Approximate
-//! paths (run-time `nra_fraction`, a build-time truncated image, delta
-//! corrections) stay approximate, exactly as unsharded NRA does, and their
-//! results may legitimately vary with the shard layout (each shard
+//! lists, no delta) the executor resolves any such hit to its true
+//! aggregate with `r` random probes into the owning shard before merging,
+//! making the merged scores — and hence the merge order — independent of
+//! per-shard stopping points. Approximate paths (run-time `nra_fraction`,
+//! delta corrections) stay approximate, exactly as unsharded NRA does, and
+//! their results may legitimately vary with the shard layout (each shard
 //! truncates or bounds its own lists); the cache keys on the shard config
 //! for precisely this reason.
 //!
@@ -217,18 +216,10 @@ pub(crate) struct ExecContext<'a> {
     pub miner: &'a PhraseMiner,
     /// The request options (algorithm, fraction, redundancy, ...).
     pub options: &'a SearchOptions,
-    /// The backend's lists were truncated at build time
-    /// (`EngineConfig::disk_fraction < 1.0`): NRA must use partial-list
-    /// bounds even without a run-time fraction.
-    pub image_truncated: bool,
     /// Delta corrections to apply — on *every* algorithm's path, via a
     /// [`DeltaOverlay`] wrapped around each shard backend (already
     /// snapshot and non-empty).
     pub delta: Option<Arc<DeltaIndex>>,
-    /// The backends' id-ordered (probe) lists are complete, so a random
-    /// probe returns the true `P(q|p)` — required for NRA score
-    /// resolution. False when the miner froze a build-time SMJ fraction.
-    pub exact_probes: bool,
     /// The request's execution budget, shared across every shard thread
     /// (unlimited for unbudgeted requests — checks then cost one branch).
     pub budget: &'a Budget,
@@ -249,8 +240,6 @@ pub struct ExecStats {
     /// Random accesses: TA probes plus the merge's NRA score resolution
     /// probes.
     pub random_probes: u64,
-    /// Entries skipped via block-max metadata (NRA on block lists).
-    pub entries_skipped: u64,
     /// Algorithm loop progress: NRA prune rounds, SMJ merge steps (`0`
     /// for TA and the exact scorer).
     pub rounds: u64,
@@ -261,7 +250,6 @@ impl ExecStats {
     pub fn accumulate(&mut self, other: &ExecStats) {
         self.sorted_accesses += other.sorted_accesses;
         self.random_probes += other.random_probes;
-        self.entries_skipped += other.entries_skipped;
         self.rounds += other.rounds;
     }
 }
@@ -273,9 +261,7 @@ impl ExecContext<'_> {
     fn exact_nra_path(&self) -> bool {
         matches!(self.options.algorithm, Algorithm::Nra)
             && self.options.nra_fraction.unwrap_or(1.0) >= 1.0
-            && !self.image_truncated
             && self.delta.is_none()
-            && self.exact_probes
     }
 }
 
@@ -295,45 +281,15 @@ impl ExecContext<'_> {
 /// rebuild — for SMJ/TA via the overlay's absent-pairs-stay-absent rule,
 /// for the exact scorer via the stale dictionary. Within that shared
 /// envelope every label is exact; `compact()` closes the envelope.
-pub(crate) fn base_completeness(
-    options: &SearchOptions,
-    image_truncated: bool,
-    delta_active: bool,
-    exact_probes: bool,
-    shards: usize,
-) -> Completeness {
+pub(crate) fn base_completeness(options: &SearchOptions, delta_active: bool) -> Completeness {
     let approx = |reason| Completeness::Approximate { reason };
     match options.algorithm {
-        // The exact scorer is ground truth regardless of list state.
-        Algorithm::Exact => Completeness::Exact,
-        Algorithm::Nra => {
-            if options.nra_fraction.unwrap_or(1.0) < 1.0 {
-                approx(ApproxReason::PartialLists)
-            } else if image_truncated {
-                approx(ApproxReason::TruncatedImage)
-            } else if delta_active {
-                approx(ApproxReason::DeltaCorrections)
-            } else if !exact_probes && shards > 1 {
-                // The sharded merge cannot resolve bounds through partial
-                // probe lists, so fanned-out NRA inherits their
-                // approximation.
-                approx(ApproxReason::PartialLists)
-            } else {
-                Completeness::Exact
-            }
+        Algorithm::Nra if options.nra_fraction.unwrap_or(1.0) < 1.0 => {
+            approx(ApproxReason::PartialLists)
         }
-        Algorithm::Smj | Algorithm::Ta => {
-            if !exact_probes {
-                // A build-time SMJ fraction froze partial id-ordered
-                // lists (paper §4.4.2) — both SMJ's merge input and TA's
-                // probe target.
-                approx(ApproxReason::PartialLists)
-            } else if image_truncated {
-                approx(ApproxReason::TruncatedImage)
-            } else {
-                Completeness::Exact
-            }
-        }
+        Algorithm::Nra if delta_active => approx(ApproxReason::DeltaCorrections),
+        // SMJ, TA and the exact scorer stay exact, under corrections too.
+        _ => Completeness::Exact,
     }
 }
 
@@ -711,7 +667,7 @@ fn fan_out<E: ShardExecutor + ?Sized>(
                         shard: i,
                         sorted_accesses: out.stats.sorted_accesses,
                         random_probes: out.stats.random_probes,
-                        entries_skipped: out.stats.entries_skipped,
+                        entries_skipped: 0,
                         rounds: out.stats.rounds,
                         io_fetches: out.io_fetches,
                     });
@@ -825,14 +781,9 @@ fn run_shard_backend<B: ListBackend>(
                 // Corrected probabilities ride the stale list order, so a
                 // delta makes every bound heuristic — partial-list
                 // semantics keep exhausted lists safely bounded.
-                lists_are_partial: fraction < 1.0 || ctx.image_truncated || ctx.delta.is_some(),
+                lists_are_partial: fraction < 1.0 || ctx.delta.is_some(),
                 lower_floor: tuning.lower_floor,
                 batch_size: tuning.batch_size.unwrap_or(base.batch_size),
-                // The engine keeps NRA on its parity-guaranteed path: block
-                // skipping can reorder exact-tie groups at the k boundary
-                // (see `NraConfig::use_block_max`), and TA's strict hint
-                // stop already harvests the skip metadata backend-side.
-                use_block_max: base.use_block_max,
             };
             let cursors: Vec<B::ScoreCursor<'_>> = query
                 .features
@@ -843,7 +794,6 @@ fn run_shard_backend<B: ListBackend>(
             let stats = ExecStats {
                 sorted_accesses: out.stats.entries_read.iter().map(|&n| n as u64).sum(),
                 random_probes: 0,
-                entries_skipped: out.stats.entries_skipped as u64,
                 rounds: out.stats.prune_rounds as u64,
             };
             (out.hits, stats)
@@ -853,7 +803,6 @@ fn run_shard_backend<B: ListBackend>(
             let stats = ExecStats {
                 sorted_accesses: smj.entries_read,
                 random_probes: 0,
-                entries_skipped: 0,
                 rounds: smj.merge_steps,
             };
             (hits, stats)
@@ -866,7 +815,6 @@ fn run_shard_backend<B: ListBackend>(
             let stats = ExecStats {
                 sorted_accesses: out.stats.sorted_accesses.iter().map(|&n| n as u64).sum(),
                 random_probes: out.stats.random_accesses as u64,
-                entries_skipped: 0,
                 rounds: 0,
             };
             (out.hits, stats)

@@ -15,17 +15,11 @@
 //!
 //! Every block carries skip metadata — lowest/highest phrase id and
 //! max/min probability — which feeds the cursor capability hooks
-//! ([`ScoredListCursor::block_max_hint`], [`ScoredListCursor::skip_block`],
-//! [`IdListCursor::seek`]): the threshold algorithms skip score blocks
-//! whose max cannot beat the defended top-k floor, and SMJ gallops over id
-//! blocks whose highest id is below the merge frontier, all without
-//! decoding (or, behind `ipm_storage`'s block image, fetching) them.
-//!
-//! The block-granular hot loops (batch dequantize, metadata max-scan, the
-//! Eq. 8/12 accumulations) have a SIMD fast path in [`simd`] behind the
-//! `simd` cargo feature — stable `std::arch` AVX2 with runtime detection;
-//! the scalar path is the default and the only path on other
-//! architectures.
+//! ([`ScoredListCursor::block_max_hint`], [`IdListCursor::seek`]): TA
+//! stops once the next blocks' maxima cannot beat the defended top-k
+//! floor, and SMJ gallops over id blocks whose highest id is below the
+//! merge frontier, both without decoding (or, behind `ipm_storage`'s
+//! block image, fetching) the blocks they pass.
 
 use crate::backend::{probe_id_ordered, ListBackend, ListEncoding};
 use crate::corpus_index::CorpusIndex;
@@ -468,13 +462,13 @@ fn encode_block(
     let bytes = payload.len() as u32;
     data.extend_from_slice(&payload);
 
-    let probs: Vec<f64> = chunk.iter().map(|e| e.prob).collect();
     let (max_prob, min_prob) = if id_ordered {
-        // Id order says nothing about scores: scan (the SIMD max-scan
-        // build kernel).
-        let max = simd::max_scan(&probs);
-        let min = probs.iter().copied().fold(f64::INFINITY, f64::min);
-        (max, min)
+        // Id order says nothing about scores: scan.
+        let probs = chunk.iter().map(|e| e.prob);
+        (
+            probs.clone().fold(f64::NEG_INFINITY, f64::max),
+            probs.fold(f64::INFINITY, f64::min),
+        )
     } else {
         // Score order is non-increasing: the extremes are the endpoints.
         (chunk[0].prob, chunk[chunk.len() - 1].prob)
@@ -577,7 +571,16 @@ fn decode_block(
     scratch
         .dfs
         .extend(scratch.ids.iter().map(|&id| f64::from(df[id as usize])));
-    simd::dequantize(&scratch.counts, &scratch.dfs, &mut scratch.probs);
+    // `count / df` is exact in IEEE arithmetic: the miner's `f64`, bit
+    // for bit.
+    scratch.probs.clear();
+    scratch.probs.extend(
+        scratch
+            .counts
+            .iter()
+            .zip(&scratch.dfs)
+            .map(|(&c, &d)| f64::from(c) / d),
+    );
 
     out.clear();
     out.extend(
@@ -598,9 +601,7 @@ fn decode_block(
 
 /// Score-ordered cursor over a block run. Decodes one block at a time;
 /// [`block_max_hint`](ScoredListCursor::block_max_hint) answers from skip
-/// metadata without fetching, and
-/// [`skip_block`](ScoredListCursor::skip_block) drops a whole undecoded
-/// block when the caller has proven it irrelevant.
+/// metadata without fetching.
 pub struct BlockScoreCursor<'a> {
     blocks: &'a [BlockMeta],
     data: &'a [u8],
@@ -670,30 +671,6 @@ impl ScoredListCursor for BlockScoreCursor<'_> {
             return Some(self.buf[self.buf_pos].prob);
         }
         self.blocks.get(self.next_block).map(|m| m.max_prob)
-    }
-
-    fn skip_block(&mut self) -> usize {
-        let remaining = self.limit - self.pos;
-        if remaining == 0 {
-            return 0;
-        }
-        if self.buf_pos < self.buf.len() {
-            // Drop the rest of the decoded block.
-            let n = (self.buf.len() - self.buf_pos).min(remaining);
-            self.buf_pos += n;
-            self.pos += n;
-            return n;
-        }
-        // At a block boundary: drop the next block without decoding or
-        // fetching it (entries past the partial-list limit would never be
-        // yielded anyway).
-        let Some(meta) = self.blocks.get(self.next_block) else {
-            return 0;
-        };
-        let n = usize::from(meta.len).min(remaining);
-        self.next_block += 1;
-        self.pos += n;
-        n
     }
 }
 
@@ -837,118 +814,6 @@ fn read_bits(data: &[u8], bit_offset: u64, bits: u32) -> u64 {
     v
 }
 
-// ---------------------------------------------------------------------------
-// SIMD kernels
-// ---------------------------------------------------------------------------
-
-/// Block-granular kernels with an AVX2 fast path behind the `simd` cargo
-/// feature (stable `std::arch`, `is_x86_feature_detected!` dispatch). The
-/// scalar path is the default build and the only path on non-x86-64
-/// targets. [`dequantize`](simd::dequantize) and
-/// [`max_scan`](simd::max_scan) are elementwise / order-insensitive IEEE
-/// operations, so both paths produce bit-identical results and sit on the
-/// exact decode path.
-pub mod simd {
-    /// `out[i] = counts[i] as f64 / dfs[i]` — the block dequantize step.
-    /// Conversion and division are exact elementwise IEEE ops: the AVX2
-    /// path is bit-identical to the scalar path.
-    pub fn dequantize(counts: &[u32], dfs: &[f64], out: &mut Vec<f64>) {
-        assert_eq!(counts.len(), dfs.len());
-        out.clear();
-        out.resize(counts.len(), 0.0);
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 confirmed at runtime; slices are equal-length.
-            unsafe { avx2::dequantize(counts, dfs, out) };
-            return;
-        }
-        for (o, (&c, &d)) in out.iter_mut().zip(counts.iter().zip(dfs)) {
-            *o = f64::from(c) / d;
-        }
-    }
-
-    /// Maximum of a block of probabilities (the build-time metadata scan).
-    /// `max` is order-insensitive on NaN-free inputs, so both paths agree
-    /// bit for bit. Returns `0.0` for an empty slice.
-    pub fn max_scan(vals: &[f64]) -> f64 {
-        if vals.is_empty() {
-            return 0.0;
-        }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 confirmed at runtime.
-            return unsafe { avx2::max_scan(vals) };
-        }
-        vals.iter().copied().fold(vals[0], f64::max)
-    }
-
-    /// Whether the AVX2 fast path is compiled in *and* available on this
-    /// machine (reported by the bench harness next to its numbers).
-    pub fn active() -> bool {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        {
-            std::arch::is_x86_feature_detected!("avx2")
-        }
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        {
-            false
-        }
-    }
-
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[allow(unsafe_op_in_unsafe_fn)]
-    mod avx2 {
-        use std::arch::x86_64::*;
-
-        /// # Safety
-        /// Caller must have verified AVX2 support; `counts`, `dfs` and
-        /// `out` must have equal lengths.
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn dequantize(counts: &[u32], dfs: &[f64], out: &mut [f64]) {
-            let n = counts.len();
-            let mut i = 0;
-            while i + 4 <= n {
-                // Counts are document frequencies: always < 2^31, so the
-                // signed i32 -> f64 conversion is exact.
-                let c = _mm_loadu_si128(counts.as_ptr().add(i).cast());
-                let cf = _mm256_cvtepi32_pd(c);
-                let d = _mm256_loadu_pd(dfs.as_ptr().add(i));
-                _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_div_pd(cf, d));
-                i += 4;
-            }
-            while i < n {
-                out[i] = f64::from(counts[i]) / dfs[i];
-                i += 1;
-            }
-        }
-
-        /// # Safety
-        /// Caller must have verified AVX2 support; `vals` is non-empty.
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn max_scan(vals: &[f64]) -> f64 {
-            let n = vals.len();
-            let mut best = vals[0];
-            let mut i = 0;
-            if n >= 4 {
-                let mut acc = _mm256_loadu_pd(vals.as_ptr());
-                i = 4;
-                while i + 4 <= n {
-                    acc = _mm256_max_pd(acc, _mm256_loadu_pd(vals.as_ptr().add(i)));
-                    i += 4;
-                }
-                let mut lanes = [0.0f64; 4];
-                _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
-                best = lanes.iter().copied().fold(lanes[0], f64::max);
-            }
-            while i < n {
-                best = best.max(vals[i]);
-                i += 1;
-            }
-            best
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1043,7 +908,7 @@ mod tests {
     }
 
     #[test]
-    fn hint_tracks_the_next_entry_and_skip_drops_blocks() {
+    fn hint_tracks_the_next_entry() {
         let (b, lists, _) = blocks();
         let feat = *lists
             .features()
@@ -1062,18 +927,13 @@ mod tests {
         if let Some(h) = cur.block_max_hint() {
             assert!(h <= first.prob);
         }
-        // Skipping at the head of a decoded block drops its remainder.
-        let skipped = cur.skip_block();
-        assert!(skipped > 0);
-        assert_eq!(cur.position(), 1 + skipped);
-        // Drain; total yielded + skipped covers the list exactly.
-        let mut n = cur.position();
-        while cur.next_entry().is_some() {
-            n += 1;
+        // Every later hint bounds the rest, and a drained cursor has none.
+        while let Some(h) = cur.block_max_hint() {
+            let e = cur.next_entry().unwrap();
+            assert!(e.prob <= h);
         }
-        assert_eq!(n, want.len());
-        assert_eq!(cur.block_max_hint(), None);
-        assert_eq!(cur.skip_block(), 0);
+        assert_eq!(cur.position(), want.len());
+        assert!(cur.next_entry().is_none());
     }
 
     #[test]
@@ -1116,13 +976,13 @@ mod tests {
         let expected = lists.list(feat).len().div_ceil(BLOCK_SIZE) as u32;
         assert_eq!(fetches.get(), expected, "one fetch per block");
 
-        // Skipping a block at a boundary must not fetch it.
+        // The skip metadata is free: a hint at a block boundary fetches
+        // nothing.
         fetches.set(0);
         let hook: FetchHook<'_> = Box::new(|_, _| fetches.set(fetches.get() + 1));
-        let mut cur = b.score_cursor_cached(feat, 1.0, Some(hook), None);
-        let n = cur.skip_block();
-        assert!(n > 0);
-        assert_eq!(fetches.get(), 0, "metadata-only skip");
+        let cur = b.score_cursor_cached(feat, 1.0, Some(hook), None);
+        assert!(cur.block_max_hint().is_some());
+        assert_eq!(fetches.get(), 0, "metadata-only hint");
     }
 
     /// Toy provider for the cached-cursor tests: a plain map plus hit /
@@ -1221,22 +1081,6 @@ mod tests {
         );
         assert!(b.compression_ratio() > 1.0);
         assert!(b.size_bytes() >= b.encoded_bytes());
-    }
-
-    #[test]
-    fn simd_kernels_match_scalar_reference() {
-        let counts: Vec<u32> = (0..531).map(|i| (i * 7 + 1) % 97 + 1).collect();
-        let dfs: Vec<f64> = (0..531).map(|i| ((i % 113) + 2) as f64).collect();
-        let mut out = Vec::new();
-        simd::dequantize(&counts, &dfs, &mut out);
-        for i in 0..counts.len() {
-            let want = counts[i] as f64 / dfs[i];
-            assert_eq!(out[i].to_bits(), want.to_bits(), "dequantize lane {i}");
-        }
-        let max = simd::max_scan(&out);
-        let want = out.iter().copied().fold(out[0], f64::max);
-        assert_eq!(max.to_bits(), want.to_bits());
-        let _ = simd::active();
     }
 
     #[test]

@@ -37,16 +37,6 @@ pub trait ScoredListCursor {
     fn block_max_hint(&self) -> Option<f64> {
         None
     }
-
-    /// Skips the rest of the current block — every not-yet-yielded entry
-    /// up to the next block boundary — and returns how many entries were
-    /// skipped. Backends without block structure skip nothing (the
-    /// default), which is always sound: callers may only invoke this when
-    /// the skipped entries provably cannot affect the result, and must
-    /// treat a `0` return as "no skipping available".
-    fn skip_block(&mut self) -> usize {
-        0
-    }
 }
 
 /// In-memory cursor over a slice of a score-ordered list.
@@ -248,10 +238,8 @@ mod tests {
     #[test]
     fn default_hooks_are_inert() {
         let es = entries(3);
-        let mut c = MemoryCursor::new(&es);
+        let c = MemoryCursor::new(&es);
         assert_eq!(c.block_max_hint(), None);
-        assert_eq!(c.skip_block(), 0);
-        assert_eq!(c.position(), 0); // skip_block must not move a hook-less cursor
     }
 
     #[test]

@@ -30,8 +30,7 @@
 //!   top-k (scores factorize per phrase);
 //! * [`block`] — [`block::BlockLists`], the block-compressed third backend:
 //!   bit-packed ids, integer-rational scores dequantized bit-identically,
-//!   per-block skip metadata feeding the cursor capability hooks, and SIMD
-//!   kernels behind the `simd` cargo feature.
+//!   and per-block skip metadata feeding the cursor capability hooks.
 
 pub mod backend;
 pub mod block;

@@ -15,13 +15,10 @@
 //! * each shard's **id-ordered** lists are contiguous sub-runs of the
 //!   originals (phrase-id order means a range is one slice per list).
 //!
-//! Sharding composes with [`WordPhraseLists::partial`] in either
-//! direction, but the two orders differ: `partial(f)` keeps
-//! `ceil(len · f)` entries *per list*, so truncating before sharding cuts
-//! each global list's tail, while truncating after sharding cuts each
-//! shard list's tail. Only the former matches the paper's §4.3 run-time
-//! partial-list semantics; the engine's shard-aware disk images truncate
-//! per shard and accordingly run NRA with partial-list bounds.
+//! A run-time fraction `f` keeps `ceil(len · f)` entries *per list*, so
+//! on a shard it cuts each shard list's tail, not the global list's. A
+//! fanned-out partial-list query therefore reads a different prefix than
+//! an unsharded one, and NRA runs it with partial-list bounds either way.
 
 use crate::backend::MemoryBackend;
 use crate::wordlists::{IdOrderedLists, ListEntry, WordPhraseLists};
@@ -78,10 +75,8 @@ impl ShardedWordLists {
     /// phrase dictionary; ids are partitioned into `n` equal-width ranges
     /// covering the full id space (the last shard absorbs the remainder).
     ///
-    /// The two inputs need not hold the same entry multiset — the miner's
-    /// id-ordered lists may carry a build-time SMJ fraction (paper §4.4.2)
-    /// — so each order is range-filtered independently and the shards
-    /// mirror whatever the unsharded backend would serve.
+    /// Each order is range-filtered independently, so the shards mirror
+    /// whatever the unsharded backend would serve.
     pub fn build(
         lists: &WordPhraseLists,
         id_lists: &IdOrderedLists,
@@ -169,25 +164,6 @@ impl ShardedWordLists {
     /// source's — sharding only redistributes).
     pub fn total_entries(&self) -> usize {
         self.shards.iter().map(|s| s.lists.total_entries()).sum()
-    }
-
-    /// Applies [`WordPhraseLists::partial`] to every shard's score-ordered
-    /// lists (per-shard truncation; id-ordered lists are left untouched,
-    /// mirroring how a build-time fraction freezes only the score image —
-    /// see the module docs for how this differs from truncating before
-    /// sharding).
-    pub fn partial(&self, fraction: f64) -> ShardedWordLists {
-        ShardedWordLists {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| ListShard {
-                    range: s.range,
-                    lists: s.lists.partial(fraction),
-                    id_lists: s.id_lists.clone(),
-                })
-                .collect(),
-        }
     }
 }
 
@@ -322,22 +298,5 @@ mod tests {
             assert_eq!(s.lists().total_entries(), 0);
             assert!(s.backend().score_cursor(feat, 1.0).is_empty());
         }
-    }
-
-    #[test]
-    fn sharding_composes_with_partial() {
-        let (np, lists, idl) = setup();
-        // partial-then-shard: shard the truncated lists.
-        let cut = lists.partial(0.5);
-        let cut_idl = IdOrderedLists::from_score_ordered(&cut);
-        let a = ShardedWordLists::build(&cut, &cut_idl, np, 3);
-        assert_eq!(a.total_entries(), cut.total_entries());
-        // shard-then-partial: truncate each shard's score lists.
-        let b = ShardedWordLists::build(&lists, &idl, np, 3).partial(0.5);
-        // Same global ceil-per-list rule applied at different granularity:
-        // both keep at least one entry per non-empty list, and neither
-        // exceeds the source.
-        assert!(b.total_entries() <= lists.total_entries());
-        assert!(b.total_entries() >= a.shards().len());
     }
 }

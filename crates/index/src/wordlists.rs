@@ -254,21 +254,15 @@ impl WordPhraseLists {
     }
 
     /// Returns a copy truncated to the top-`fraction` score-ordered prefix
-    /// of every list (partial lists, paper §4.3). `fraction` is clamped to
-    /// `(0, 1]`; a non-empty list keeps at least one entry.
+    /// of every list (partial lists, paper §4.3), cut by
+    /// [`prefix_len`](crate::cursor::prefix_len) like every cursor.
     pub fn partial(&self, fraction: f64) -> WordPhraseLists {
-        let fraction = fraction.clamp(f64::MIN_POSITIVE, 1.0);
         let mut offsets = Vec::with_capacity(self.offsets.len());
         let mut entries = Vec::new();
         offsets.push(0u64);
         for slot in 0..self.features.len() {
             let list = self.list_by_slot(slot as u32);
-            let keep = if list.is_empty() {
-                0
-            } else {
-                ((list.len() as f64 * fraction).ceil() as usize).clamp(1, list.len())
-            };
-            entries.extend_from_slice(&list[..keep]);
+            entries.extend_from_slice(&list[..crate::cursor::prefix_len(list.len(), fraction)]);
             offsets.push(entries.len() as u64);
         }
         WordPhraseLists {

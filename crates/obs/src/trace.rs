@@ -96,7 +96,8 @@ pub struct ShardStats {
     /// Random accesses: TA probes plus the merge's NRA score resolution
     /// probes into this shard.
     pub random_probes: u64,
-    /// Entries skipped via block-max metadata (NRA on block lists).
+    /// Entries skipped via block-max metadata: always 0, since no served
+    /// path skips blocks.
     pub entries_skipped: u64,
     /// Algorithm loop progress: NRA prune rounds, SMJ merge steps
     /// (`0` for TA and the exact scorer, which have no round structure).

@@ -963,9 +963,9 @@ fn stats_line(shared: &Shared) -> String {
     let mut io = std::collections::BTreeMap::new();
     io.insert("disk".to_owned(), wire::io_value(&s.disk_io));
     // Per-backend list-access totals from the engine's metrics registry:
-    // sorted accesses, random probes, block entries skipped by block-max
-    // pruning, and algorithm rounds — aggregated over every uncached
-    // execution.
+    // sorted accesses, random probes, block entries skipped (always 0,
+    // kept for wire compatibility), and algorithm rounds — aggregated
+    // over every uncached execution.
     let mut access = std::collections::BTreeMap::new();
     for (name, choice) in [
         ("memory", BackendChoice::Memory),

@@ -775,10 +775,8 @@ pub fn shard_outcome_value(out: &ShardOutcome) -> Value {
         "random_probes".to_owned(),
         Value::from(out.stats.random_probes),
     );
-    sm.insert(
-        "entries_skipped".to_owned(),
-        Value::from(out.stats.entries_skipped),
-    );
+    // Kept in the wire shape; no served path skips blocks.
+    sm.insert("entries_skipped".to_owned(), Value::from(0u64));
     sm.insert("rounds".to_owned(), Value::from(out.stats.rounds));
     m.insert("stats".to_owned(), Value::Object(sm));
     Value::Object(m)
@@ -822,7 +820,6 @@ pub fn shard_outcome_from_value(v: &Value) -> Result<ShardOutcome, String> {
         stats: ExecStats {
             sorted_accesses: stat("sorted_accesses"),
             random_probes: stat("random_probes"),
-            entries_skipped: stat("entries_skipped"),
             rounds: stat("rounds"),
         },
         io_fetches: v.get("io_fetches").and_then(Value::as_u64).unwrap_or(0),
@@ -881,7 +878,6 @@ pub fn completeness_from_value(v: &Value) -> Option<Completeness> {
         "approximate" => {
             let reason = match v.get("reason")?.as_str()? {
                 "partial_lists" => ApproxReason::PartialLists,
-                "truncated_image" => ApproxReason::TruncatedImage,
                 "delta_corrections" => ApproxReason::DeltaCorrections,
                 "shards_missing" => ApproxReason::ShardsMissing {
                     missing: v.get("missing")?.as_u64()? as u32,
@@ -1131,9 +1127,6 @@ mod tests {
                 reason: ApproxReason::PartialLists,
             },
             Completeness::Approximate {
-                reason: ApproxReason::TruncatedImage,
-            },
-            Completeness::Approximate {
                 reason: ApproxReason::DeltaCorrections,
             },
             Completeness::Truncated {
@@ -1150,6 +1143,15 @@ mod tests {
             assert_eq!(completeness_from_value(&v), Some(c), "{c}");
         }
         assert_eq!(completeness_from_value(&Value::from(3u64)), None);
+    }
+
+    #[test]
+    fn retired_approximation_reason_decodes_to_none() {
+        // No server ever emitted this label; it now reads like any other
+        // unknown reason.
+        let v: Value =
+            serde_json::from_str(r#"{"kind":"approximate","reason":"truncated_image"}"#).unwrap();
+        assert_eq!(completeness_from_value(&v), None);
     }
 
     #[test]
@@ -1329,7 +1331,6 @@ mod tests {
             stats: ExecStats {
                 sorted_accesses: 11,
                 random_probes: 3,
-                entries_skipped: 2,
                 rounds: 4,
             },
             io_fetches: 17,

@@ -289,7 +289,6 @@ mod tests {
             &index,
             &lists,
             &idl,
-            1.0,
             PoolConfig::default(),
             CostModel::default(),
         );

@@ -14,8 +14,7 @@
 //! entries and fetches each entry its cursors pass over (the `disk`
 //! backend); [`BlockLists`](ipm_index::block::BlockLists) stores
 //! bit-packed 128-entry blocks and fetches each block it decodes, so
-//! blocks that block-max pruning or `seek` skips cost no IO (the `block`
-//! backend). Cursors and probes report every byte range they read through
+//! blocks that a `seek` skips cost no IO (the `block` backend). Cursors and probes report every byte range they read through
 //! a fetch hook, and the image charges it to its pool.
 //!
 //! **The text rule.** Each hit's text lookup — the paper's last
@@ -36,7 +35,6 @@
 //! a fresh pool, and the view's [`PagedImage::io_stats`] is that query's
 //! bill. Concurrent queries share no pool and need no reset.
 
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -75,28 +73,23 @@ pub struct PagedImage<E> {
 static NEXT_IMAGE_ID: AtomicU64 = AtomicU64::new(0);
 
 impl<E: ListEncoding> PagedImage<E> {
-    /// Encodes the full phrase space's lists. `fraction < 1.0` freezes a
-    /// build-time cut of the score-ordered lists (paper §4.3); the
-    /// id-ordered side keeps whatever fraction `id_lists` carries
-    /// (§4.4.2).
+    /// Encodes the full phrase space's lists.
     pub fn build(
         index: &CorpusIndex,
         lists: &WordPhraseLists,
         id_lists: &IdOrderedLists,
-        fraction: f64,
         pool: PoolConfig,
         cost: CostModel,
     ) -> Self {
         let df = Arc::new(df_table(index));
-        Self::encode(lists, id_lists, fraction, &df, None, pool, cost)
+        Self::encode(lists, id_lists, &df, None, pool, cost)
     }
 
     /// One image per shard of `sharded`, in ascending range order, each
-    /// with its own pool and the build-time cut applied per shard.
+    /// with its own pool.
     pub fn shards(
         index: &CorpusIndex,
         sharded: &ShardedWordLists,
-        fraction: f64,
         pool: PoolConfig,
         cost: CostModel,
     ) -> Vec<Self> {
@@ -106,7 +99,7 @@ impl<E: ListEncoding> PagedImage<E> {
             .iter()
             .map(|s| {
                 let range = Some(s.range());
-                Self::encode(s.lists(), s.id_lists(), fraction, &df, range, pool, cost)
+                Self::encode(s.lists(), s.id_lists(), &df, range, pool, cost)
             })
             .collect()
     }
@@ -114,19 +107,13 @@ impl<E: ListEncoding> PagedImage<E> {
     fn encode(
         lists: &WordPhraseLists,
         id_lists: &IdOrderedLists,
-        fraction: f64,
         df: &Arc<Vec<u32>>,
         range: Option<(PhraseId, PhraseId)>,
         pool: PoolConfig,
         cost: CostModel,
     ) -> Self {
-        let lists = if fraction < 1.0 {
-            Cow::Owned(lists.partial(fraction))
-        } else {
-            Cow::Borrowed(lists)
-        };
         Self {
-            lists: Arc::new(E::encode(&lists, id_lists, df)),
+            lists: Arc::new(E::encode(lists, id_lists, df)),
             pool: Mutex::new(BufferPool::new(pool)),
             pool_config: pool,
             cost,
@@ -277,27 +264,16 @@ pub(crate) mod tests {
     }
 
     impl Fixture {
-        pub(crate) fn image<E: ListEncoding>(
-            &self,
-            fraction: f64,
-            pool: PoolConfig,
-        ) -> PagedImage<E> {
+        pub(crate) fn image<E: ListEncoding>(&self, pool: PoolConfig) -> PagedImage<E> {
             let cost = CostModel::default();
-            PagedImage::build(
-                &self.index,
-                &self.lists,
-                &self.id_lists,
-                fraction,
-                pool,
-                cost,
-            )
+            PagedImage::build(&self.index, &self.lists, &self.id_lists, pool, cost)
         }
 
         pub(crate) fn shards<E: ListEncoding>(&self, n: usize) -> Vec<PagedImage<E>> {
             let dict = self.index.dict.len();
             let sharded = ShardedWordLists::build(&self.lists, &self.id_lists, dict, n);
             let (pool, cost) = Default::default();
-            PagedImage::shards(&self.index, &sharded, 1.0, pool, cost)
+            PagedImage::shards(&self.index, &sharded, pool, cost)
         }
 
         pub(crate) fn widest(&self) -> Feature {
@@ -344,7 +320,7 @@ pub(crate) mod tests {
                 capacity_pages: 16,
                 lookahead_pages: 1,
             };
-            let img = f.image::<E>(1.0, small);
+            let img = f.image::<E>(small);
             drain_scores(img.score_cursor(f.widest(), 1.0));
             img.charge(img.lists().region_bytes() - 1, 1);
             let listed = img.io_stats();
@@ -366,13 +342,13 @@ pub(crate) mod tests {
     fn size_bytes_counts_lists_and_phrase_region() {
         let f = fixture();
         let phrases = f.index.dict.len() * PHRASE_ENTRY_BYTES;
-        let flat = f.image::<FlatLists>(1.0, PoolConfig::default());
+        let flat = f.image::<FlatLists>(PoolConfig::default());
         let entries = 2 * f.lists.total_entries();
         assert_eq!(
             flat.size_bytes(),
             entries * ipm_index::wordlists::ENTRY_BYTES + phrases
         );
-        let block = f.image::<BlockLists>(1.0, PoolConfig::default());
+        let block = f.image::<BlockLists>(PoolConfig::default());
         assert_eq!(block.size_bytes(), block.lists().image_bytes() + phrases);
     }
 }

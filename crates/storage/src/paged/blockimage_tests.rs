@@ -17,14 +17,14 @@ mod tests {
     use crate::pool::PoolConfig;
     use crate::PagedImage;
 
-    fn block(f: &Fixture, fraction: f64) -> PagedImage<BlockLists> {
-        f.image(fraction, PoolConfig::default())
+    fn block(f: &Fixture) -> PagedImage<BlockLists> {
+        f.image(PoolConfig::default())
     }
 
     #[test]
     fn cursors_match_memory_lists_and_charge_io() {
         let f = fixture();
-        let img = block(&f, 1.0);
+        let img = block(&f);
         for &feat in f.lists.features() {
             let mut cur = img.score_cursor(feat, 1.0);
             for e in f.lists.list(feat) {
@@ -42,6 +42,12 @@ mod tests {
             assert!(IdListCursor::next_entry(&mut idc).is_none());
             assert_eq!(img.list_len(feat), f.lists.list(feat).len());
         }
+        // A run-time fraction cuts the cursor to the memory prefix.
+        let feat = f.widest();
+        let quarter = prefix_len(f.lists.list(feat).len(), 0.25);
+        let cur = img.score_cursor(feat, 0.25);
+        assert_eq!(ScoredListCursor::len(&cur), quarter);
+        assert_eq!(drain_scores(cur).len(), quarter);
         assert!(
             img.io_stats().total_accesses() > 0,
             "block decodes must reach the pool"
@@ -51,7 +57,7 @@ mod tests {
     #[test]
     fn probe_matches_memory_and_charges() {
         let f = fixture();
-        let img = block(&f, 1.0);
+        let img = block(&f);
         let feat = f.widest();
         for e in f.lists.list(feat).iter().take(10) {
             assert_eq!(img.probe(feat, e.phrase).to_bits(), e.prob.to_bits());
@@ -63,7 +69,7 @@ mod tests {
     #[test]
     fn io_accounting_and_reset() {
         let f = fixture();
-        let img = block(&f, 1.0);
+        let img = block(&f);
         let feat = f.widest();
         drain_scores(img.score_cursor(feat, 1.0));
         let paid = img.io_stats();
@@ -78,27 +84,6 @@ mod tests {
         assert_eq!(cold.io_stats(), IoStats::default());
         drain_scores(cold.score_cursor(feat, 1.0));
         assert_eq!(cold.io_stats(), paid);
-    }
-
-    #[test]
-    fn build_time_fraction_truncates_score_side_only() {
-        let f = fixture();
-        let feat = f.widest();
-        let full = f.lists.list(feat).len();
-        let quarter = prefix_len(full, 0.25);
-        let cut = block(&f, 0.25);
-        assert_eq!(cut.list_len(feat), quarter);
-        assert_eq!(drain_scores(cut.score_cursor(feat, 1.0)).len(), quarter);
-        assert_eq!(
-            drain_ids(cut.id_cursor(feat)).len(),
-            full,
-            "id side frozen at its own fraction"
-        );
-        // A run-time fraction on a whole image cuts the cursor instead.
-        let whole = block(&f, 1.0);
-        let cur = whole.score_cursor(feat, 0.25);
-        assert_eq!(ScoredListCursor::len(&cur), quarter);
-        assert_eq!(drain_scores(cur).len(), quarter);
     }
 
     #[test]
@@ -167,10 +152,10 @@ mod tests {
         };
         let feat = f.widest();
         let last = f.id_lists.list(feat).last().unwrap().phrase;
-        let streamed = f.image::<BlockLists>(1.0, small);
+        let streamed = f.image::<BlockLists>(small);
         drain_ids(streamed.id_cursor(feat));
         let full = streamed.io_stats().total_accesses();
-        let sought = f.image::<BlockLists>(1.0, small);
+        let sought = f.image::<BlockLists>(small);
         assert_eq!(sought.id_cursor(feat).seek(last).unwrap().phrase, last);
         let skipped = sought.io_stats().total_accesses();
         assert!(

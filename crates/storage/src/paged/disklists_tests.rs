@@ -8,18 +8,18 @@ mod tests {
     use ipm_index::cursor::{prefix_len, IdListCursor, ScoredListCursor};
 
     use crate::cost::IoStats;
-    use crate::paged::tests::{drain_ids, drain_scores, fixture, Fixture};
+    use crate::paged::tests::{drain_scores, fixture, Fixture};
     use crate::pool::PoolConfig;
     use crate::{FlatLists, PagedImage};
 
-    fn disk(f: &Fixture, fraction: f64) -> PagedImage<FlatLists> {
-        f.image(fraction, PoolConfig::default())
+    fn disk(f: &Fixture) -> PagedImage<FlatLists> {
+        f.image(PoolConfig::default())
     }
 
     #[test]
     fn cursor_yields_same_entries_as_memory_list() {
         let f = fixture();
-        let disk = disk(&f, 1.0);
+        let disk = disk(&f);
         for &feat in f.lists.features() {
             let want = f.lists.list(feat);
             let mut cur = disk.score_cursor(feat, 1.0);
@@ -38,7 +38,7 @@ mod tests {
     #[test]
     fn id_cursor_matches_memory_id_lists() {
         let f = fixture();
-        let disk = disk(&f, 1.0);
+        let disk = disk(&f);
         for &feat in f.lists.features() {
             let want = f.id_lists.list(feat);
             let mut cur = disk.id_cursor(feat);
@@ -56,7 +56,7 @@ mod tests {
     #[test]
     fn probe_matches_memory_probe_and_charges_io() {
         let f = fixture();
-        let disk = disk(&f, 1.0);
+        let disk = disk(&f);
         let mut probes = 0;
         for &feat in f.lists.features().iter().take(20) {
             for e in f.lists.list(feat).iter().take(10) {
@@ -78,26 +78,21 @@ mod tests {
 
     #[test]
     fn partial_cursor_stops_at_fraction() {
-        // A run-time fraction shortens the cursor; a build-time one
-        // freezes a prefix of the score side and leaves the id side whole.
+        // A run-time fraction shortens the cursor.
         let f = fixture();
         let feat = f.widest();
         let full = f.lists.list(feat).len();
         let quarter = prefix_len(full, 0.25);
-        let whole = disk(&f, 1.0);
+        let whole = disk(&f);
         let cur = whole.score_cursor(feat, 0.25);
         assert_eq!(ScoredListCursor::len(&cur), quarter);
         assert_eq!(drain_scores(cur).len(), quarter);
-        let cut = disk(&f, 0.25);
-        assert_eq!(cut.list_len(feat), quarter);
-        assert_eq!(drain_scores(cut.score_cursor(feat, 1.0)).len(), quarter);
-        assert_eq!(drain_ids(cut.id_cursor(feat)).len(), full);
     }
 
     #[test]
     fn io_accounting_and_reset() {
         let f = fixture();
-        let disk = disk(&f, 1.0);
+        let disk = disk(&f);
         drain_scores(disk.score_cursor(f.widest(), 1.0));
         let paid = disk.io_stats();
         assert!(paid.io_ms(disk.cost_model()) > 0.0);
@@ -116,14 +111,11 @@ mod tests {
         // Two cursors over far-apart lists read alternately: the head seeks
         // between the runs, which the simulator must classify as random.
         let f = fixture();
-        let img: PagedImage<FlatLists> = f.image(
-            1.0,
-            PoolConfig {
-                page_size: 256, // small pages to force many fetches
-                capacity_pages: 4,
-                lookahead_pages: 1,
-            },
-        );
+        let img: PagedImage<FlatLists> = f.image(PoolConfig {
+            page_size: 256, // small pages to force many fetches
+            capacity_pages: 4,
+            lookahead_pages: 1,
+        });
         let mut big: Vec<Feature> = f
             .lists
             .features()

@@ -65,7 +65,7 @@ mod tests {
         // regions sum to the unsharded one. Every shard accounts the same
         // whole-dictionary phrase region, so the layout holds it once.
         let f = fixture();
-        let one: PagedImage<FlatLists> = f.image(1.0, PoolConfig::default());
+        let one: PagedImage<FlatLists> = f.image(PoolConfig::default());
         let four = f.shards::<FlatLists>(4);
         let phrases = f.index.dict.len() * PHRASE_ENTRY_BYTES;
         let regions: u64 = four.iter().map(|s| s.lists().region_bytes()).sum();

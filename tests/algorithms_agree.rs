@@ -28,7 +28,7 @@ fn miner() -> PhraseMiner {
 /// The miner's lists as a block image in the paper's default pool.
 fn block_image(m: &PhraseMiner) -> ipm_storage::PagedImage<ipm_index::block::BlockLists> {
     let (pool, cost) = Default::default();
-    ipm_storage::PagedImage::build(m.index(), m.lists(), m.id_lists(), 1.0, pool, cost)
+    ipm_storage::PagedImage::build(m.index(), m.lists(), m.id_lists(), pool, cost)
 }
 
 fn queries(m: &PhraseMiner, op: Op) -> Vec<Query> {
@@ -569,41 +569,6 @@ fn nra_traversal_is_pinned_on_harvested_queries() {
 }
 
 #[test]
-fn nra_block_max_traversal_is_pinned_on_harvested_queries() {
-    // The block-max dead-list drain over block cursors, pinned apart from
-    // the memory runs above: the same words plus the entries it skipped.
-    use ipm_core::nra::{run_nra, NraConfig};
-    let m = miner();
-    let block = block_image(&m);
-    let mut words = Vec::new();
-    for op in [Op::And, Op::Or] {
-        for q in queries(&m, op) {
-            for batch_size in [1usize, 16, 1024] {
-                let cursors: Vec<_> = q
-                    .features
-                    .iter()
-                    .map(|&f| ipm_index::ListBackend::score_cursor(block.lists(), f, 1.0))
-                    .collect();
-                let cfg = NraConfig {
-                    k: 5,
-                    batch_size,
-                    use_block_max: true,
-                    ..Default::default()
-                };
-                let out = run_nra(cursors, q.op, &cfg);
-                words.push(out.stats.entries_skipped as u64);
-                words.extend(nra_digest_words(&out));
-            }
-        }
-    }
-    assert_eq!(
-        fnv1a(words),
-        0xf41a_6500_6dd3_6aa2,
-        "block-max NRA's traversal or its hit bits changed on the harvested query mix"
-    );
-}
-
-#[test]
 fn backend_answers_and_block_io_are_pinned_on_harvested_queries() {
     // Pins what the three backends answer, not how: per harvested query,
     // operator, algorithm and fanout, every hit's (phrase, score bits,
@@ -925,114 +890,16 @@ fn nra_scratch_survives_unwinding_threads_and_reentry() {
 }
 
 #[test]
-fn block_max_nra_is_sound_and_reads_no_more() {
-    // The block-max soundness property: fast-forwarding over blocks whose
-    // max cannot beat the defended floor may reorder exact ties at the k
-    // boundary, but every phrase whose true aggregate is *strictly* above
-    // the k-th true score must still be returned — and the skipping
-    // traversal must never read more entries than the plain one.
-    use ipm_core::nra::NraConfig;
-    let m = miner();
-    let block = block_image(&m);
-    let k = 5;
-    let mut skipped_total = 0usize;
-    for op in [Op::And, Op::Or] {
-        for q in queries(&m, op) {
-            let run = |use_block_max: bool| {
-                let cursors: Vec<_> = q
-                    .features
-                    .iter()
-                    .map(|&f| ipm_index::ListBackend::score_cursor(block.lists(), f, 1.0))
-                    .collect();
-                ipm_core::nra::run_nra(
-                    cursors,
-                    q.op,
-                    &NraConfig {
-                        k,
-                        use_block_max,
-                        // Small batches: skip checks run often enough to
-                        // fire on the short synthetic lists.
-                        batch_size: 64,
-                        ..Default::default()
-                    },
-                )
-            };
-            let plain = run(false);
-            let bm = run(true);
-            // Ground truth on the same score scale: the full SMJ scan.
-            let truth = m.top_k_smj(&q, 100_000);
-            if truth.len() >= k {
-                let kth = truth[k - 1].score;
-                let got: Vec<_> = bm.hits.iter().map(|h| h.phrase).collect();
-                for t in truth.iter().filter(|t| t.score > kth) {
-                    assert!(
-                        got.contains(&t.phrase),
-                        "{op} {}: block-max dropped a mandatory phrase {:?} (score {} > kth {})",
-                        q.render(m.corpus()),
-                        t.phrase,
-                        t.score,
-                        kth
-                    );
-                }
-            }
-            let read = |s: &ipm_core::nra::TraversalStats| s.entries_read.iter().sum::<usize>();
-            assert!(
-                read(&bm.stats) <= read(&plain.stats),
-                "{op} {}: block-max read {} entries, plain read {}",
-                q.render(m.corpus()),
-                read(&bm.stats),
-                read(&plain.stats)
-            );
-            skipped_total += bm.stats.entries_skipped;
-        }
-    }
-    assert!(
-        skipped_total > 0,
-        "block-max never skipped anything on the zipf corpus"
-    );
-}
-
-#[test]
-fn block_skipping_reduces_sorted_accesses_on_skewed_lists() {
-    // The measurable win on the zipf-skewed synthetic corpus: once
-    // `checknew` is off and every surviving candidate is resolved on a
-    // list, the block cursor drains that list's remainder without
-    // decoding it — so block-max NRA must perform strictly fewer sorted
-    // accesses (entries read) in aggregate over the harvested query mix
-    // than the same traversal reading every entry. The TA hint stop
-    // (always on where block metadata exists) must not read deeper over
-    // block cursors than over plain memory lists. Page-fetch counts are
-    // deliberately NOT compared here: skipping keeps `last_seen` looser,
-    // which can shift reads onto *other* lists, so only the sorted-access
-    // total is monotone.
-    use ipm_core::nra::NraConfig;
+fn ta_block_hints_agree_and_read_no_deeper_on_skewed_lists() {
+    // TA's hint stop (always on where block metadata exists) must return
+    // the same phrases over block cursors as over plain memory lists, and
+    // must not read deeper over blocks on the zipf-skewed synthetic
+    // corpus.
     let m = miner();
     let image = block_image(&m);
-    let (mut plain_read, mut bm_read) = (0usize, 0usize);
     let (mut mem_sorted, mut block_sorted) = (0usize, 0usize);
     for op in [Op::And, Op::Or] {
         for q in queries(&m, op) {
-            let run = |use_block_max: bool| {
-                let cursors: Vec<_> = q
-                    .features
-                    .iter()
-                    .map(|&f| ipm_index::ListBackend::score_cursor(&image, f, 1.0))
-                    .collect();
-                let out = ipm_core::nra::run_nra(
-                    cursors,
-                    q.op,
-                    &NraConfig {
-                        k: 5,
-                        use_block_max,
-                        batch_size: 64,
-                        ..Default::default()
-                    },
-                );
-                out.stats.entries_read.iter().sum::<usize>()
-            };
-            plain_read += run(false);
-            bm_read += run(true);
-
             let mem_ta = ipm_core::ta::run_ta_backend(&m.memory_backend(), &q, 5);
             let block_ta = ipm_core::ta::run_ta_backend(image.lists(), &q, 5);
             assert_eq!(
@@ -1045,10 +912,6 @@ fn block_skipping_reduces_sorted_accesses_on_skewed_lists() {
             block_sorted += block_ta.stats.sorted_accesses.iter().sum::<usize>();
         }
     }
-    assert!(
-        bm_read < plain_read,
-        "block-max NRA read {bm_read} entries, plain read {plain_read}"
-    );
     assert!(
         block_sorted <= mem_sorted,
         "TA hint stop read deeper over blocks ({block_sorted}) than memory ({mem_sorted})"
