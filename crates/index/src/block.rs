@@ -100,7 +100,6 @@ fn fetch_block_into(
     base: u64,
     hook: Option<&FetchHook<'_>>,
     cache: Option<&dyn DecodedBlockProvider>,
-    scratch: &mut DecodeScratch,
     buf: &mut Vec<ListEntry>,
 ) {
     let key = base + meta.offset;
@@ -113,11 +112,11 @@ fn fetch_block_into(
             buf.extend_from_slice(&entries);
             return;
         }
-        decode_block(meta, region, id_ordered, df, scratch, buf);
+        decode_block(meta, region, id_ordered, df, buf);
         c.admit(key, Arc::new(buf.clone()));
         return;
     }
-    decode_block(meta, region, id_ordered, df, scratch, buf);
+    decode_block(meta, region, id_ordered, df, buf);
 }
 
 /// Block-compressed lists in both orders plus the shared df table.
@@ -247,7 +246,6 @@ impl BlockLists {
             next_block: 0,
             buf: Vec::new(),
             buf_pos: 0,
-            scratch: DecodeScratch::default(),
             hook,
             cache,
         }
@@ -271,7 +269,6 @@ impl BlockLists {
             next_block: 0,
             buf: Vec::new(),
             buf_pos: 0,
-            scratch: DecodeScratch::default(),
             hook,
             cache,
         }
@@ -307,9 +304,8 @@ impl BlockLists {
                 return probe_id_ordered(&entries, phrase);
             }
         }
-        let mut scratch = DecodeScratch::default();
         let mut buf = Vec::with_capacity(meta.len as usize);
-        decode_block(meta, &self.id_data, true, &self.df, &mut scratch, &mut buf);
+        decode_block(meta, &self.id_data, true, &self.df, &mut buf);
         if let Some(c) = cache {
             c.admit(key, Arc::new(buf.clone()));
         }
@@ -521,78 +517,50 @@ fn recover_count(e: &ListEntry, df: &[u32]) -> u32 {
 // Decoding
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Default)]
-struct DecodeScratch {
-    ids: Vec<u32>,
-    counts: Vec<u32>,
-    dfs: Vec<f64>,
-    probs: Vec<f64>,
-}
-
+/// Decodes one block into `out`: the id column first, then each entry's
+/// count, re-divided by its phrase's df. `count / df` is exact in IEEE
+/// arithmetic, so every prob is the miner's `f64`, bit for bit.
 fn decode_block(
     meta: &BlockMeta,
     region: &[u8],
     id_ordered: bool,
     df: &[u32],
-    scratch: &mut DecodeScratch,
     out: &mut Vec<ListEntry>,
 ) {
     let payload = &region[meta.offset as usize..meta.offset as usize + meta.bytes as usize];
     let len = usize::from(meta.len);
     let id_bits = u32::from(meta.id_bits);
     let count_bits = u32::from(meta.count_bits);
+    let entry = |id: u32| ListEntry {
+        phrase: PhraseId(id),
+        prob: 0.0,
+    };
 
-    scratch.ids.clear();
+    out.clear();
     let counts_at = if id_ordered {
         let mut id = meta.first.raw();
-        scratch.ids.push(id);
+        out.push(entry(id));
         for i in 0..len - 1 {
             id += read_bits(payload, i as u64 * u64::from(id_bits), id_bits) as u32;
-            scratch.ids.push(id);
+            out.push(entry(id));
         }
         (len - 1) as u64 * u64::from(id_bits)
     } else {
         for i in 0..len {
-            scratch
-                .ids
-                .push(read_bits(payload, i as u64 * u64::from(id_bits), id_bits) as u32);
+            out.push(entry(
+                read_bits(payload, i as u64 * u64::from(id_bits), id_bits) as u32,
+            ));
         }
         len as u64 * u64::from(id_bits)
     };
-    scratch.counts.clear();
-    for i in 0..len {
-        scratch.counts.push(read_bits(
+    for (i, e) in out.iter_mut().enumerate() {
+        let count = read_bits(
             payload,
             counts_at + i as u64 * u64::from(count_bits),
             count_bits,
-        ) as u32);
+        ) as u32;
+        e.prob = f64::from(count) / f64::from(df[e.phrase.raw() as usize]);
     }
-    scratch.dfs.clear();
-    scratch
-        .dfs
-        .extend(scratch.ids.iter().map(|&id| f64::from(df[id as usize])));
-    // `count / df` is exact in IEEE arithmetic: the miner's `f64`, bit
-    // for bit.
-    scratch.probs.clear();
-    scratch.probs.extend(
-        scratch
-            .counts
-            .iter()
-            .zip(&scratch.dfs)
-            .map(|(&c, &d)| f64::from(c) / d),
-    );
-
-    out.clear();
-    out.extend(
-        scratch
-            .ids
-            .iter()
-            .zip(&scratch.probs)
-            .map(|(&id, &prob)| ListEntry {
-                phrase: PhraseId(id),
-                prob,
-            }),
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -612,7 +580,6 @@ pub struct BlockScoreCursor<'a> {
     next_block: usize,
     buf: Vec<ListEntry>,
     buf_pos: usize,
-    scratch: DecodeScratch,
     hook: Option<FetchHook<'a>>,
     cache: Option<&'a dyn DecodedBlockProvider>,
 }
@@ -630,7 +597,6 @@ impl BlockScoreCursor<'_> {
             self.base,
             self.hook.as_ref(),
             self.cache,
-            &mut self.scratch,
             &mut self.buf,
         );
         self.next_block += 1;
@@ -685,7 +651,6 @@ pub struct BlockIdCursor<'a> {
     next_block: usize,
     buf: Vec<ListEntry>,
     buf_pos: usize,
-    scratch: DecodeScratch,
     hook: Option<FetchHook<'a>>,
     cache: Option<&'a dyn DecodedBlockProvider>,
 }
@@ -703,7 +668,6 @@ impl BlockIdCursor<'_> {
             self.base,
             self.hook.as_ref(),
             self.cache,
-            &mut self.scratch,
             &mut self.buf,
         );
         self.next_block += 1;
