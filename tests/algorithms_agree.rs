@@ -1195,3 +1195,135 @@ proptest! {
         }
     }
 }
+
+/// One golden line per case: its key, the completeness label and every
+/// hit's phrase id, score/lower/upper bit patterns and text.
+/// Sharded runs under a step cap race for the shared counter, so their
+/// hits are nondeterministic and only the label is pinned.
+fn golden_line(key: &str, resp: &SearchResponse, pin_hits: bool) -> String {
+    if !pin_hits {
+        return format!(
+            "{key} | {} | (hits race for the shared step cap)",
+            resp.completeness
+        );
+    }
+    let hits: Vec<String> = resp
+        .hits
+        .iter()
+        .map(|h| {
+            format!(
+                "{}:{:016x}/{:016x}/{:016x} {:?}",
+                h.hit.phrase.raw(),
+                h.hit.score.to_bits(),
+                h.hit.lower.to_bits(),
+                h.hit.upper.to_bits(),
+                h.text
+            )
+        })
+        .collect();
+    format!("{key} | {} | {}", resp.completeness, hits.join(" ; "))
+}
+
+#[test]
+fn engine_answers_match_the_golden() {
+    // Pins what the engine answers on the harvested mix, readably: per
+    // operator, query, algorithm and fanout, with and without a §4.5.1
+    // delta (3 ingests and 2 deletes, queried with `use_delta`), and
+    // unbudgeted or under a 2-step budget, the hits' bits and texts and
+    // the completeness label (see `golden_line` for the one exception). A mismatch prints the first differing
+    // lines; `IPM_BLESS=1` rewrites the file.
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/engine_answers.txt");
+    let engine = QueryEngine::with_config(
+        miner(),
+        EngineConfig {
+            cache: None,
+            ..Default::default()
+        },
+    );
+    let m = engine.miner();
+    let mut lines = Vec::new();
+    for delta in [false, true] {
+        if delta {
+            for doc in [1u32, 2, 3] {
+                let d = m.corpus().doc(ipm_corpus::DocId(doc)).unwrap();
+                engine.ingest_document(&d.tokens, &d.facets);
+            }
+            for doc in [4u32, 7] {
+                assert!(engine.delete_document(ipm_corpus::DocId(doc)));
+            }
+        }
+        for op in [Op::And, Op::Or] {
+            for (i, q) in queries(&m, op).into_iter().enumerate() {
+                for algorithm in [
+                    Algorithm::Nra,
+                    Algorithm::Smj,
+                    Algorithm::Ta,
+                    Algorithm::Exact,
+                ] {
+                    for n in [1usize, 2, 4] {
+                        for steps in [None, Some(2u64)] {
+                            let req = engine
+                                .request_query(q.clone())
+                                .k(5)
+                                .algorithm(algorithm)
+                                .shards(n)
+                                .use_delta(delta);
+                            let resp = match steps {
+                                Some(cap) => req.step_budget(cap),
+                                None => req,
+                            }
+                            .run()
+                            .unwrap();
+                            let key = format!(
+                                "{op} q{i:02} {algorithm:?} @{n} {} {}",
+                                if delta { "delta" } else { "base" },
+                                if steps.is_some() {
+                                    "steps2"
+                                } else {
+                                    "unbudgeted"
+                                }
+                            );
+                            lines.push(golden_line(&key, &resp, n == 1 || steps.is_none()));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let got = lines.join("\n") + "\n";
+    if std::env::var_os("IPM_BLESS").is_some_and(|v| v == "1") {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{}: {e} (run with IPM_BLESS=1 to create it)",
+            path.display()
+        )
+    });
+    if got != want {
+        let (want_lines, got_lines): (Vec<_>, Vec<_>) =
+            (want.lines().collect(), got.lines().collect());
+        let mut shown = 0;
+        for i in 0..want_lines.len().max(got_lines.len()) {
+            let (w, g) = (want_lines.get(i), got_lines.get(i));
+            if w != g && shown < 10 {
+                eprintln!(
+                    "line {}:\n  want {}\n  got  {}",
+                    i + 1,
+                    w.unwrap_or(&"<none>"),
+                    g.unwrap_or(&"<none>")
+                );
+                shown += 1;
+            }
+        }
+        panic!(
+            "engine answers differ from {} ({} vs {} lines); IPM_BLESS=1 rewrites it",
+            path.display(),
+            got_lines.len(),
+            want_lines.len()
+        );
+    }
+}
