@@ -1,11 +1,11 @@
-//! Model: the sticky budget trip racing cancellation.
+//! Model: the sticky budget trip racing the deadline.
 //!
-//! `ipm_core::Budget` is shared by every shard worker of one query; a
-//! `CancelToken` flips a flag from an unrelated thread. Each worker's
-//! `check()` runs tripped? → cancelled? → io-exhausted?, and `trip()` is
-//! a SeqCst compare-and-swap from `TRIP_NONE`, so the **first** cause to
-//! land wins and every later observer reports that same cause. The
-//! invariant:
+//! `ipm_core::Budget` is shared by every shard worker of one query; its
+//! deadline passes on the wall clock, independently of every worker. Each
+//! worker's `check()` runs tripped? → deadline passed? → io-exhausted?,
+//! and `trip()` is a SeqCst compare-and-swap from `TRIP_NONE`, so the
+//! **first** cause to land wins and every later observer reports that
+//! same cause. The invariant:
 //!
 //! 2. **A tripped budget never un-trips** — the trip cell is written at
 //!    most once per query; once any worker stops with cause `c`, every
@@ -14,9 +14,9 @@
 //!    see `engine.rs`).
 //!
 //! The model races two shard workers (shared io meter, shared trip cell)
-//! against one canceller flipping the token, exactly the shapes
-//! `ShardBudget` fans out. Depending on the schedule the winning cause is
-//! `Cancelled` or `IoExhausted` — both are reachable and the tests assert
+//! against the deadline clock, exactly the shapes `ShardBudget` fans
+//! out. Depending on the schedule the winning cause is `Deadline` or
+//! `IoExhausted` — both are reachable and the tests assert
 //! so — but within one schedule there is exactly one. Two seeded bugs:
 //! a `trip()` that plain-stores instead of CASing (a later cause
 //! overwrites the first — the "un-trip"), and a finish path that caches
@@ -24,11 +24,11 @@
 
 use crate::sched::{Spec, Step, ThreadSpec};
 
-/// Why the budget stopped the query (`SearchError` causes).
+/// Why the budget stopped the query (`BudgetKind` causes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cause {
-    /// The `CancelToken` flag was observed.
-    Cancelled,
+    /// The deadline was observed to have passed.
+    Deadline,
     /// The shared io meter crossed its cap.
     IoExhausted,
 }
@@ -42,15 +42,15 @@ pub enum Outcome {
     Stopped(Cause),
 }
 
-/// Shared state: the budget cell, the token, and per-worker progress.
+/// Shared state: the budget cell, the clock, and per-worker progress.
 #[derive(Debug, Clone)]
 pub struct State {
     /// The trip cell (`Budget::tripped`, 0 = `TRIP_NONE`).
     pub trip: Option<Cause>,
     /// Every write to the trip cell, in order — the stickiness witness.
     pub trip_writes: Vec<Cause>,
-    /// The `CancelToken` flag.
-    pub cancelled: bool,
+    /// Whether the wall clock has reached the deadline.
+    pub deadline_passed: bool,
     /// Shared io meter (`Budget::io_used`).
     pub io_used: u64,
     /// Io cap; crossing it trips `IoExhausted`.
@@ -75,7 +75,7 @@ impl State {
         Self {
             trip: None,
             trip_writes: Vec::new(),
-            cancelled: false,
+            deadline_passed: false,
             io_used: 0,
             io_limit,
             outcome: vec![None; workers],
@@ -114,7 +114,7 @@ fn set_outcome(s: &mut State, tid: usize, outcome: Outcome) {
 
 /// One unit of work followed by the read half of `Budget::check()`, in
 /// the real order: already-tripped (one atomic read, reported as-is),
-/// then the cancel flag, then the io meter. The latter two only *decide*
+/// then the deadline, then the io meter. The latter two only *decide*
 /// a cause here; the CAS that commits it is the next step, so two
 /// workers can race distinct causes exactly as two real threads can.
 fn probe(s: &mut State, tid: usize) {
@@ -124,8 +124,8 @@ fn probe(s: &mut State, tid: usize) {
     s.io_used += 1;
     if let Some(cause) = s.trip {
         set_outcome(s, tid, Outcome::Stopped(cause));
-    } else if s.cancelled {
-        s.intent[tid - 1] = Some(Cause::Cancelled);
+    } else if s.deadline_passed {
+        s.intent[tid - 1] = Some(Cause::Deadline);
     } else if s.io_used > s.io_limit {
         s.intent[tid - 1] = Some(Cause::IoExhausted);
     }
@@ -144,8 +144,8 @@ fn commit(s: &mut State, tid: usize) {
 }
 
 /// End of the worker: a still-running worker completes; the engine then
-/// caches only `Complete` results (`Truncated`/`Cancelled` are never
-/// inserted — `engine.rs` drops them before the cache).
+/// caches only `Complete` results (truncated ones are never inserted —
+/// the engine's `finish` drops them before the cache).
 fn finish(s: &mut State, tid: usize) {
     if s.outcome[tid - 1].is_none() {
         set_outcome(s, tid, Outcome::Complete);
@@ -156,16 +156,16 @@ fn finish(s: &mut State, tid: usize) {
     }
 }
 
-fn cancel(s: &mut State, _tid: usize) {
-    s.cancelled = true;
+fn deadline_passes(s: &mut State, _tid: usize) {
+    s.deadline_passed = true;
 }
 
-/// One canceller (thread 0) racing `workers` shard workers of
+/// The deadline clock (thread 0) racing `workers` shard workers of
 /// `steps` work units each over a shared `io_limit`-capped budget.
 pub fn spec(workers: usize, steps: usize) -> Spec<State> {
     let mut threads = vec![ThreadSpec::new(
-        "canceller",
-        vec![Step::new("cancel", cancel)],
+        "clock",
+        vec![Step::new("deadline passes", deadline_passes)],
     )];
     for _ in 0..workers {
         let mut list: Vec<Step<State>> = Vec::with_capacity(steps * 2 + 1);
@@ -180,7 +180,7 @@ pub fn spec(workers: usize, steps: usize) -> Spec<State> {
 }
 
 /// Fresh state: `io_limit` below `workers * steps` keeps `IoExhausted`
-/// reachable on cancel-late schedules.
+/// reachable on schedules where the deadline passes late.
 pub fn init(workers: usize, io_limit: u64) -> State {
     State::new(workers, io_limit)
 }
@@ -264,12 +264,12 @@ mod tests {
     const WORKERS: usize = 2;
     const STEPS: usize = 3;
     // 2 workers x 3 work units = 6 io max; a cap of 4 makes IoExhausted
-    // reachable whenever the canceller arrives late.
+    // reachable whenever the deadline passes late.
     const IO_LIMIT: u64 = 4;
 
     #[test]
     fn one_sticky_cause_under_every_schedule_and_both_causes_reachable() {
-        let saw_cancel = Cell::new(false);
+        let saw_deadline = Cell::new(false);
         let saw_io = Cell::new(false);
         let saw_complete = Cell::new(false);
         let report = Explorer::new()
@@ -279,7 +279,7 @@ mod tests {
                 invariant,
                 |s| {
                     match s.trip {
-                        Some(Cause::Cancelled) => saw_cancel.set(true),
+                        Some(Cause::Deadline) => saw_deadline.set(true),
                         Some(Cause::IoExhausted) => saw_io.set(true),
                         None => saw_complete.set(true),
                     }
@@ -292,7 +292,10 @@ mod tests {
             interleavings(&[1, STEPS * 2 + 1, STEPS * 2 + 1]),
             "no schedule was pruned: the spec is guard-free"
         );
-        assert!(saw_cancel.get(), "some schedule must be won by the cancel");
+        assert!(
+            saw_deadline.get(),
+            "some schedule must be won by the deadline"
+        );
         assert!(saw_io.get(), "some schedule must exhaust io first");
         // With io_limit < workers*steps every full run trips; completion
         // requires a cap at or above the total work.
@@ -315,9 +318,9 @@ mod tests {
                 },
             )
             .unwrap_or_else(|f| panic!("{f}"));
-        // The cancel can still land first, but cancel-last schedules run
-        // to completion and cache.
-        assert!(saw_cached.get(), "cancel-last schedules must cache");
+        // The deadline can still pass first, but schedules where it
+        // passes last run to completion and cache.
+        assert!(saw_cached.get(), "deadline-last schedules must cache");
     }
 
     #[test]
@@ -357,12 +360,22 @@ mod tests {
                 invariant,
                 final_check,
             )
-            .expect_err("caching truncated/cancelled results must be flagged");
+            .expect_err("caching truncated results must be flagged");
         assert_eq!(failure.kind, FailureKind::Invariant);
         assert!(
             failure.message.contains("cached a stopped result"),
             "{}",
             failure.message
         );
+        let replayed = Explorer::new()
+            .replay_str(
+                &spec(WORKERS, STEPS),
+                || cache_stopped_init(WORKERS, IO_LIMIT),
+                invariant,
+                final_check,
+                &failure.schedule_str(),
+            )
+            .expect_err("replay reproduces the cached stopped result");
+        assert_eq!(replayed.message, failure.message);
     }
 }

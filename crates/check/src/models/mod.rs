@@ -19,7 +19,7 @@
 //! The invariant catalogue, per-model schedule bounds and replay
 //! instructions live in `docs/verification.md`.
 
-pub mod budget_cancel;
+pub mod budget_trip;
 pub mod cache_epoch;
 pub mod decode_cache;
 pub mod hedge_feedback;

@@ -2,7 +2,7 @@
 //!
 //! The engine's hard concurrent state — epoch-keyed cache invalidation
 //! racing generation swaps, single-flight coalescing, sticky budget trips
-//! racing cancellation, the router's hedge-delay feedback — is defended in
+//! racing the deadline, the router's hedge-delay feedback — is defended in
 //! the integration suites only by timing-lucky thread schedules. This
 //! module replaces luck with enumeration: a concurrent scenario is modeled
 //! as a small set of **virtual threads**, each a sequence of atomic

@@ -1,5 +1,5 @@
-//! Per-request execution budgets: deadlines, simulated-IO caps,
-//! checkpoint caps and cooperative cancellation.
+//! Per-request execution budgets: deadlines, simulated-IO caps and
+//! checkpoint caps.
 //!
 //! The paper's whole premise is bounded work per query — NRA
 //! early-termination and partial lists trade completeness for latency
@@ -15,10 +15,9 @@
 //! fanned-out query winds down as one unit. A budget-stopped run returns
 //! its current top-k (the paper's anytime envelope: NRA's lower-bound
 //! candidates, SMJ/TA's exactly-scored prefix) and the response is marked
-//! [`Completeness::Truncated`]; a cancelled run returns
-//! [`SearchError::Cancelled`] instead.
+//! [`Completeness::Truncated`].
 //!
-//! Four independent limits compose:
+//! Three independent limits compose:
 //!
 //! * **deadline** — a wall-clock [`Instant`]; servers start it at request
 //!   *arrival* so queue wait counts against it;
@@ -28,40 +27,13 @@
 //! * **step budget** — a cap on cooperative checkpoints passed. Wall
 //!   clocks and page counters are environment-dependent; the step cap is
 //!   the *deterministic* throttle, which makes truncation reproducible in
-//!   tests and lets operators bound work on the memory backend too;
-//! * **cancellation** — a [`CancelToken`] flipped from any thread.
+//!   tests and lets operators bound work on the memory backend too.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::parse::ParseError;
-
-/// A cloneable cancellation handle. Cancelling is idempotent, sticky and
-/// thread-safe; every clone observes the flip.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation: every execution holding a clone of this
-    /// token stops at its next cooperative checkpoint.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
-}
 
 /// Which budget dimension stopped a truncated execution
 /// ([`Completeness::Truncated`]'s `budget_hit`).
@@ -86,39 +58,10 @@ impl BudgetKind {
     }
 }
 
-/// What tripped a budget (internal superset of [`BudgetKind`]:
-/// cancellation surfaces as [`SearchError::Cancelled`], not as a
-/// truncated response).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Trip {
-    /// See [`BudgetKind::Deadline`].
-    Deadline,
-    /// See [`BudgetKind::Io`].
-    Io,
-    /// See [`BudgetKind::Steps`].
-    Steps,
-    /// The request's [`CancelToken`] was cancelled.
-    Cancelled,
-}
-
-impl Trip {
-    /// The truncation kind this trip maps to (`None` for cancellation,
-    /// which is an error, not a truncated result).
-    pub fn budget_kind(self) -> Option<BudgetKind> {
-        match self {
-            Trip::Deadline => Some(BudgetKind::Deadline),
-            Trip::Io => Some(BudgetKind::Io),
-            Trip::Steps => Some(BudgetKind::Steps),
-            Trip::Cancelled => None,
-        }
-    }
-}
-
 const TRIP_NONE: u8 = 0;
 const TRIP_DEADLINE: u8 = 1;
 const TRIP_IO: u8 = 2;
 const TRIP_STEPS: u8 = 3;
-const TRIP_CANCELLED: u8 = 4;
 
 /// A per-request execution budget, shared (by reference) across every
 /// shard thread of one query. All state is atomic; the struct never
@@ -131,7 +74,6 @@ pub struct Budget {
     deadline: Option<Instant>,
     io_budget: Option<u64>,
     step_budget: Option<u64>,
-    cancel: Option<CancelToken>,
     /// Simulated page fetches reported so far (all shards).
     io_used: AtomicU64,
     /// Cooperative checkpoints passed so far (all shards).
@@ -147,7 +89,6 @@ impl Budget {
             deadline: None,
             io_budget: None,
             step_budget: None,
-            cancel: None,
             io_used: AtomicU64::new(0),
             steps_used: AtomicU64::new(0),
             tripped: AtomicU8::new(TRIP_NONE),
@@ -187,18 +128,9 @@ impl Budget {
         self
     }
 
-    /// Attaches a cancellation token.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// Whether no limit of any kind is attached.
     pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.io_budget.is_none()
-            && self.step_budget.is_none()
-            && self.cancel.is_none()
+        self.deadline.is_none() && self.io_budget.is_none() && self.step_budget.is_none()
     }
 
     /// Whether an IO cap is attached (shard gauges only poll their pools
@@ -234,12 +166,11 @@ impl Budget {
     }
 
     /// What tripped this budget, if anything did.
-    pub fn trip_cause(&self) -> Option<Trip> {
+    pub fn trip_cause(&self) -> Option<BudgetKind> {
         match self.tripped.load(Ordering::SeqCst) {
-            TRIP_DEADLINE => Some(Trip::Deadline),
-            TRIP_IO => Some(Trip::Io),
-            TRIP_STEPS => Some(Trip::Steps),
-            TRIP_CANCELLED => Some(Trip::Cancelled),
+            TRIP_DEADLINE => Some(BudgetKind::Deadline),
+            TRIP_IO => Some(BudgetKind::Io),
+            TRIP_STEPS => Some(BudgetKind::Steps),
             _ => None,
         }
     }
@@ -258,12 +189,6 @@ impl Budget {
         }
         if self.is_tripped() {
             return false;
-        }
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                self.trip(TRIP_CANCELLED);
-                return false;
-            }
         }
         if let Some(deadline) = self.deadline {
             // lint-allow: instant-now — deadline enforcement needs the wall clock; polled per check(), not per posting
@@ -291,15 +216,9 @@ impl Budget {
 
     /// The error to shed a request with *before* doing any work: the
     /// deadline already passed (dead on arrival — e.g. it expired while
-    /// the request sat in a server queue) or the token is already
-    /// cancelled. `None` means the request may start.
+    /// the request sat in a server queue). `None` means the request may
+    /// start.
     pub fn dead_on_arrival(&self) -> Option<SearchError> {
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                self.trip(TRIP_CANCELLED);
-                return Some(SearchError::Cancelled);
-            }
-        }
         if let Some(deadline) = self.deadline {
             // lint-allow: instant-now — runs once at admission to shed dead-on-arrival requests
             if Instant::now() >= deadline {
@@ -465,10 +384,6 @@ pub enum SearchError {
     /// The query string failed to parse (unknown term, mixed operators,
     /// empty query).
     Parse(ParseError),
-    /// The request's [`CancelToken`] was cancelled (before or during
-    /// execution). No partial result is returned — cancellation means
-    /// the caller stopped caring.
-    Cancelled,
     /// The deadline expired before execution started (dead on arrival):
     /// not even an anytime partial result could be produced.
     DeadlineExceeded,
@@ -478,7 +393,6 @@ impl std::fmt::Display for SearchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SearchError::Parse(e) => write!(f, "{e}"),
-            SearchError::Cancelled => write!(f, "request cancelled"),
             SearchError::DeadlineExceeded => write!(f, "deadline exceeded before execution"),
         }
     }
@@ -516,11 +430,7 @@ mod tests {
         assert!(b.check());
         assert!(!b.check(), "third checkpoint exhausts a 3-step budget");
         assert!(!b.check(), "tripping is sticky");
-        assert_eq!(b.trip_cause(), Some(Trip::Steps));
-        assert_eq!(
-            b.trip_cause().unwrap().budget_kind(),
-            Some(BudgetKind::Steps)
-        );
+        assert_eq!(b.trip_cause(), Some(BudgetKind::Steps));
     }
 
     #[test]
@@ -531,7 +441,7 @@ mod tests {
         assert!(b.check());
         b.charge_io(6);
         assert!(!b.check(), "10 fetches meet a 10-fetch cap");
-        assert_eq!(b.trip_cause(), Some(Trip::Io));
+        assert_eq!(b.trip_cause(), Some(BudgetKind::Io));
         assert_eq!(b.io_used(), 10);
     }
 
@@ -540,35 +450,23 @@ mod tests {
         let b = Budget::unlimited().with_deadline(Instant::now() - Duration::from_millis(1));
         assert_eq!(b.dead_on_arrival(), Some(SearchError::DeadlineExceeded));
         assert!(!b.check());
-        assert_eq!(b.trip_cause(), Some(Trip::Deadline));
+        assert_eq!(b.trip_cause(), Some(BudgetKind::Deadline));
         let future = Budget::unlimited().deadline_in(Duration::from_secs(3600));
         assert!(future.dead_on_arrival().is_none());
         assert!(future.check());
     }
 
     #[test]
-    fn cancel_token_trips_from_any_clone() {
-        let token = CancelToken::new();
-        let b = Budget::unlimited().with_cancel(token.clone());
-        assert!(b.check());
-        let other = token.clone();
-        other.cancel();
-        assert!(!b.check());
-        assert_eq!(b.trip_cause(), Some(Trip::Cancelled));
-        assert_eq!(b.dead_on_arrival(), Some(SearchError::Cancelled));
-        assert_eq!(Trip::Cancelled.budget_kind(), None);
-    }
-
-    #[test]
     fn first_trip_wins() {
-        let token = CancelToken::new();
-        let b = Budget::unlimited()
-            .with_step_budget(1)
-            .with_cancel(token.clone());
+        let b = Budget::unlimited().with_step_budget(1).with_io_budget(1);
         assert!(!b.check(), "1-step budget trips on the first checkpoint");
-        token.cancel();
+        b.charge_io(1);
         assert!(!b.check());
-        assert_eq!(b.trip_cause(), Some(Trip::Steps), "first cause is sticky");
+        assert_eq!(
+            b.trip_cause(),
+            Some(BudgetKind::Steps),
+            "first cause is sticky"
+        );
     }
 
     #[test]
@@ -589,7 +487,7 @@ mod tests {
         assert_eq!(b.io_used(), 90);
         counter.set(120);
         assert!(!gauge.check(), "cap exceeded after the delta lands");
-        assert_eq!(b.trip_cause(), Some(Trip::Io));
+        assert_eq!(b.trip_cause(), Some(BudgetKind::Io));
     }
 
     #[test]

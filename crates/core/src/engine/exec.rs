@@ -30,7 +30,7 @@ use super::{
     BackendChoice, BatchItem, CacheKey, QueryEngine, ResultCache, SearchHit, SearchOptions,
     SearchResponse, ShardExecParams,
 };
-use crate::budget::{ApproxReason, Budget, BudgetKind, Completeness, SearchError, Trip};
+use crate::budget::{ApproxReason, Budget, BudgetKind, Completeness, SearchError};
 use crate::parse::ParseError;
 use crate::plan::{
     base_completeness, run_one_shard, run_query, run_query_on, seed_floor, ExecContext, ExecStats,
@@ -244,7 +244,7 @@ fn resolve_hits(
 }
 
 impl QueryEngine {
-    /// Starts a budgeted, cancellable request for a query string — the
+    /// Starts a budgeted request for a query string — the
     /// canonical API; `search_with`, `execute_with_budget` and
     /// `execute_batch` are one-line entries into the same spine.
     ///
@@ -256,7 +256,6 @@ impl QueryEngine {
     ///     .shards(4)
     ///     .deadline(Duration::from_millis(50))
     ///     .io_budget(10_000)
-    ///     .cancel_token(token)
     ///     .run()?;
     /// ```
     pub fn request(&self, input: impl Into<String>) -> SearchRequest<'_> {
@@ -282,7 +281,7 @@ impl QueryEngine {
         let query = self.miner().parse_query_str(input)?;
         Ok(self
             .execute_with_budget(query, k, options, Budget::none())
-            .expect("an unlimited budget has no deadline to miss and no token to cancel"))
+            .expect("an unlimited budget has no deadline to miss"))
     }
 
     /// Serves an already-parsed query under an execution [`Budget`]:
@@ -297,8 +296,7 @@ impl QueryEngine {
     ///
     /// # Errors
     /// [`SearchError::DeadlineExceeded`] when the deadline expired before
-    /// execution started; [`SearchError::Cancelled`] when the cancel
-    /// token fired before or during execution.
+    /// execution started.
     pub fn execute_with_budget(
         &self,
         query: Query,
@@ -337,8 +335,7 @@ impl QueryEngine {
     ///
     /// # Errors
     /// [`SearchError::DeadlineExceeded`] when the deadline expired before
-    /// execution started; [`SearchError::Cancelled`] when the budget's
-    /// cancel token fired.
+    /// execution started.
     pub fn execute_routed(
         &self,
         query: Query,
@@ -376,8 +373,7 @@ impl QueryEngine {
     ///
     /// # Errors
     /// [`SearchError::DeadlineExceeded`] when the forwarded deadline
-    /// expired before execution started; [`SearchError::Cancelled`] when
-    /// the budget's cancel token fired.
+    /// expired before execution started.
     pub fn execute_shard(
         &self,
         query: &Query,
@@ -394,9 +390,6 @@ impl QueryEngine {
             params,
         };
         let (mut out, _io) = self.lease(&live.index, options.backend, fanout, None, visitor);
-        if matches!(budget.trip_cause(), Some(Trip::Cancelled)) {
-            return Err(SearchError::Cancelled);
-        }
         out.tripped = budget.is_tripped();
         Ok(out)
     }
@@ -436,7 +429,7 @@ impl QueryEngine {
             probe_span.end();
             if let Some(hits) = cached {
                 self.inner.obs.cache_hits.inc();
-                return self.finish(live, prep, query, k, None, Err(hits));
+                return Ok(self.finish(live, prep, query, k, None, Err(hits)));
             }
             self.inner.obs.cache_misses.inc();
         }
@@ -475,7 +468,7 @@ impl QueryEngine {
             }
         };
         exec_span.end();
-        self.finish(live, prep, query, k, keyed, Ok(executed))
+        Ok(self.finish(live, prep, query, k, keyed, Ok(executed)))
     }
 
     /// The prologue every entry point shares: dead-on-arrival check,
@@ -614,7 +607,7 @@ impl QueryEngine {
         k: usize,
         keyed: Option<Keyed<'_>>,
         ran: Result<Executed, Arc<Vec<SearchHit>>>,
-    ) -> Result<SearchResponse, SearchError> {
+    ) -> SearchResponse {
         let obs = &self.inner.obs;
         let Prepared {
             start,
@@ -628,14 +621,12 @@ impl QueryEngine {
             Ok((hits, stats, io, report)) => {
                 obs.record_execution(plan.backend, &stats);
                 let completeness = match budget.trip_cause() {
-                    Some(Trip::Cancelled) => return Err(SearchError::Cancelled),
                     _ if !report.missing.is_empty() => Completeness::Approximate {
                         reason: ApproxReason::ShardsMissing {
                             missing: report.missing.len() as u32,
                         },
                     },
-                    Some(trip) => {
-                        let kind = trip.budget_kind().expect("non-cancel trip maps to a kind");
+                    Some(kind) => {
                         obs.record_trip(kind);
                         Completeness::Truncated { budget_hit: kind }
                     }
@@ -675,10 +666,7 @@ impl QueryEngine {
             epoch: live.epoch,
             served_from_cache,
             completeness: completeness_label(&completeness),
-            budget_trip: budget.trip_cause().and_then(|t| match t {
-                Trip::Cancelled => Some("cancelled"),
-                t => t.budget_kind().map(BudgetKind::name),
-            }),
+            budget_trip: budget.trip_cause().map(BudgetKind::name),
         });
         let trace = meta.and_then(|meta| ctx.tracer.finish(meta));
         // The slow-query ring sees every collected trace; the response
@@ -688,7 +676,7 @@ impl QueryEngine {
                 obs.slow_queries.inc();
             }
         }
-        Ok(SearchResponse {
+        SearchResponse {
             query,
             hits,
             elapsed,
@@ -697,6 +685,6 @@ impl QueryEngine {
             shards: plan.shards,
             completeness,
             trace: trace.filter(|_| ctx.options.trace).map(Box::new),
-        })
+        }
     }
 }

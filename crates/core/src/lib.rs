@@ -30,7 +30,7 @@
 //!   Eq. 1 per query) and NPMI (reranks; approximated by over-fetch +
 //!   rescore);
 //! * [`budget`] — per-request execution budgets (deadline, simulated-IO
-//!   cap, deterministic step cap, cancellation) with cooperative checks
+//!   cap, deterministic step cap) with cooperative checks
 //!   in every algorithm loop, and the [`budget::Completeness`] label that
 //!   surfaces the paper's exact-vs-partial distinction to callers;
 //! * [`request`] — the [`request::SearchRequest`] builder:
@@ -74,9 +74,7 @@ pub mod scoring;
 pub mod smj;
 pub mod ta;
 
-pub use budget::{
-    ApproxReason, Budget, BudgetKind, CancelToken, Completeness, SearchError, ShardBudget,
-};
+pub use budget::{ApproxReason, Budget, BudgetKind, Completeness, SearchError, ShardBudget};
 pub use cache::{CacheConfig, CacheStats};
 pub use delta::{DeltaIndex, DeltaOverlay};
 pub use engine::{

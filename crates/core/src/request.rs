@@ -1,6 +1,6 @@
 //! The builder-style request API: one fluent object carrying *what* to
 //! run (query, `k`, algorithm, backend, fanout) **and** *how much it may
-//! cost* (deadline, simulated-IO cap, step cap, cancellation).
+//! cost* (deadline, simulated-IO cap, step cap).
 //!
 //! ```
 //! use ipm_core::{Algorithm, BackendChoice, MinerConfig, PhraseMiner, QueryEngine};
@@ -23,7 +23,7 @@
 
 use std::time::Duration;
 
-use crate::budget::{Budget, CancelToken, SearchError};
+use crate::budget::{Budget, SearchError};
 use crate::engine::{Algorithm, BackendChoice, QueryEngine, SearchOptions, SearchResponse};
 use crate::query::Query;
 use crate::redundancy::RedundancyConfig;
@@ -37,7 +37,7 @@ enum Input {
     Parsed(Query),
 }
 
-/// A budgeted, cancellable search request against one [`QueryEngine`] —
+/// A budgeted search request against one [`QueryEngine`] —
 /// built by [`QueryEngine::request`] / [`QueryEngine::request_query`],
 /// consumed by [`SearchRequest::run`].
 ///
@@ -53,7 +53,6 @@ pub struct SearchRequest<'e> {
     deadline: Option<Duration>,
     io_budget: Option<u64>,
     step_budget: Option<u64>,
-    cancel: Option<CancelToken>,
 }
 
 impl<'e> SearchRequest<'e> {
@@ -69,7 +68,6 @@ impl<'e> SearchRequest<'e> {
             deadline: None,
             io_budget: None,
             step_budget: None,
-            cancel: None,
         }
     }
 
@@ -82,7 +80,6 @@ impl<'e> SearchRequest<'e> {
             deadline: None,
             io_budget: None,
             step_budget: None,
-            cancel: None,
         }
     }
 
@@ -168,14 +165,6 @@ impl<'e> SearchRequest<'e> {
         self
     }
 
-    /// Attaches a cancellation token; cancel it from any thread to stop
-    /// the request at its next cooperative checkpoint with
-    /// [`SearchError::Cancelled`].
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// The [`Budget`] this request's knobs assemble (deadline anchored at
     /// "now").
     fn build_budget(&self) -> Budget {
@@ -189,9 +178,6 @@ impl<'e> SearchRequest<'e> {
         if let Some(cap) = self.step_budget {
             budget = budget.with_step_budget(cap);
         }
-        if let Some(token) = &self.cancel {
-            budget = budget.with_cancel(token.clone());
-        }
         budget
     }
 
@@ -199,9 +185,8 @@ impl<'e> SearchRequest<'e> {
     ///
     /// # Errors
     /// [`SearchError::Parse`] for malformed input or unknown terms,
-    /// [`SearchError::DeadlineExceeded`] when the deadline expired before
-    /// execution started, [`SearchError::Cancelled`] when the cancel
-    /// token fired.
+    /// and [`SearchError::DeadlineExceeded`] when the deadline expired
+    /// before execution started.
     pub fn run(self) -> Result<SearchResponse, SearchError> {
         let parse_started = std::time::Instant::now();
         let query = match self.input {
@@ -293,22 +278,6 @@ mod tests {
             e.request(q).deadline(Duration::ZERO).run(),
             Err(SearchError::DeadlineExceeded)
         ));
-    }
-
-    #[test]
-    fn pre_cancelled_token_fails_cleanly() {
-        let e = engine();
-        let q = query_string(&e);
-        let token = CancelToken::new();
-        token.cancel();
-        assert!(matches!(
-            e.request(q.clone()).cancel_token(token).run(),
-            Err(SearchError::Cancelled)
-        ));
-        // The engine is untouched: the next request is exact.
-        let resp = e.request(q).run().unwrap();
-        assert!(resp.completeness.is_exact());
-        assert!(!resp.hits.is_empty());
     }
 
     #[test]

@@ -503,7 +503,6 @@ fn route_search(shared: &Arc<RouterShared>, req: &SearchRequest) -> String {
             ErrorKind::DeadlineExceeded,
             "deadline exceeded before the scatter could start",
         ),
-        Err(SearchError::Cancelled) => wire::error_line(ErrorKind::Cancelled, "request cancelled"),
         Err(SearchError::Parse(e)) => wire::error_line(ErrorKind::Query, &e.to_string()),
     }
 }

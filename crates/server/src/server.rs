@@ -91,10 +91,6 @@ pub struct ServerStats {
     /// (deadline or IO cap) stopped the run and the anytime result was
     /// returned.
     pub budget_truncated: u64,
-    /// Requests that ended with a structured `cancelled` error. Always
-    /// `0` today: the wire has no cancel verb yet, so this counter (like
-    /// the error kind) is reserved for wire-level cancellation.
-    pub cancelled: u64,
     /// Engine-level queries executed or answered from cache.
     pub queries_served: u64,
     /// Engine lifecycle counters: epoch, ingested/deleted documents,
@@ -213,7 +209,6 @@ struct Counters {
     failed: AtomicU64,
     deadline_exceeded: AtomicU64,
     budget_truncated: AtomicU64,
-    cancelled: AtomicU64,
 }
 
 /// Server-layer metric instruments, registered on the *engine's* shared
@@ -387,7 +382,6 @@ fn snapshot(shared: &Shared) -> ServerStats {
         failed: shared.counters.failed.load(Ordering::Relaxed),
         deadline_exceeded: shared.counters.deadline_exceeded.load(Ordering::Relaxed),
         budget_truncated: shared.counters.budget_truncated.load(Ordering::Relaxed),
-        cancelled: shared.counters.cancelled.load(Ordering::Relaxed),
         queries_served: shared.engine.queries_served(),
         lifecycle: shared.engine.lifecycle_stats(),
         default_shards: shared.engine.default_shards(),
@@ -425,7 +419,7 @@ fn sleep_within_deadline(delay: Duration, deadline: Option<Instant>) {
 
 /// Maps one engine outcome — a search, a batch item or a shard leg, with
 /// any panic already caught — to its value or the wire error kind, and
-/// bumps the budget counters (`deadline_exceeded`, `cancelled`).
+/// bumps the budget counter (`deadline_exceeded`).
 fn fold_outcome<T>(
     shared: &Shared,
     outcome: std::thread::Result<Result<T, SearchError>>,
@@ -438,10 +432,6 @@ fn fold_outcome<T>(
                 .deadline_exceeded
                 .fetch_add(1, Ordering::Relaxed);
             Err(ErrorKind::DeadlineExceeded)
-        }
-        Ok(Err(SearchError::Cancelled)) => {
-            shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            Err(ErrorKind::Cancelled)
         }
         // Queries are parsed at admission; a parse error here cannot
         // happen, but map it somewhere sane rather than panicking.
@@ -744,13 +734,12 @@ fn error_message(shared: &Shared, kind: ErrorKind) -> String {
         ErrorKind::DeadlineExceeded => {
             "deadline exceeded (queue wait counts against the budget)".to_owned()
         }
-        ErrorKind::Cancelled => "request cancelled".to_owned(),
         _ => "execution failed".to_owned(),
     }
 }
 
 /// Bumps the right counter for an error response delivered to a client.
-/// Budget errors (`deadline_exceeded`, `cancelled`) are counted at the
+/// Budget errors (`deadline_exceeded`) are counted at the
 /// worker that produced them, not here — a batch surfaces many of them
 /// in one response line.
 fn count_error(shared: &Shared, kind: ErrorKind) {
@@ -758,7 +747,7 @@ fn count_error(shared: &Shared, kind: ErrorKind) {
         ErrorKind::Overloaded => {
             shared.counters.shed.fetch_add(1, Ordering::Relaxed);
         }
-        ErrorKind::DeadlineExceeded | ErrorKind::Cancelled => {}
+        ErrorKind::DeadlineExceeded => {}
         // Parse/query failures were counted as protocol errors when the
         // request (or batch item) was prepared.
         ErrorKind::Parse | ErrorKind::Query => {}
@@ -994,7 +983,6 @@ fn stats_line(shared: &Shared) -> String {
         "budget_truncated".to_owned(),
         Value::from(s.budget_truncated),
     );
-    stats.insert("cancelled".to_owned(), Value::from(s.cancelled));
     stats.insert("queries_served".to_owned(), Value::from(s.queries_served));
     // Index-lifecycle counters (protocol v3): the current epoch, ingest /
     // delete / compaction totals, and the live delta's size.

@@ -42,11 +42,6 @@ pub enum ErrorKind {
     /// queue wait counts against the budget, so dead-on-arrival work is
     /// shed instead of executed for nobody.
     DeadlineExceeded,
-    /// The request was cancelled before it produced a result. Reserved:
-    /// cancellation is a first-class engine outcome
-    /// (`ipm_core::SearchError::Cancelled`), but the wire has no cancel
-    /// verb yet, so the server does not emit this kind today.
-    Cancelled,
     /// Execution failed server-side (a worker panic was contained).
     Internal,
 }
@@ -60,7 +55,6 @@ impl ErrorKind {
             ErrorKind::Overloaded => "overloaded",
             ErrorKind::ShuttingDown => "shutting_down",
             ErrorKind::DeadlineExceeded => "deadline_exceeded",
-            ErrorKind::Cancelled => "cancelled",
             ErrorKind::Internal => "internal",
         }
     }
@@ -73,7 +67,6 @@ impl ErrorKind {
             "overloaded" => ErrorKind::Overloaded,
             "shutting_down" => ErrorKind::ShuttingDown,
             "deadline_exceeded" => ErrorKind::DeadlineExceeded,
-            "cancelled" => ErrorKind::Cancelled,
             "internal" => ErrorKind::Internal,
             _ => return None,
         })
@@ -1152,6 +1145,13 @@ mod tests {
         let v: Value =
             serde_json::from_str(r#"{"kind":"approximate","reason":"truncated_image"}"#).unwrap();
         assert_eq!(completeness_from_value(&v), None);
+    }
+
+    #[test]
+    fn retired_error_kind_decodes_to_none() {
+        // The wire never had a cancel verb, so no server sent this kind;
+        // it now reads like any other unknown kind.
+        assert_eq!(ErrorKind::from_name("cancelled"), None);
     }
 
     #[test]

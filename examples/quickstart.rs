@@ -70,7 +70,7 @@ fn main() {
         );
     }
 
-    // 5. The serving API: a budgeted, cancellable request through the
+    // 5. The serving API: a budgeted request through the
     //    engine's builder. The deadline and IO cap bound what this query
     //    may cost; `completeness` says whether the answer is the exact
     //    top-k, inherently approximate, or budget-truncated.

@@ -369,7 +369,6 @@ fn run_request(
         SearchError::DeadlineExceeded => {
             "deadline_exceeded: the deadline passed before execution started".to_owned()
         }
-        SearchError::Cancelled => "cancelled".to_owned(),
     })
 }
 

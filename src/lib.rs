@@ -49,15 +49,17 @@
 //! }
 //! ```
 //!
-//! ## Budgeted, cancellable search
+//! ## Budgeted search
 //!
-//! Every request can carry a budget — deadline, simulated-IO cap,
-//! deterministic step cap, cancellation token — via the
+//! Every request can carry a budget of three limits — deadline,
+//! simulated-IO cap, deterministic step cap — via the
 //! [`prelude::SearchRequest`] builder ([`prelude::QueryEngine::request`]);
 //! `search_with`, `execute_with_budget` and `execute_batch` are one-line
-//! entries into the same execution spine. A budget that trips mid-run returns the anytime result marked
-//! [`prelude::Completeness::Truncated`] (never cached); cancellation
-//! returns [`prelude::SearchError::Cancelled`].
+//! entries into the same execution spine. A budget that trips mid-run
+//! returns the anytime result marked
+//! [`prelude::Completeness::Truncated`] (never cached); a deadline that
+//! passed before execution started returns
+//! [`prelude::SearchError::DeadlineExceeded`].
 //!
 //! ```
 //! use interesting_phrases::prelude::*;
@@ -131,9 +133,7 @@ pub use ipm_storage as storage;
 /// (`engine.request("...").k(10).deadline(d).run()`); the wire-protocol
 /// request object of `ipm_server` is re-exported as `WireSearchRequest`.
 pub mod prelude {
-    pub use ipm_core::budget::{
-        ApproxReason, Budget, BudgetKind, CancelToken, Completeness, SearchError,
-    };
+    pub use ipm_core::budget::{ApproxReason, Budget, BudgetKind, Completeness, SearchError};
     pub use ipm_core::cache::{CacheConfig, CacheStats};
     pub use ipm_core::delta::{DeltaIndex, DeltaOverlay};
     pub use ipm_core::engine::{

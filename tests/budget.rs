@@ -1,11 +1,11 @@
-//! Budgeted, cancellable search through the public `SearchRequest` API:
-//! IO caps hold (within one page-batch per shard), deadlines shed
-//! dead-on-arrival work, cancellation is clean and leaves no poisoned
-//! engine state, and truncated results are anytime-consistent.
+//! Budgeted search through the public `SearchRequest` API: IO caps hold
+//! (within one page-batch per shard), deadlines shed dead-on-arrival
+//! work, a deadline racing an IO cap trips exactly one of them and leaves
+//! no poisoned engine state, and truncated results are
+//! anytime-consistent.
 
 use interesting_phrases::prelude::*;
 use ipm_storage::PoolConfig;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// An engine whose disk image uses tiny (256-byte) pages, so per-query
@@ -127,85 +127,6 @@ fn generous_io_budget_changes_nothing() {
         .unwrap();
     assert!(budgeted.completeness.is_exact());
     assert_eq!(free.hits, budgeted.hits);
-}
-
-/// Satellite: cancellation racing a sharded disk query from another
-/// thread. Whatever the interleaving, the outcome is either a complete
-/// response or a clean `SearchError::Cancelled` — never a panic, a
-/// poisoned engine, or a wrong answer afterwards.
-#[test]
-fn cancellation_race_leaves_engine_clean() {
-    let engine = fine_grained_engine(4);
-    let q = top_query(&engine, "OR");
-    let baseline: Vec<_> = engine
-        .request(q.clone())
-        .k(50)
-        .backend(BackendChoice::Disk)
-        .run()
-        .unwrap()
-        .hits
-        .iter()
-        .map(|h| h.hit.phrase)
-        .collect();
-
-    let cancelled_seen = AtomicUsize::new(0);
-    let completed_seen = AtomicUsize::new(0);
-    for round in 0..30 {
-        let token = CancelToken::new();
-        // Vary the cancel point across rounds to sweep the race window:
-        // some rounds cancel before the worker even spawns (guaranteed
-        // dead-on-arrival), the rest race the shard threads mid-flight.
-        if round % 5 == 0 {
-            token.cancel();
-        }
-        std::thread::scope(|s| {
-            let eng = engine.clone();
-            let query = q.clone();
-            let tok = token.clone();
-            let worker = s.spawn(move || {
-                eng.request(query)
-                    .k(50)
-                    .backend(BackendChoice::Disk)
-                    .cancel_token(tok)
-                    .run()
-            });
-            if round % 3 != 0 {
-                std::thread::yield_now();
-            }
-            token.cancel();
-            match worker.join().expect("no panic under cancellation") {
-                Ok(resp) => {
-                    completed_seen.fetch_add(1, Ordering::Relaxed);
-                    // A response that beat the cancel is a full, correct
-                    // one — cancellation never degrades a delivered
-                    // result.
-                    assert!(resp.completeness.is_exact());
-                    let got: Vec<_> = resp.hits.iter().map(|h| h.hit.phrase).collect();
-                    assert_eq!(got, baseline);
-                }
-                Err(SearchError::Cancelled) => {
-                    cancelled_seen.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(other) => panic!("unexpected error under cancellation: {other:?}"),
-            }
-        });
-        // The same engine serves the next query exactly: no poisoned
-        // locks, no stale budget state.
-        let after = engine
-            .request(q.clone())
-            .k(50)
-            .backend(BackendChoice::Disk)
-            .run()
-            .unwrap();
-        assert!(after.completeness.is_exact(), "round {round}");
-        let got: Vec<_> = after.hits.iter().map(|h| h.hit.phrase).collect();
-        assert_eq!(got, baseline, "round {round}: post-cancel query drifted");
-    }
-    assert!(
-        cancelled_seen.load(Ordering::Relaxed) > 0,
-        "30 rounds never observed a cancellation; the race window is gone"
-    );
-    let _ = completed_seen.load(Ordering::Relaxed); // either outcome is legal
 }
 
 /// Deadlines: an expired deadline is dead on arrival; a generous one
@@ -381,21 +302,21 @@ fn delta_budget_truncation_outranks_approximation_and_is_never_cached() {
     );
 }
 
-/// Verification satellite: the CancelToken-vs-io-budget race, checked
+/// Verification satellite: the deadline-vs-io-budget race, checked
 /// twice over. First the abstract model from `ipm_check` — the schedule
-/// explorer walks **every** interleaving of a canceller against workers
-/// charging IO, proving the trip cell takes exactly one sticky cause,
-/// outcomes agree with it, and stopped results are never cached. Then
-/// the real engine runs the same race under a sweep of cancel timings:
-/// each round must land in exactly one of the two legal outcomes, a
-/// truncation must name the IO budget (cancellation is an error, never a
-/// truncation kind), and neither outcome may populate the result cache.
+/// explorer walks **every** interleaving of the deadline clock against
+/// workers charging IO, proving the trip cell takes exactly one sticky
+/// cause, outcomes agree with it, and stopped results are never cached.
+/// Then the real engine runs the same race on a sharded disk query under
+/// a sweep of deadlines: each round is either truncated by exactly one
+/// of the two limits or shed as dead on arrival, no round populates the
+/// result cache, and the unbudgeted answer afterwards is unchanged.
 #[test]
-fn cancel_vs_io_budget_race_is_sticky_in_model_and_engine() {
-    use ipm_check::models::budget_cancel as model;
+fn deadline_vs_io_budget_race_is_sticky_in_model_and_engine() {
+    use ipm_check::models::budget_trip as model;
     use ipm_check::sched::Explorer;
 
-    // Model half: 1 canceller + 2 workers x 2 work units, IO cap 3, so
+    // Model half: the clock + 2 workers x 2 work units, IO cap 3, so
     // both causes are reachable and must race for the one trip cell.
     let report = Explorer::new()
         .explore(
@@ -411,8 +332,8 @@ fn cancel_vs_io_budget_race_is_sticky_in_model_and_engine() {
         report.schedules
     );
 
-    // Engine half: the same race on the real Budget/CancelToken pair,
-    // on an engine *with* a cache so pollution would be visible.
+    // Engine half: the same race on the real Budget, on an engine *with*
+    // a cache so pollution would be visible.
     let (corpus, _) = ipm_corpus::synth::generate(&ipm_corpus::synth::tiny());
     let engine = QueryEngine::with_config(
         PhraseMiner::build(&corpus, MinerConfig::default()),
@@ -426,67 +347,61 @@ fn cancel_vs_io_budget_race_is_sticky_in_model_and_engine() {
         },
     );
     let q = top_query(&engine, "OR");
-    let mut truncated_seen = 0u32;
-    let mut cancelled_seen = 0u32;
-    for round in 0..30 {
-        let token = CancelToken::new();
-        let outcome = std::thread::scope(|s| {
-            let eng = engine.clone();
-            let query = q.clone();
-            let tok = token.clone();
-            let worker = s.spawn(move || {
-                eng.request(query)
-                    .k(100)
-                    .backend(BackendChoice::Disk)
-                    .io_budget(5)
-                    .cancel_token(tok)
-                    .run()
-            });
-            // Sweep the cancel point across the race window.
-            for _ in 0..round {
-                std::thread::yield_now();
-            }
-            token.cancel();
-            worker
-                .join()
-                .expect("no panic when cancel races the IO cap")
-        });
-        match outcome {
-            Ok(resp) => match resp.completeness {
-                // The IO cap won the race: the truncation names it —
-                // cancellation can never masquerade as a budget kind.
-                Completeness::Truncated { budget_hit } => {
-                    assert_eq!(budget_hit, BudgetKind::Io, "round {round}");
-                    truncated_seen += 1;
-                }
-                other => panic!("round {round}: io-capped run reported {other:?}"),
-            },
-            // The token won: a clean error, not a degraded response.
-            Err(SearchError::Cancelled) => cancelled_seen += 1,
-            Err(other) => panic!("round {round}: unexpected error {other:?}"),
-        }
-        // Neither a truncated nor a cancelled run may leave a cache
-        // entry behind: the next unbudgeted run must compute afresh.
-        let probe = engine
+    let unbudgeted = || {
+        engine
             .request(q.clone())
             .k(100)
             .backend(BackendChoice::Disk)
+            .shards(4)
             .run()
-            .unwrap();
+            .unwrap()
+    };
+    let phrases =
+        |resp: &SearchResponse| resp.hits.iter().map(|h| h.hit.phrase).collect::<Vec<_>>();
+    let baseline = phrases(&unbudgeted());
+    engine.clear_cache();
+    let (mut io_seen, mut dead_seen) = (0u32, 0u32);
+    for round in 0..30u64 {
+        // Sweep the deadline across the race window, from already
+        // expired (dead on arrival) to far beyond the IO cap's reach.
+        let deadline = Duration::from_micros(round * round * 100);
+        let outcome = engine
+            .request(q.clone())
+            .k(100)
+            .backend(BackendChoice::Disk)
+            .shards(4)
+            .io_budget(5)
+            .deadline(deadline)
+            .run();
+        match outcome {
+            Ok(resp) => match resp.completeness {
+                Completeness::Truncated {
+                    budget_hit: BudgetKind::Io,
+                } => io_seen += 1,
+                Completeness::Truncated {
+                    budget_hit: BudgetKind::Deadline,
+                } => {}
+                other => panic!("round {round}: io-capped run reported {other:?}"),
+            },
+            Err(SearchError::DeadlineExceeded) => dead_seen += 1,
+            Err(other) => panic!("round {round}: unexpected error {other:?}"),
+        }
+        // No stopped run may leave a cache entry behind: the next
+        // unbudgeted run must compute afresh, and exactly as before.
+        let probe = unbudgeted();
         assert!(
             !probe.served_from_cache,
             "round {round}: a stopped run polluted the cache"
         );
         assert!(probe.completeness.is_exact(), "round {round}");
+        assert_eq!(phrases(&probe), baseline, "round {round}: answer drifted");
         // The probe itself cached its exact result; reset via the admin
         // hatch so the next round starts cold.
         engine.clear_cache();
     }
+    assert!(dead_seen > 0, "an expired deadline must be dead on arrival");
     assert!(
-        truncated_seen > 0,
+        io_seen > 0,
         "30 rounds never saw the IO cap win; tighten the budget"
     );
-    // Cancellation winning is timing-dependent; either mix is legal, the
-    // invariant is per-round exclusivity (asserted above).
-    let _ = cancelled_seen;
 }
