@@ -60,10 +60,9 @@ fn bench_query_under_delta(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("query_under_delta/{name}"));
         for delta_docs in [0usize, 10, 100, 1000] {
             let e = engine(&corpus);
-            let batch: Vec<(Vec<ipm_corpus::WordId>, Vec<ipm_corpus::FacetId>)> = (0..delta_docs)
-                .map(|_| (src.tokens.clone(), src.facets.clone()))
-                .collect();
-            e.ingest_documents(&batch);
+            for _ in 0..delta_docs {
+                e.ingest_document(&src.tokens, &src.facets);
+            }
             let q = top_query(&e);
             group.bench_with_input(
                 BenchmarkId::from_parameter(delta_docs),
@@ -96,10 +95,9 @@ fn bench_compaction(c: &mut Criterion) {
                 // Ingest `batch` documents and flush them; then delete the
                 // same number and flush again, so the corpus size is a
                 // fixed point across iterations (two rebuilds measured).
-                let docs: Vec<_> = (0..batch)
-                    .map(|_| (src.tokens.clone(), src.facets.clone()))
-                    .collect();
-                e.ingest_documents(&docs);
+                for _ in 0..batch {
+                    e.ingest_document(&src.tokens, &src.facets);
+                }
                 let grown = e.compact();
                 assert!(grown.compacted);
                 let n = grown.docs;
@@ -116,10 +114,9 @@ fn bench_compaction(c: &mut Criterion) {
     // Latency recovery: right after a compaction the delta is empty and
     // the query path is the plain exact one again.
     let e = engine(&corpus);
-    let docs: Vec<_> = (0..100)
-        .map(|_| (src.tokens.clone(), src.facets.clone()))
-        .collect();
-    e.ingest_documents(&docs);
+    for _ in 0..100 {
+        e.ingest_document(&src.tokens, &src.facets);
+    }
     e.compact();
     let q = top_query(&e);
     c.bench_function("post_compaction_latency", |b| {

@@ -29,19 +29,8 @@ use ipm_index::wordlists::ListEntry;
 
 use crate::query::{Operator, Query};
 
-/// Process-wide stamp source for [`DeltaIndex::fingerprint`]: every
-/// construction and every state-changing mutation draws a fresh value,
-/// so two delta states never share a fingerprint — not even a wholesale
-/// in-place replacement with equal counts.
-static DELTA_STAMP: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-fn next_stamp() -> u64 {
-    // lint-allow: relaxed-ordering — stamp uniqueness comes from fetch_add atomicity; no cross-variable ordering
-    DELTA_STAMP.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-}
-
 /// The side index over inserted and deleted documents.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DeltaIndex {
     /// Number of documents added so far (local ids are dense).
     num_added: u32,
@@ -56,8 +45,6 @@ pub struct DeltaIndex {
     /// these, and new phrases/words they carry enter the dictionary at
     /// that offline rebuild — exactly the paper's flush model.
     added_docs: Vec<(Vec<WordId>, Vec<FacetId>)>,
-    /// Change fingerprint; refreshed by every state-changing mutation.
-    stamp: u64,
     /// `P(q|p)` corrections served while this delta was live (relaxed;
     /// bumped from concurrent query threads). Dropped with the delta at
     /// compaction, so it gauges the *current generation's* correction
@@ -73,25 +60,10 @@ impl Clone for DeltaIndex {
             added_phrases: self.added_phrases.clone(),
             deleted: self.deleted.clone(),
             added_docs: self.added_docs.clone(),
-            stamp: self.stamp,
             corrections: std::sync::atomic::AtomicU64::new(
                 // lint-allow: relaxed-ordering — clone snapshot of an advisory counter
                 self.corrections.load(std::sync::atomic::Ordering::Relaxed),
             ),
-        }
-    }
-}
-
-impl Default for DeltaIndex {
-    fn default() -> Self {
-        Self {
-            num_added: 0,
-            added_features: FxHashMap::default(),
-            added_phrases: FxHashMap::default(),
-            deleted: FxHashSet::default(),
-            added_docs: Vec::new(),
-            stamp: next_stamp(),
-            corrections: std::sync::atomic::AtomicU64::new(0),
         }
     }
 }
@@ -130,7 +102,6 @@ impl DeltaIndex {
     pub fn add_document(&mut self, index: &CorpusIndex, tokens: &[WordId], facets: &[FacetId]) {
         let local = self.num_added;
         self.num_added += 1;
-        self.stamp = next_stamp();
         self.added_docs.push((tokens.to_vec(), facets.to_vec()));
         let mut distinct: Vec<WordId> = tokens.to_vec();
         distinct.sort_unstable();
@@ -156,11 +127,9 @@ impl DeltaIndex {
     }
 
     /// Marks a base-corpus document deleted. Idempotent (re-deleting a
-    /// deleted document changes no state and keeps the fingerprint).
+    /// deleted document changes no state).
     pub fn delete_document(&mut self, doc: DocId) {
-        if self.deleted.insert(doc) {
-            self.stamp = next_stamp();
-        }
+        self.deleted.insert(doc);
     }
 
     /// Whether a base-corpus document is marked deleted.
@@ -223,16 +192,6 @@ impl DeltaIndex {
                 acc
             }
         }
-    }
-
-    /// A cheap change fingerprint. Every state-changing mutation — and
-    /// every freshly constructed `DeltaIndex`, so even a wholesale
-    /// in-place replacement with identical counts — yields a new value;
-    /// no-ops (re-deleting an already-deleted document) keep it stable.
-    /// Callers use it to make cache/epoch invalidation conditional on an
-    /// actual state change.
-    pub fn fingerprint(&self) -> u64 {
-        self.stamp
     }
 
     /// The corrected `P(q|p)` given the stale probability from the list
@@ -740,33 +699,6 @@ mod tests {
         assert_eq!(delta.added_matching(&q_or), vec![0, 1, 2]);
         assert_eq!(delta.added_matching(&q_and), vec![1]);
         assert_eq!(delta.added_docs().len(), 3);
-    }
-
-    #[test]
-    fn fingerprint_moves_on_every_state_change_and_only_then() {
-        let (_, index, _) = build(BASE);
-        let mut delta = DeltaIndex::new();
-        let f0 = delta.fingerprint();
-        // No-op: re-deleting keeps the fingerprint stable.
-        delta.delete_document(DocId(1));
-        let f1 = delta.fingerprint();
-        assert_ne!(f0, f1);
-        delta.delete_document(DocId(1));
-        assert_eq!(delta.fingerprint(), f1);
-        // Adds always move it.
-        delta.add_document(&index, &[WordId(0)], &[]);
-        let f2 = delta.fingerprint();
-        assert_ne!(f1, f2);
-        // A wholesale replacement with identical counts still moves it:
-        // two independently built deltas never share a fingerprint.
-        let mut other = DeltaIndex::new();
-        other.delete_document(DocId(9));
-        other.add_document(&index, &[WordId(1)], &[]);
-        assert_eq!(
-            (other.num_added(), other.num_deleted()),
-            (delta.num_added(), delta.num_deleted())
-        );
-        assert_ne!(other.fingerprint(), delta.fingerprint());
     }
 
     #[test]

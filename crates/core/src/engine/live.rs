@@ -1,7 +1,7 @@
 //! The serving head and its lifecycle: index generations
 //! (`IndexState`) with their lazily built images and shard layouts, the
 //! `LiveState` triple queries snapshot, and the §4.5.1 mutators — ingest,
-//! delete, delta attach/update/detach, compaction.
+//! delete, compaction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -85,12 +85,13 @@ impl IndexState {
 #[derive(Debug, Clone)]
 pub(super) struct LiveState {
     /// Monotonic index epoch: bumped by every observable mutation
-    /// (ingest, delete, state-changing delta attach/update/detach,
-    /// compaction). Tags every [`super::CacheKey`].
+    /// (ingest, state-changing delete, compaction). Tags every
+    /// [`super::CacheKey`].
     pub(super) epoch: u64,
     pub(super) index: Arc<IndexState>,
     /// The attached §4.5.1 side index over inserted/deleted documents;
-    /// `None` until an ingest/delete/[`QueryEngine::attach_delta`].
+    /// `None` until the first ingest or delete, and again after a
+    /// compaction.
     pub(super) delta: Option<Arc<DeltaIndex>>,
 }
 
@@ -264,51 +265,6 @@ impl QueryEngine {
         Some((lo.raw(), hi.raw()))
     }
 
-    /// Attaches (or replaces) the §4.5.1 side index. Bumps the index
-    /// epoch — invalidating cached results by key mismatch — but only if
-    /// the swap actually changes observable state: replacing nothing (or
-    /// an empty delta) with another empty delta leaves every cached
-    /// result valid and the epoch untouched.
-    pub fn attach_delta(&self, delta: DeltaIndex) {
-        let _m = self.inner.maintenance.lock().unwrap();
-        let mut live = self.inner.live.write().unwrap();
-        let was_active = live.delta.as_ref().is_some_and(|d| !d.is_empty());
-        let now_active = !delta.is_empty();
-        live.delta = Some(Arc::new(delta));
-        if was_active || now_active {
-            live.epoch += 1;
-        }
-    }
-
-    /// Mutates the attached delta in place (attaching an empty one first
-    /// if none is present). The epoch is bumped only when the closure
-    /// actually changed the delta ([`DeltaIndex::fingerprint`] moved) —
-    /// a no-op update costs no cached result. Use for ongoing ingestion:
-    /// `engine.update_delta(|d| d.add_document(...))`.
-    pub fn update_delta(&self, f: impl FnOnce(&mut DeltaIndex)) {
-        let _m = self.inner.maintenance.lock().unwrap();
-        let mut live = self.inner.live.write().unwrap();
-        let delta = live.delta.get_or_insert_with(Default::default);
-        let before = delta.fingerprint();
-        f(Arc::make_mut(delta));
-        if delta.fingerprint() != before {
-            live.epoch += 1;
-        }
-    }
-
-    /// Detaches the side index (e.g. after an offline rebuild absorbed
-    /// it). Bumps the epoch only when a non-empty delta was actually
-    /// detached — detaching nothing changes nothing.
-    pub fn detach_delta(&self) {
-        let _m = self.inner.maintenance.lock().unwrap();
-        let mut live = self.inner.live.write().unwrap();
-        let was_active = live.delta.as_ref().is_some_and(|d| !d.is_empty());
-        live.delta = None;
-        if was_active {
-            live.epoch += 1;
-        }
-    }
-
     /// A snapshot handle to the attached delta, if any.
     pub fn delta(&self) -> Option<Arc<DeltaIndex>> {
         self.inner.live.read().unwrap().delta.clone()
@@ -331,27 +287,6 @@ impl QueryEngine {
         // lint-allow: relaxed-ordering — monotone lifecycle counter; mutations serialize on the live write lock
         self.inner.ingested.fetch_add(1, Ordering::Relaxed);
         self.inner.obs.docs_ingested.inc();
-    }
-
-    /// Batched [`QueryEngine::ingest_document`]: one maintenance-lock
-    /// acquisition and one epoch bump for the whole batch.
-    pub fn ingest_documents(&self, docs: &[(Vec<WordId>, Vec<FacetId>)]) {
-        if docs.is_empty() {
-            return;
-        }
-        let _m = self.inner.maintenance.lock().unwrap();
-        let mut live = self.inner.live.write().unwrap();
-        let index = live.index.clone();
-        let delta = Arc::make_mut(live.delta.get_or_insert_with(Default::default));
-        for (tokens, facets) in docs {
-            delta.add_document(index.miner.index(), tokens, facets);
-        }
-        live.epoch += 1;
-        self.inner
-            .ingested
-            // lint-allow: relaxed-ordering — monotone lifecycle counter; mutations serialize on the live write lock
-            .fetch_add(docs.len() as u64, Ordering::Relaxed);
-        self.inner.obs.docs_ingested.add(docs.len() as u64);
     }
 
     /// Marks a document of the serving corpus deleted (through the side

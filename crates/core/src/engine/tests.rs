@@ -487,17 +487,15 @@ fn attached_delta_corrects_nra_and_clears_cache() {
     let noop = phrases(&e.search_with(&q, 5, &delta_opts).unwrap());
     assert_eq!(plain, noop);
 
-    // Warm the cache, then attach a delta: cached entries must drop.
+    // Warm the cache, then ingest into the delta: cached entries must drop.
     assert!(e.request(&q).k(5).run().unwrap().served_from_cache);
     let top = ipm_corpus::stats::top_words_by_df(e.miner().corpus(), 2);
-    let mut delta = crate::delta::DeltaIndex::new();
     for _ in 0..20 {
-        delta.add_document(e.miner().index(), &[top[0].0], &[]);
+        e.ingest_document(&[top[0].0], &[]);
     }
-    e.attach_delta(delta);
     assert!(
         !e.request(&q).k(5).run().unwrap().served_from_cache,
-        "attach_delta must clear the result cache"
+        "ingest_document must clear the result cache"
     );
 
     // The engine's delta path matches the miner's reference
@@ -513,14 +511,14 @@ fn attached_delta_corrects_nra_and_clears_cache() {
     let got = phrases(&e.search_with(&q, 5, &delta_opts).unwrap());
     assert_eq!(got, want, "engine delta path must match the miner's");
 
-    // In-place updates and detaching clear the cache too.
+    // Deletes and compaction clear the cache too.
     assert!(e.search_with(&q, 5, &delta_opts).unwrap().served_from_cache);
-    e.update_delta(|d| d.delete_document(ipm_corpus::DocId(0)));
+    assert!(e.delete_document(ipm_corpus::DocId(0)));
     assert!(
         !e.search_with(&q, 5, &delta_opts).unwrap().served_from_cache,
-        "update_delta must clear the result cache"
+        "delete_document must clear the result cache"
     );
-    e.detach_delta();
+    assert!(e.compact().compacted);
     assert!(e.delta().is_none());
     assert!(!e.request(&q).k(5).run().unwrap().served_from_cache);
 }
@@ -799,11 +797,9 @@ fn sharded_delta_composes_and_cache_invalidates() {
     let e = engine();
     let q = query_string(&e, Operator::Or);
     let top = ipm_corpus::stats::top_words_by_df(e.miner().corpus(), 2);
-    let mut delta = crate::delta::DeltaIndex::new();
     for _ in 0..25 {
-        delta.add_document(e.miner().index(), &[top[0].0], &[]);
+        e.ingest_document(&[top[0].0], &[]);
     }
-    e.attach_delta(delta);
     let k = 200;
     let run = |n: usize| e.request(&q).k(k).use_delta(true).shards(n).run().unwrap();
     let mut want = phrases(&run(1));
@@ -834,12 +830,11 @@ fn sharded_delta_composes_and_cache_invalidates() {
     }
     // Mutating the delta must clear sharded cache entries too.
     assert!(run(3).served_from_cache);
-    e.update_delta(|d| d.delete_document(ipm_corpus::DocId(0)));
+    assert!(e.delete_document(ipm_corpus::DocId(0)));
     assert!(
         !run(3).served_from_cache,
-        "update_delta must clear sharded entries"
+        "delete_document must clear sharded entries"
     );
-    e.detach_delta();
 }
 
 #[test]
