@@ -8,6 +8,7 @@
 //! baseline family (its runtime is linear in `|D'|`).
 
 use crate::budget::ShardBudget;
+use crate::delta::DeltaIndex;
 use crate::query::Query;
 use crate::result::{truncate_top_k, PhraseHit};
 use ipm_corpus::hash::FxHashMap;
@@ -17,68 +18,16 @@ use ipm_index::postings::Postings;
 
 /// Exact top-k interesting phrases for `query` (paper Eq. 3).
 pub fn exact_top_k(index: &CorpusIndex, query: &Query, k: usize) -> Vec<PhraseHit> {
-    exact_top_k_range(index, query, k, None)
-}
-
-/// Exact top-k restricted to phrases in the half-open id range — the
-/// sharded executor's per-partition arm (`None` = unrestricted). Each
-/// shard scans the same `D'` but counts only its own phrases, so the
-/// hash-aggregation (the hot part, linear in `Σ |forward(d)|`) partitions
-/// across shards and the merged per-shard top-k equals the global top-k
-/// exactly.
-pub fn exact_top_k_range(
-    index: &CorpusIndex,
-    query: &Query,
-    k: usize,
-    range: Option<(PhraseId, PhraseId)>,
-) -> Vec<PhraseHit> {
-    exact_top_k_range_with(index, query, k, range, &ShardBudget::unlimited())
-}
-
-/// [`exact_top_k_range`] under a cooperative execution budget (see
-/// [`exact_top_k_for_subset_range_with`]).
-pub fn exact_top_k_range_with(
-    index: &CorpusIndex,
-    query: &Query,
-    k: usize,
-    range: Option<(PhraseId, PhraseId)>,
-    budget: &ShardBudget<'_>,
-) -> Vec<PhraseHit> {
     let subset = materialize_subset(index, query);
-    exact_top_k_for_subset_range_with(index, &subset, k, range, budget)
-}
-
-/// [`exact_top_k_range`] over an already-materialized subset — the
-/// sharded executor materializes `D'` once per query and hands every
-/// shard the same postings, since subset algebra does not partition by
-/// phrase id.
-pub fn exact_top_k_for_subset_range(
-    index: &CorpusIndex,
-    subset: &Postings,
-    k: usize,
-    range: Option<(PhraseId, PhraseId)>,
-) -> Vec<PhraseHit> {
-    exact_top_k_for_subset_range_with(index, subset, k, range, &ShardBudget::unlimited())
-}
-
-/// [`exact_top_k_for_subset_range`] under a cooperative execution budget.
-/// The budget is checked once per `D'` document; a failed check stops the
-/// scan and every counted phrase becomes an *interval*, not a point: its
-/// lower bound is the frequency seen so far over `df` (documents not yet
-/// scanned can only add occurrences) and its upper bound additionally
-/// grants every unscanned document — so truncated exact hits still
-/// bracket the true interestingness instead of presenting a silently
-/// undercounted score as exact.
-pub fn exact_top_k_for_subset_range_with(
-    index: &CorpusIndex,
-    subset: &Postings,
-    k: usize,
-    range: Option<(PhraseId, PhraseId)>,
-    budget: &ShardBudget<'_>,
-) -> Vec<PhraseHit> {
-    let mut hits = exact_scores_for_subset_range_with(index, subset, range, budget);
-    truncate_top_k(&mut hits, k);
-    hits
+    exact_top_k_with(
+        index,
+        query,
+        &subset,
+        None,
+        k,
+        None,
+        &ShardBudget::unlimited(),
+    )
 }
 
 /// Materializes `D'` for a query (Eq. 2).
@@ -89,96 +38,59 @@ pub fn materialize_subset(index: &CorpusIndex, query: &Query) -> Postings {
     )
 }
 
-/// Exact top-k for an already-materialized subset.
-pub fn exact_top_k_for_subset(index: &CorpusIndex, subset: &Postings, k: usize) -> Vec<PhraseHit> {
-    let mut hits = exact_scores_for_subset(index, subset);
+/// All phrases of `D'` with exact interestingness (unsorted).
+pub fn exact_scores_for_subset(index: &CorpusIndex, subset: &Postings) -> Vec<PhraseHit> {
+    exact_scores(index, subset, None, None, &ShardBudget::unlimited())
+}
+
+/// The engine's exact arm: top-k of `query` over its already-materialized
+/// `D'` (`subset`), restricted to phrases in the half-open id range
+/// (`None` = unrestricted), optionally corrected against a §4.5.1
+/// [`DeltaIndex`], under a cooperative execution budget.
+///
+/// * **Range.** Each shard scans the same `D'` but counts only its own
+///   phrases, so the hash aggregation (the hot part, linear in
+///   `Σ |forward(d)|`) partitions across shards and the merged per-shard
+///   top-k equals the global top-k exactly. The sharded executor
+///   materializes `D'` once per query, since subset algebra does not
+///   partition by phrase id.
+/// * **Delta.** `subset` is the *base-corpus* `D'`; documents the delta
+///   marks deleted are skipped, added documents matching `query`
+///   contribute their phrase counts from the delta's own lists, and
+///   every phrase is normalized by its churn-corrected document
+///   frequency ([`DeltaIndex::adjusted_df`]) — phrases whose corrected df
+///   reaches zero vanish, like their list entries do. Phrases absent
+///   from the stale dictionary are deferred to the offline rebuild,
+///   mirroring the delta's own model. Without a delta the scan is the
+///   plain Eq. 1 over the serving lists.
+/// * **Budget.** Checked once per base `D'` document; a failed check
+///   stops the scan and every counted phrase becomes an *interval*, not
+///   a point: its lower bound is the frequency seen so far over `df`
+///   (documents not yet scanned can only add occurrences) and its upper
+///   bound additionally grants every unscanned document — so truncated
+///   exact hits still bracket the true interestingness instead of
+///   presenting a silently undercounted score as exact.
+pub fn exact_top_k_with(
+    index: &CorpusIndex,
+    query: &Query,
+    subset: &Postings,
+    delta: Option<&DeltaIndex>,
+    k: usize,
+    range: Option<(PhraseId, PhraseId)>,
+    budget: &ShardBudget<'_>,
+) -> Vec<PhraseHit> {
+    let mut hits = exact_scores(index, subset, delta.map(|d| (d, query)), range, budget);
     truncate_top_k(&mut hits, k);
     hits
 }
 
-/// All phrases of `D'` with exact interestingness (unsorted).
-pub fn exact_scores_for_subset(index: &CorpusIndex, subset: &Postings) -> Vec<PhraseHit> {
-    exact_scores_for_subset_range(index, subset, None)
-}
-
-/// [`exact_scores_for_subset`] restricted to phrases in the half-open id
-/// range (`None` = unrestricted; one Eq. 1 implementation serves both the
-/// global scorer and the sharded executor's per-partition arm).
-pub fn exact_scores_for_subset_range(
+/// The one Eq. 1 scan behind every exact entry (unsorted); `delta`
+/// carries the side index and the query its added documents are matched
+/// against. See [`exact_top_k_with`] for the semantics.
+fn exact_scores(
     index: &CorpusIndex,
     subset: &Postings,
-    range: Option<(PhraseId, PhraseId)>,
-) -> Vec<PhraseHit> {
-    exact_scores_for_subset_range_with(index, subset, range, &ShardBudget::unlimited())
-}
-
-/// [`exact_scores_for_subset_range`] under a cooperative execution budget
-/// (see [`exact_top_k_for_subset_range_with`] for the truncated-interval
-/// semantics).
-pub fn exact_scores_for_subset_range_with(
-    index: &CorpusIndex,
-    subset: &Postings,
-    range: Option<(PhraseId, PhraseId)>,
-    budget: &ShardBudget<'_>,
-) -> Vec<PhraseHit> {
-    let mut counts: FxHashMap<PhraseId, u32> = FxHashMap::default();
-    let mut scanned = 0usize;
-    for doc in subset.iter() {
-        if !budget.check() {
-            break;
-        }
-        for &p in index.forward.doc(doc) {
-            if range.is_none_or(|(lo, hi)| lo <= p && p < hi) {
-                *counts.entry(p).or_insert(0) += 1;
-            }
-        }
-        scanned += 1;
-    }
-    let unscanned = subset.len().saturating_sub(scanned) as f64;
-    counts
-        .into_iter()
-        .map(|(p, c)| {
-            let df = index.phrases.df(p) as f64;
-            let lower = c as f64 / df;
-            if unscanned == 0.0 {
-                PhraseHit::exact(p, lower)
-            } else {
-                // Interestingness never exceeds 1 (freq ≤ df), and the
-                // unscanned tail can contribute at most one document each.
-                let upper = ((c as f64 + unscanned) / df).min(1.0);
-                PhraseHit {
-                    phrase: p,
-                    score: lower,
-                    lower,
-                    upper,
-                }
-            }
-        })
-        .collect()
-}
-
-/// [`exact_scores_for_subset_range_with`] corrected against a §4.5.1
-/// [`crate::delta::DeltaIndex`] — the exact scorer's member of the
-/// lifecycle contract: `I(p, D')` computed over the *updated* corpus
-/// without rebuilding anything.
-///
-/// * `subset` is the **base-corpus** `D'` (Eq. 2 over the stale postings);
-///   documents marked deleted in the delta are skipped during the scan.
-/// * Added documents matching the query contribute their phrase counts
-///   from the delta's own inverted lists.
-/// * Every phrase is normalized by its churn-corrected document frequency
-///   ([`crate::delta::DeltaIndex::adjusted_df`]); phrases whose corrected
-///   df reaches zero vanish, like their list entries do.
-///
-/// Phrases absent from the stale dictionary (they only exist in added
-/// documents) are deferred to the offline rebuild, mirroring the delta's
-/// own model. The budget is checked once per base document; a tripped
-/// budget brackets every counted phrase exactly as the base scorer does.
-pub fn exact_scores_for_subset_range_with_delta(
-    index: &CorpusIndex,
-    delta: &crate::delta::DeltaIndex,
-    query: &Query,
-    subset: &Postings,
+    delta: Option<(&DeltaIndex, &Query)>,
     range: Option<(PhraseId, PhraseId)>,
     budget: &ShardBudget<'_>,
 ) -> Vec<PhraseHit> {
@@ -186,21 +98,24 @@ pub fn exact_scores_for_subset_range_with_delta(
     let mut counts: FxHashMap<PhraseId, u32> = FxHashMap::default();
     // Added documents first: the delta is small and bounded by ingestion,
     // so the budget governs the base scan (the part linear in |D'|).
-    let matched_added = delta.added_matching(query);
-    if !matched_added.is_empty() {
-        for (p, joint) in delta_phrase_lists(delta, &matched_added) {
-            if in_range(p) {
-                *counts.entry(p).or_insert(0) += joint;
+    if let Some((d, query)) = delta {
+        let matched_added = d.added_matching(query);
+        if !matched_added.is_empty() {
+            for (p, joint) in delta_phrase_lists(d, &matched_added) {
+                if in_range(p) {
+                    *counts.entry(p).or_insert(0) += joint;
+                }
             }
         }
     }
+    let delta = delta.map(|(d, _)| d);
     let mut scanned = 0usize;
     for doc in subset.iter() {
         if !budget.check() {
             break;
         }
         scanned += 1;
-        if delta.is_deleted(doc) {
+        if delta.is_some_and(|d| d.is_deleted(doc)) {
             continue; // left D' with its document
         }
         for &p in index.forward.doc(doc) {
@@ -213,7 +128,10 @@ pub fn exact_scores_for_subset_range_with_delta(
     counts
         .into_iter()
         .filter_map(|(p, c)| {
-            let df = delta.adjusted_df(index, p);
+            let df = match delta {
+                Some(d) => d.adjusted_df(index, p),
+                None => index.phrases.df(p) as f64,
+            };
             if df <= 0.0 {
                 return None;
             }
@@ -221,6 +139,8 @@ pub fn exact_scores_for_subset_range_with_delta(
             Some(if unscanned == 0.0 {
                 PhraseHit::exact(p, lower)
             } else {
+                // Interestingness never exceeds 1 (freq ≤ df), and the
+                // unscanned tail can contribute at most one document each.
                 let upper = ((f64::from(c) + unscanned) / df).min(1.0);
                 PhraseHit {
                     phrase: p,
@@ -235,9 +155,9 @@ pub fn exact_scores_for_subset_range_with_delta(
 
 /// `phrase -> |added docs containing it ∩ matched|` for the delta-aware
 /// exact scan. `matched` must be sorted (as
-/// [`crate::delta::DeltaIndex::added_matching`] returns it).
+/// [`DeltaIndex::added_matching`] returns it).
 fn delta_phrase_lists<'d>(
-    delta: &'d crate::delta::DeltaIndex,
+    delta: &'d DeltaIndex,
     matched: &'d [u32],
 ) -> impl Iterator<Item = (PhraseId, u32)> + 'd {
     delta.added_phrase_ids().filter_map(move |p| {
@@ -248,24 +168,6 @@ fn delta_phrase_lists<'d>(
             .count() as u32;
         (joint > 0).then_some((p, joint))
     })
-}
-
-/// Delta-corrected exact top-k over an already-materialized base subset,
-/// restricted to a phrase-id range — the sharded executor's per-partition
-/// arm of the lifecycle contract.
-pub fn exact_top_k_delta_for_subset_range_with(
-    index: &CorpusIndex,
-    delta: &crate::delta::DeltaIndex,
-    query: &Query,
-    subset: &Postings,
-    k: usize,
-    range: Option<(PhraseId, PhraseId)>,
-    budget: &ShardBudget<'_>,
-) -> Vec<PhraseHit> {
-    let mut hits =
-        exact_scores_for_subset_range_with_delta(index, delta, query, subset, range, budget);
-    truncate_top_k(&mut hits, k);
-    hits
 }
 
 /// Exact interestingness of a single phrase for a subset (used to judge
@@ -466,8 +368,20 @@ mod tests {
         let q = Query::from_words(&c, &["q", "o"], Operator::Or).unwrap();
         let full = exact_top_k(&index, &q, 1000);
         let mid = PhraseId(index.dict.len() as u32 / 2);
-        let lo = exact_top_k_range(&index, &q, 1000, Some((PhraseId(0), mid)));
-        let hi = exact_top_k_range(&index, &q, 1000, Some((mid, PhraseId(u32::MAX))));
+        let subset = materialize_subset(&index, &q);
+        let range = |r| {
+            exact_top_k_with(
+                &index,
+                &q,
+                &subset,
+                None,
+                1000,
+                Some(r),
+                &ShardBudget::unlimited(),
+            )
+        };
+        let lo = range((PhraseId(0), mid));
+        let hi = range((mid, PhraseId(u32::MAX)));
         assert_eq!(lo.len() + hi.len(), full.len());
         let mut merged: Vec<PhraseHit> = lo.into_iter().chain(hi).collect();
         truncate_top_k(&mut merged, 1000);

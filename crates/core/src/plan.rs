@@ -820,42 +820,23 @@ fn run_shard_backend<B: ListBackend>(
             (out.hits, stats)
         }
         Algorithm::Exact => {
-            let hits = if let Some(d) = ctx.delta.as_deref() {
-                let materialized;
-                let s = match subset {
-                    Some(s) => s,
-                    None => {
-                        materialized = exact::materialize_subset(ctx.miner.index(), query);
-                        &materialized
-                    }
-                };
-                exact::exact_top_k_delta_for_subset_range_with(
-                    ctx.miner.index(),
-                    d,
-                    query,
-                    s,
-                    fetch,
-                    backend.phrase_range(),
-                    &budget,
-                )
-            } else {
-                match subset {
-                    Some(s) => exact::exact_top_k_for_subset_range_with(
-                        ctx.miner.index(),
-                        s,
-                        fetch,
-                        backend.phrase_range(),
-                        &budget,
-                    ),
-                    None => exact::exact_top_k_range_with(
-                        ctx.miner.index(),
-                        query,
-                        fetch,
-                        backend.phrase_range(),
-                        &budget,
-                    ),
+            let materialized;
+            let s = match subset {
+                Some(s) => s,
+                None => {
+                    materialized = exact::materialize_subset(ctx.miner.index(), query);
+                    &materialized
                 }
             };
+            let hits = exact::exact_top_k_with(
+                ctx.miner.index(),
+                query,
+                s,
+                ctx.delta.as_deref(),
+                fetch,
+                backend.phrase_range(),
+                &budget,
+            );
             (hits, ExecStats::default())
         }
     }
