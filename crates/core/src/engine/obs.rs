@@ -20,8 +20,8 @@ pub struct AccessTotals {
     pub sorted_accesses: u64,
     /// Random accesses (TA probes, NRA resolution probes).
     pub random_probes: u64,
-    /// Entries skipped via block-max metadata: always 0, since no
-    /// served path skips blocks.
+    /// Always 0: no served path skips list entries. Kept because the
+    /// benchmark's layer report still reads it.
     pub entries_skipped: u64,
     /// Algorithm loop progress (NRA prune rounds, SMJ merge steps).
     pub rounds: u64,
@@ -80,31 +80,22 @@ impl EngineObs {
     pub(super) fn new(slow_query: Option<SlowQueryConfig>) -> Self {
         let registry = Arc::new(Registry::default());
         let r = &registry;
-        let backend = |name: &'static str| {
-            // Registered so the series stays in the exposition; nothing
-            // bumps it, since no served path skips blocks.
-            r.counter_with(
-                "ipm_block_entries_skipped_total",
-                "List entries skipped via block-max metadata",
+        let backend = |name: &'static str| BackendCounters {
+            sorted_accesses: r.counter_with(
+                "ipm_list_sorted_accesses_total",
+                "Sorted list entry accesses across all served queries",
                 &[("backend", name)],
-            );
-            BackendCounters {
-                sorted_accesses: r.counter_with(
-                    "ipm_list_sorted_accesses_total",
-                    "Sorted list entry accesses across all served queries",
-                    &[("backend", name)],
-                ),
-                random_probes: r.counter_with(
-                    "ipm_list_random_probes_total",
-                    "Random list probes across all served queries",
-                    &[("backend", name)],
-                ),
-                rounds: r.counter_with(
-                    "ipm_algorithm_rounds_total",
-                    "Algorithm loop rounds (NRA prune rounds, SMJ merge steps)",
-                    &[("backend", name)],
-                ),
-            }
+            ),
+            random_probes: r.counter_with(
+                "ipm_list_random_probes_total",
+                "Random list probes across all served queries",
+                &[("backend", name)],
+            ),
+            rounds: r.counter_with(
+                "ipm_algorithm_rounds_total",
+                "Algorithm loop rounds (NRA prune rounds, SMJ merge steps)",
+                &[("backend", name)],
+            ),
         };
         Self {
             queries_served: r.counter(

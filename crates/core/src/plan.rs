@@ -667,7 +667,6 @@ fn fan_out<E: ShardExecutor + ?Sized>(
                         shard: i,
                         sorted_accesses: out.stats.sorted_accesses,
                         random_probes: out.stats.random_probes,
-                        entries_skipped: 0,
                         rounds: out.stats.rounds,
                         io_fetches: out.io_fetches,
                     });

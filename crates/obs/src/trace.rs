@@ -96,9 +96,6 @@ pub struct ShardStats {
     /// Random accesses: TA probes plus the merge's NRA score resolution
     /// probes into this shard.
     pub random_probes: u64,
-    /// Entries skipped via block-max metadata: always 0, since no served
-    /// path skips blocks.
-    pub entries_skipped: u64,
     /// Algorithm loop progress: NRA prune rounds, SMJ merge steps
     /// (`0` for TA and the exact scorer, which have no round structure).
     pub rounds: u64,
@@ -113,7 +110,6 @@ impl ShardStats {
     pub fn accumulate(&mut self, other: &ShardStats) {
         self.sorted_accesses += other.sorted_accesses;
         self.random_probes += other.random_probes;
-        self.entries_skipped += other.entries_skipped;
         self.rounds += other.rounds;
         self.io_fetches += other.io_fetches;
     }
@@ -235,13 +231,8 @@ impl fmt::Display for QueryTrace {
         for s in &self.shard_totals() {
             writeln!(
                 f,
-                "  shard {}: sorted={} probes={} skipped={} rounds={} io_fetches={}",
-                s.shard,
-                s.sorted_accesses,
-                s.random_probes,
-                s.entries_skipped,
-                s.rounds,
-                s.io_fetches
+                "  shard {}: sorted={} probes={} rounds={} io_fetches={}",
+                s.shard, s.sorted_accesses, s.random_probes, s.rounds, s.io_fetches
             )?;
         }
         Ok(())

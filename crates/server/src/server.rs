@@ -952,8 +952,7 @@ fn stats_line(shared: &Shared) -> String {
     let mut io = std::collections::BTreeMap::new();
     io.insert("disk".to_owned(), wire::io_value(&s.disk_io));
     // Per-backend list-access totals from the engine's metrics registry:
-    // sorted accesses, random probes, block entries skipped (always 0,
-    // kept for wire compatibility), and algorithm rounds — aggregated
+    // sorted accesses, random probes and algorithm rounds — aggregated
     // over every uncached execution.
     let mut access = std::collections::BTreeMap::new();
     for (name, choice) in [
@@ -965,7 +964,6 @@ fn stats_line(shared: &Shared) -> String {
         let mut m = std::collections::BTreeMap::new();
         m.insert("sorted_accesses".to_owned(), Value::from(t.sorted_accesses));
         m.insert("random_probes".to_owned(), Value::from(t.random_probes));
-        m.insert("entries_skipped".to_owned(), Value::from(t.entries_skipped));
         m.insert("rounds".to_owned(), Value::from(t.rounds));
         access.insert(name.to_owned(), Value::Object(m));
     }

@@ -768,8 +768,6 @@ pub fn shard_outcome_value(out: &ShardOutcome) -> Value {
         "random_probes".to_owned(),
         Value::from(out.stats.random_probes),
     );
-    // Kept in the wire shape; no served path skips blocks.
-    sm.insert("entries_skipped".to_owned(), Value::from(0u64));
     sm.insert("rounds".to_owned(), Value::from(out.stats.rounds));
     m.insert("stats".to_owned(), Value::Object(sm));
     Value::Object(m)
@@ -964,7 +962,6 @@ pub fn trace_value(t: &QueryTrace) -> Value {
                     sm.insert("shard".to_owned(), Value::from(s.shard as u64));
                     sm.insert("sorted_accesses".to_owned(), Value::from(s.sorted_accesses));
                     sm.insert("random_probes".to_owned(), Value::from(s.random_probes));
-                    sm.insert("entries_skipped".to_owned(), Value::from(s.entries_skipped));
                     sm.insert("rounds".to_owned(), Value::from(s.rounds));
                     sm.insert("io_fetches".to_owned(), Value::from(s.io_fetches));
                     Value::Object(sm)
@@ -1350,6 +1347,30 @@ mod tests {
         assert_eq!(back.stats, out.stats);
         assert_eq!(back.io_fetches, 17);
         assert!(back.tripped);
+    }
+
+    #[test]
+    fn shard_outcome_from_an_older_shard_ignores_entries_skipped() {
+        // Shards built before the always-0 `stats.entries_skipped` field
+        // was dropped still send it; the router must read past it.
+        let out = ShardOutcome {
+            hits: vec![PhraseHit::exact(ipm_corpus::PhraseId::new(3), 0.5)],
+            raw_candidates: 1,
+            stats: ExecStats {
+                sorted_accesses: 2,
+                random_probes: 1,
+                rounds: 1,
+            },
+            io_fetches: 0,
+            tripped: false,
+        };
+        let line = serde_json::to_string(&shard_outcome_value(&out)).unwrap();
+        assert!(!line.contains("entries_skipped"));
+        let old = line.replace(r#""rounds":"#, r#""entries_skipped":0,"rounds":"#);
+        assert!(old.contains(r#""entries_skipped":0"#), "{old}");
+        let back = shard_outcome_from_value(&serde_json::from_str(&old).unwrap()).unwrap();
+        assert_eq!(back.stats, out.stats);
+        assert_eq!(back.hits.len(), 1);
     }
 
     #[test]

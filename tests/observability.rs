@@ -114,11 +114,9 @@ fn traced_budgeted_sharded_block_query_reconciles() {
     // global per-backend access counters (this was the only execution).
     let after = engine.access_totals(BackendChoice::Block);
     let sorted: u64 = shard_totals.iter().map(|s| s.sorted_accesses).sum();
-    let skipped: u64 = shard_totals.iter().map(|s| s.entries_skipped).sum();
     let probes: u64 = shard_totals.iter().map(|s| s.random_probes).sum();
     assert!(sorted > 0, "an NRA run performs sorted accesses");
     assert_eq!(sorted, after.sorted_accesses);
-    assert_eq!(skipped, after.entries_skipped);
     assert_eq!(probes, after.random_probes);
 }
 
@@ -136,13 +134,13 @@ fn concurrent_traces_sum_to_registry_counters() {
     let threads = 4usize;
     let per_thread = 6usize;
 
-    let (sorted, probes, skipped, rounds) = std::thread::scope(|s| {
+    let (sorted, probes, rounds) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let engine = engine.clone();
                 let queries = queries.clone();
                 s.spawn(move || {
-                    let mut acc = (0u64, 0u64, 0u64, 0u64);
+                    let mut acc = (0u64, 0u64, 0u64);
                     for i in 0..per_thread {
                         // Bump the epoch mid-run from one thread: counters
                         // must stay monotone and consistent across it.
@@ -161,17 +159,16 @@ fn concurrent_traces_sum_to_registry_counters() {
                         for st in trace.shard_totals() {
                             acc.0 += st.sorted_accesses;
                             acc.1 += st.random_probes;
-                            acc.2 += st.entries_skipped;
-                            acc.3 += st.rounds;
+                            acc.2 += st.rounds;
                         }
                     }
                     acc
                 })
             })
             .collect();
-        handles.into_iter().fold((0, 0, 0, 0), |t, h| {
+        handles.into_iter().fold((0, 0, 0), |t, h| {
             let a = h.join().expect("trace thread");
-            (t.0 + a.0, t.1 + a.1, t.2 + a.2, t.3 + a.3)
+            (t.0 + a.0, t.1 + a.1, t.2 + a.2)
         })
     });
 
@@ -179,7 +176,6 @@ fn concurrent_traces_sum_to_registry_counters() {
     assert!(sorted > 0);
     assert_eq!(sorted, totals.sorted_accesses);
     assert_eq!(probes, totals.random_probes);
-    assert_eq!(skipped, totals.entries_skipped);
     assert_eq!(rounds, totals.rounds);
 
     // Every query (all uncached here) is one latency histogram sample.

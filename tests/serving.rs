@@ -357,7 +357,6 @@ fn control_verbs_and_graceful_shutdown() {
                 s["access"]["disk"]["sorted_accesses"].as_u64().unwrap() > 0,
                 "uncached disk execution must aggregate into the access counters"
             );
-            assert!(s["access"]["memory"]["entries_skipped"].as_u64().is_some());
             assert!(s["access"]["block"]["rounds"].as_u64().is_some());
             let snap = handle.stats();
             assert_eq!(snap.served, 2);
