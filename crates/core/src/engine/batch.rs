@@ -76,17 +76,17 @@ impl QueryEngine {
         for group in &plan.groups {
             obs.batch_group_size
                 .observe_seconds(group.members.len() as f64);
-            let decode = self.inner.decode_cache.as_ref().map(|cache| DecodeBinding {
-                cache,
+            let decode = DecodeBinding {
+                cache: &self.inner.decode_cache,
                 epoch: live.epoch,
                 stats: &batch_stats,
-            });
-            let mut fused = self.try_fuse_group(&live, &items, &group.members, decode.as_ref());
+            };
+            let mut fused = self.try_fuse_group(&live, &items, &group.members, &decode);
             for &i in &group.members {
                 let item = items[i].take().expect("planner emits each item once");
                 let source = match fused.remove(&i) {
                     Some(hits) => Source::Fused(hits),
-                    None => Source::Local(decode.as_ref()),
+                    None => Source::Local(Some(&decode)),
                 };
                 out[i] = Some(self.serve(&live, item, source));
             }
@@ -115,7 +115,7 @@ impl QueryEngine {
         live: &LiveState,
         items: &[Option<BatchItem<'_>>],
         members: &[usize],
-        decode: Option<&DecodeBinding<'_>>,
+        decode: &DecodeBinding<'_>,
     ) -> FxHashMap<usize, FusedHits> {
         let mut fused = FxHashMap::default();
         if members.len() < 2 {
@@ -216,24 +216,17 @@ impl QueryEngine {
                 let block = self.image::<BlockLists>(&live.index).cold_view();
                 // One shared cold scan for the whole group; its IO lands
                 // in the engine totals, not in any member's response.
-                let results = match decode {
-                    Some(d) => {
-                        let views: Vec<CachedBlockImage<'_>> = multiplicity
-                            .iter()
-                            .map(|&w| CachedBlockImage::new(&block, d.cache, d.epoch, d.stats, w))
-                            .collect();
-                        let cursors = views
-                            .iter()
-                            .zip(&features)
-                            .map(|(v, &f)| v.id_cursor(f))
-                            .collect();
-                        run_fused_smj(cursors, &specs)
-                    }
-                    None => run_fused_smj(
-                        features.iter().map(|&f| block.id_cursor(f)).collect(),
-                        &specs,
-                    ),
-                };
+                let d = decode;
+                let views: Vec<CachedBlockImage<'_>> = multiplicity
+                    .iter()
+                    .map(|&w| CachedBlockImage::new(&block, d.cache, d.epoch, d.stats, w))
+                    .collect();
+                let cursors = views
+                    .iter()
+                    .zip(&features)
+                    .map(|(v, &f)| v.id_cursor(f))
+                    .collect();
+                let results = run_fused_smj(cursors, &specs);
                 self.book_io(&block.io_stats());
                 results
             }
@@ -255,12 +248,9 @@ impl QueryEngine {
     }
 
     /// Cumulative decoded-block cache counters: `(hits, misses)`, both
-    /// zero when the cache is disabled or no batch has run.
+    /// zero until a block-backed batch has run.
     pub fn decode_cache_stats(&self) -> (u64, u64) {
-        self.inner
-            .decode_cache
-            .as_ref()
-            .map(|c| (c.stats().hits(), c.stats().misses()))
-            .unwrap_or((0, 0))
+        let stats = self.inner.decode_cache.stats();
+        (stats.hits(), stats.misses())
     }
 }

@@ -193,17 +193,18 @@ pub struct EngineConfig {
     /// disables the log — and with it the internal tracing it forces on
     /// otherwise-untraced queries.
     pub slow_query: Option<SlowQueryConfig>,
-    /// Capacity (in 128-entry blocks) of the decoded-block cache the
-    /// **batch** executor shares across block-backed batch members, so
-    /// queries that walk the same word lists decode each block once
-    /// ([`QueryEngine::execute_batch`]). Entries are keyed by index epoch
-    /// — a generation swap invalidates them for free, like the result
-    /// cache. `0` disables the cache; single-query execution never uses
-    /// it (per-query §5.5 decode accounting stays untouched either way —
-    /// the cache sits behind the buffer-pool charge, so IO numbers are
-    /// identical; only decode CPU is saved).
-    pub decode_cache_blocks: usize,
 }
+
+/// Capacity (in 128-entry blocks) of the decoded-block cache the
+/// **batch** executor shares across block-backed batch members, so
+/// queries that walk the same word lists decode each block once
+/// ([`QueryEngine::execute_batch`]). Entries are keyed by index epoch —
+/// a generation swap invalidates them for free, like the result cache.
+/// Single-query execution never uses it (per-query §5.5 decode
+/// accounting stays untouched either way — the cache sits behind the
+/// buffer-pool charge, so IO numbers are identical; only decode CPU is
+/// saved).
+const DECODE_CACHE_BLOCKS: usize = 4096;
 
 impl Default for EngineConfig {
     fn default() -> Self {
@@ -213,7 +214,6 @@ impl Default for EngineConfig {
             pool: PoolConfig::default(),
             cost: CostModel::default(),
             slow_query: None,
-            decode_cache_blocks: 4096,
         }
     }
 }
@@ -388,10 +388,9 @@ struct Inner {
     cost: CostModel,
     cache: Option<ResultCache>,
     /// Decoded-block cache shared by block-backed **batch** executions
-    /// (`None` when [`EngineConfig::decode_cache_blocks`] is `0`).
-    /// Entries are keyed by `(epoch, image, offset)`, so generation swaps
+    /// ([`DECODE_CACHE_BLOCKS`] blocks). Entries are keyed by `(epoch, image, offset)`, so generation swaps
     /// invalidate them exactly like the result cache.
-    decode_cache: Option<DecodedBlockCache>,
+    decode_cache: DecodedBlockCache,
     /// Default shard fanout for requests that don't specify one.
     default_shards: usize,
     /// Uncached executions that fanned out to more than one shard.
@@ -437,8 +436,7 @@ impl QueryEngine {
                 pool: config.pool,
                 cost: config.cost,
                 cache: config.cache.map(ShardedLruCache::new),
-                decode_cache: (config.decode_cache_blocks > 0)
-                    .then(|| DecodedBlockCache::new(config.decode_cache_blocks)),
+                decode_cache: DecodedBlockCache::new(DECODE_CACHE_BLOCKS),
                 default_shards: config.shards.max(1),
                 sharded_queries: AtomicU64::new(0),
                 served: AtomicU64::new(0),

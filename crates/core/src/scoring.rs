@@ -25,12 +25,6 @@ pub fn entry_score(op: Operator, prob: f64) -> f64 {
     }
 }
 
-/// The additive identity of the aggregation.
-#[inline]
-pub fn zero_score() -> f64 {
-    0.0
-}
-
 /// The score contributed by a feature from whose *full* list the phrase is
 /// absent: `P(q|p) = 0`, i.e. `0` for OR and `-∞` for AND.
 #[inline]

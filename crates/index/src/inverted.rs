@@ -67,11 +67,6 @@ impl FeatureIndex {
         self.feature(feat).len()
     }
 
-    /// Number of indexed words.
-    pub fn num_words(&self) -> usize {
-        self.word_postings.len()
-    }
-
     /// Number of indexed facets.
     pub fn num_facets(&self) -> usize {
         self.facet_postings.len()

@@ -93,24 +93,6 @@ impl Client {
         self.roundtrip(&req.to_line())
     }
 
-    /// Executes `req` under a server-side deadline: the clock starts when
-    /// the server *receives* the request (queue wait counts), an expired
-    /// deadline comes back as a structured `deadline_exceeded` error, and
-    /// a mid-execution expiry returns the anytime result marked
-    /// `completeness: truncated`.
-    ///
-    /// # Errors
-    /// See [`Client::roundtrip`].
-    pub fn search_with_deadline(
-        &mut self,
-        req: &SearchRequest,
-        deadline: Duration,
-    ) -> std::io::Result<Value> {
-        let mut req = req.clone();
-        req.deadline_ms = Some(deadline.as_millis().min(u128::from(u64::MAX)) as u64);
-        self.search(&req)
-    }
-
     /// Executes several searches as one `{"batch": [...]}` request: the
     /// batch shares a single server admission slot and the response's
     /// `batch` array carries one `{ok, result|error}` object per item, in
