@@ -216,10 +216,11 @@ impl QueryEngine {
                 let block = self.image::<BlockLists>(&live.index).cold_view();
                 // One shared cold scan for the whole group; its IO lands
                 // in the engine totals, not in any member's response.
-                let d = decode;
                 let views: Vec<CachedBlockImage<'_>> = multiplicity
                     .iter()
-                    .map(|&w| CachedBlockImage::new(&block, d.cache, d.epoch, d.stats, w))
+                    .map(|&w| {
+                        CachedBlockImage::new(&block, decode.cache, decode.epoch, decode.stats, w)
+                    })
                     .collect();
                 let cursors = views
                     .iter()
