@@ -1230,8 +1230,9 @@ fn engine_answers_match_the_golden() {
     // operator, query, algorithm and fanout, with and without a §4.5.1
     // delta (3 ingests and 2 deletes, queried with `use_delta`), and
     // unbudgeted or under a 2-step budget, the hits' bits and texts and
-    // the completeness label (see `golden_line` for the one exception). A mismatch prints the first differing
-    // lines; `IPM_BLESS=1` rewrites the file.
+    // the completeness label (see `golden_line` for the one exception).
+    // A mismatch prints the first differing lines; `IPM_BLESS=1`
+    // rewrites the file.
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/engine_answers.txt");
     let engine = QueryEngine::with_config(
