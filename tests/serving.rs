@@ -1328,6 +1328,196 @@ fn router_never_hangs_past_the_deadline() {
     );
 }
 
+/// The hedge policy the escalation tests share: a fixed initial delay
+/// (one request never leaves warmup), so the hedge fires at `initial`.
+fn fixed_hedge(initial: std::time::Duration) -> ipm_server::HedgeConfig {
+    ipm_server::HedgeConfig {
+        enabled: true,
+        initial_delay: initial,
+        min_delay: std::time::Duration::from_millis(1),
+        max_delay: std::time::Duration::from_millis(250),
+    }
+}
+
+/// The hits a shard server's engine answers for `req` directly, encoded
+/// as the router encodes them.
+fn direct_hits(shard: &ipm_server::ServerHandle, req: &WireSearchRequest) -> String {
+    let direct = shard
+        .engine()
+        .request(&req.query)
+        .k(req.k)
+        .options(req.options())
+        .run()
+        .unwrap();
+    assert!(direct.completeness.is_exact());
+    serde_json::to_string(&wire::hits_value(&direct)).unwrap()
+}
+
+/// Polls the router's counters until `done` holds or two seconds pass.
+fn poll_stats(
+    router: &ipm_server::RouterHandle,
+    done: impl Fn(&ipm_server::RouterStats) -> bool,
+) -> ipm_server::RouterStats {
+    let until = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    loop {
+        let stats = router.stats();
+        if done(&stats) || std::time::Instant::now() >= until {
+            return stats;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+}
+
+/// A primary slower than the hedge delay but faster than its replica:
+/// the hedge fires, the primary still answers first, and the hedge's
+/// late answer is counted as wasted work once it arrives.
+#[test]
+fn late_primary_beats_its_hedge() {
+    let primary = spawn_faulty(build_engine(false), 60);
+    let replica = spawn_faulty(build_engine(false), 400);
+    let router = spawn_router(
+        vec![vec![primary.addr().to_string(), replica.addr().to_string()]],
+        fixed_hedge(std::time::Duration::from_millis(20)),
+    );
+    let terms = top_terms(primary.engine(), 2);
+    let mut client = Client::connect(&router.addr().to_string()).expect("connect");
+    let mut req = WireSearchRequest::new(format!("{} OR {}", terms[0], terms[1]));
+    req.k = 5;
+    let started = std::time::Instant::now();
+    let resp = client.search(&req).expect("roundtrip");
+    let elapsed = started.elapsed();
+    assert_eq!(resp["ok"].as_bool(), Some(true), "{resp:?}");
+    assert!(
+        elapsed < std::time::Duration::from_millis(400),
+        "the 60 ms primary must win, not the 400 ms hedge: took {elapsed:?}"
+    );
+    assert_eq!(
+        serde_json::to_string(&resp["result"]["hits"]).unwrap(),
+        direct_hits(&primary, &req)
+    );
+    let stats = poll_stats(&router, |s| s.wasted_rpcs >= 1);
+    assert_eq!(stats.hedges_fired, 1, "{stats:?}");
+    assert_eq!(stats.hedges_won, 0, "{stats:?}");
+    assert_eq!(stats.wasted_rpcs, 1, "the hedge's late answer: {stats:?}");
+}
+
+/// A primary that refuses connections fails over to the replica at once:
+/// a hard failure never waits out the hedge delay, and no hedge fires.
+#[test]
+fn dead_primary_fails_over_without_waiting_for_the_hedge() {
+    // A port that was just bound and released refuses connections.
+    let refused = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .to_string();
+    let replica = spawn_faulty(build_engine(false), 0);
+    let router = spawn_router(
+        vec![vec![refused, replica.addr().to_string()]],
+        fixed_hedge(std::time::Duration::from_secs(2)),
+    );
+    let terms = top_terms(replica.engine(), 2);
+    let mut client = Client::connect(&router.addr().to_string()).expect("connect");
+    let mut req = WireSearchRequest::new(format!("{} OR {}", terms[0], terms[1]));
+    req.k = 5;
+    let started = std::time::Instant::now();
+    let resp = client.search(&req).expect("roundtrip");
+    let elapsed = started.elapsed();
+    assert_eq!(resp["ok"].as_bool(), Some(true), "{resp:?}");
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "failover must not wait for the 2 s hedge delay: took {elapsed:?}"
+    );
+    assert_eq!(
+        resp["result"]["completeness"]["kind"].as_str(),
+        Some("exact"),
+        "{resp:?}"
+    );
+    assert_eq!(
+        serde_json::to_string(&resp["result"]["hits"]).unwrap(),
+        direct_hits(&replica, &req)
+    );
+    let stats = router.stats();
+    assert!(stats.shard_failures >= 1, "{stats:?}");
+    assert_eq!(stats.hedges_fired, 0, "{stats:?}");
+}
+
+/// A proxy in front of `upstream` that relays each request line and
+/// writes the response line back in two halves, `pause` apart, so the
+/// line straddles any read timeout shorter than the pause.
+fn spawn_splitting_proxy(upstream: String, pause: std::time::Duration) -> String {
+    use std::io::{BufRead, BufReader, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for down in listener.incoming() {
+            let Ok(mut down) = down else { return };
+            let upstream = upstream.clone();
+            std::thread::spawn(move || {
+                let Ok(mut up) = std::net::TcpStream::connect(&upstream) else {
+                    return;
+                };
+                let mut from_down = BufReader::new(down.try_clone().unwrap());
+                let mut from_up = BufReader::new(up.try_clone().unwrap());
+                let (mut request, mut response) = (String::new(), String::new());
+                loop {
+                    request.clear();
+                    response.clear();
+                    if from_down.read_line(&mut request).unwrap_or(0) == 0
+                        || up.write_all(request.as_bytes()).is_err()
+                        || from_up.read_line(&mut response).unwrap_or(0) == 0
+                    {
+                        return;
+                    }
+                    let (head, tail) = response.as_bytes().split_at(response.len() / 2);
+                    if down.write_all(head).and_then(|()| down.flush()).is_err() {
+                        return;
+                    }
+                    std::thread::sleep(pause);
+                    if down.write_all(tail).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// The primary's response line arrives in two halves with the hedge
+/// delay passing in between: the router must keep the first half and
+/// finish the same line, so the primary still wins over a slow hedge.
+#[test]
+fn response_split_across_the_hedge_boundary_is_reassembled() {
+    let shard = spawn_faulty(build_engine(false), 0);
+    let replica = spawn_faulty(build_engine(false), 400);
+    let proxy = spawn_splitting_proxy(
+        shard.addr().to_string(),
+        std::time::Duration::from_millis(100),
+    );
+    let router = spawn_router(
+        vec![vec![proxy, replica.addr().to_string()]],
+        fixed_hedge(std::time::Duration::from_millis(20)),
+    );
+    let terms = top_terms(shard.engine(), 2);
+    let mut client = Client::connect(&router.addr().to_string()).expect("connect");
+    let mut req = WireSearchRequest::new(format!("{} OR {}", terms[0], terms[1]));
+    req.k = 5;
+    let resp = client.search(&req).expect("roundtrip");
+    assert_eq!(resp["ok"].as_bool(), Some(true), "{resp:?}");
+    assert_eq!(
+        serde_json::to_string(&resp["result"]["hits"]).unwrap(),
+        direct_hits(&shard, &req)
+    );
+    let stats = router.stats();
+    assert_eq!(
+        stats.hedges_fired, 1,
+        "the pause crosses the hedge delay: {stats:?}"
+    );
+    assert_eq!(stats.hedges_won, 0, "{stats:?}");
+    assert_eq!(stats.shard_failures, 0, "{stats:?}");
+}
+
 /// Reads one counter's value out of a Prometheus text exposition.
 fn scrape_counter(text: &str, name: &str) -> u64 {
     text.lines()
