@@ -7,7 +7,8 @@
 //!   and shard fanout;
 //! * the **executor** (`run_query`) runs that plan over one backend per
 //!   shard: each shard executes the chosen algorithm over its disjoint
-//!   phrase-id partition on its own thread (std scoped threads), and the
+//!   phrase-id partition on its own thread (shard 0 on the calling
+//!   thread, the rest on std scoped threads), and the
 //!   per-shard top-k are merged under the result total order — score
 //!   descending, ties by ascending phrase id ([`sort_hits`]) — so output
 //!   is byte-identical regardless of shard count or thread interleaving.
@@ -587,8 +588,11 @@ pub(crate) fn run_query_on<E: ShardExecutor + ?Sized>(
 }
 
 /// Runs one fetch depth across every shard and merges: per-shard top-k
-/// (scoped threads; each shard resolves its own NRA bounds on the exact
-/// path), then the deterministic total order and truncation. Also
+/// (shard 0 on the calling thread, where it reuses that thread's NRA
+/// table, and shards 1..N on scoped threads beside it; each shard
+/// resolves its own NRA bounds on the exact path), then the
+/// deterministic total order and truncation. A fanout of N spawns N − 1
+/// threads per round, none at fanout 1. Also
 /// returns the number of raw candidates the shards produced before
 /// resolution dropped phantoms and before truncation — capped at
 /// `fetch`, this is what the redundancy loop's exhaustion test must see
@@ -628,31 +632,29 @@ fn fan_out<E: ShardExecutor + ?Sized>(
     } else {
         (f64::NEG_INFINITY, None)
     };
-    let per: Vec<Result<ShardOutcome, ShardError>> = if single {
-        let span = ctx.tracer.shard_span(executors[0].stage(), 0);
-        let out = executors[0].run_shard(query, fetch, floor, batch_size);
+    let run = |i: usize, e: &E| {
+        let span = ctx.tracer.shard_span(e.stage(), i);
+        let out = e.run_shard(query, fetch, floor, batch_size);
         span.end();
-        vec![out]
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = executors
-                .iter()
-                .enumerate()
-                .map(|(i, &e)| {
-                    s.spawn(move || {
-                        let span = ctx.tracer.shard_span(e.stage(), i);
-                        let out = e.run_shard(query, fetch, floor, batch_size);
-                        span.end();
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        })
+        out
     };
+    // Shards 1..N go to scoped threads first; shard 0 then runs on the
+    // calling thread alongside them.
+    let per: Vec<Result<ShardOutcome, ShardError>> = std::thread::scope(|s| {
+        let handles: Vec<_> = executors[1..]
+            .iter()
+            .enumerate()
+            .map(|(i, &e)| s.spawn(move || run(i + 1, e)))
+            .collect();
+        let first = run(0, executors[0]);
+        std::iter::once(first)
+            .chain(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard worker panicked")),
+            )
+            .collect()
+    });
     let mut merged: Vec<PhraseHit> = Vec::new();
     let mut raw_total = 0usize;
     let mut total = ExecStats::default();

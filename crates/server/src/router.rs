@@ -35,10 +35,16 @@
 //!    `shards_missing` instead of erroring: exact over the surviving
 //!    partitions, honest about the absent ones.
 //!
-//! Every RPC attempt runs on a detached thread with its reads bounded by
-//! the query's remaining deadline, so the router itself never blocks
-//! past the deadline — abandoned attempts drain in the background and
-//! self-report as wasted work.
+//! The primary attempt runs on the thread that scatters the leg: it
+//! writes the request and reads the answer with the socket read timeout
+//! set to the hedge time (or the cutoff when no hedge can fire), so an
+//! armed hedge that never fires costs nothing but that timeout. Only a
+//! primary that misses the hedge time or fails outright escalates: a
+//! detached thread takes over its connection and the bytes already read,
+//! the hedge or failover attempt gets a detached thread of its own, and
+//! the first answer wins. Every read is bounded by the query's remaining
+//! deadline, so the router never blocks past it — abandoned attempts
+//! drain in the background and self-report as wasted work.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -252,9 +258,10 @@ impl Tier for RouterShared {
         &self.engine
     }
 
-    /// Requests run inline on the connection thread — the scatter's
-    /// per-shard threads provide the concurrency, so a router worker pool
-    /// would only add a queueing stage in front of one.
+    /// Requests run inline on the connection thread — the scatter runs
+    /// shard 0's RPC on it and the other shards' on scoped threads, so a
+    /// router worker pool would only add a queueing stage in front of
+    /// that.
     fn serve(shared: &Arc<Self>, req: WireRequest) -> String {
         match req {
             WireRequest::Stats => stats_line(shared),
@@ -512,12 +519,13 @@ type AttemptResult = Result<ShardOutcome, String>;
 
 /// The adaptive hedge delay for one shard: its live RPC p95 clamped to
 /// the configured band, or the fixed initial delay until the histogram
-/// has [`HEDGE_WARMUP`] samples.
+/// has [`HEDGE_WARMUP`] samples (checked before any snapshot is taken).
 fn hedge_delay(shared: &RouterShared, shard: usize) -> Duration {
-    delay_from(
-        &shared.endpoints[shard].rpc_latency.snapshot(),
-        &shared.hedge,
-    )
+    let latency = &shared.endpoints[shard].rpc_latency;
+    if latency.count() < HEDGE_WARMUP {
+        return shared.hedge.initial_delay;
+    }
+    delay_from(&latency.snapshot(), &shared.hedge)
 }
 
 /// Pure core of [`hedge_delay`]: the delay a shard with this latency
@@ -548,8 +556,14 @@ fn record_winning_leg(shard_latency: &Histogram, hedged: bool, elapsed: Duration
 /// One shard RPC with pooling, hedging and failover. Returns the first
 /// successful outcome, or [`ShardError::Unavailable`] when every replica
 /// failed or the deadline/timeout cut the wait short. Never blocks past
-/// `min(deadline, now + rpc_timeout)`; abandoned attempts finish on
-/// their detached threads and self-count as wasted work.
+/// `min(deadline, now + rpc_timeout)`.
+///
+/// The primary attempt runs on the calling thread, its read bounded by
+/// the hedge time when a hedge can fire (hedging on, a second replica)
+/// and by the cutoff otherwise — so an armed hedge costs one read
+/// timeout, and a primary that answers in time costs no thread at all.
+/// Only a primary that misses the hedge time or fails outright
+/// escalates to [`escalate`]'s threaded race.
 fn rpc(
     shared: &Arc<RouterShared>,
     shard: usize,
@@ -560,18 +574,74 @@ fn rpc(
     let hard_cutoff = started + shared.rpc_timeout;
     let cutoff = deadline.map_or(hard_cutoff, |d| d.min(hard_cutoff));
     let endpoint = &shared.endpoints[shard];
+    let hedge_at = (shared.hedge.enabled && endpoint.replicas.len() > 1)
+        .then(|| started + hedge_delay(shared, shard));
+    let primary = &endpoint.replicas[0];
+    shared.obs.shard_rpcs.inc();
+    let progress = match Attempt::start(primary, line, cutoff) {
+        Ok(a) => a.advance(primary, line, hedge_at.unwrap_or(cutoff)),
+        Err(e) => Progress::Done(Err(e)),
+    };
+    let in_flight = match progress {
+        Progress::Done(Ok(out)) => {
+            let elapsed = started.elapsed();
+            record_winning_leg(&endpoint.rpc_latency, false, elapsed);
+            shared.obs.rpc_latency.observe(elapsed);
+            return Ok(out);
+        }
+        Progress::Done(Err(msg)) => {
+            shared.obs.shard_failures.inc();
+            Err(msg)
+        }
+        Progress::Pending(_) if Instant::now() >= cutoff => {
+            // No hedge left to fire: the abandoned attempt is wasted work.
+            shared.obs.wasted_rpcs.inc();
+            return Err(unanswered(shard, started, cutoff, ""));
+        }
+        Progress::Pending(a) => Ok(a),
+    };
+    escalate(shared, shard, line, started, cutoff, hedge_at, in_flight)
+}
+
+/// The threaded race behind [`rpc`], entered when the primary missed the
+/// hedge time (`primary` is its in-flight attempt, which a thread takes
+/// over with the bytes already read) or failed outright (`primary` is
+/// its error, and the next replica is tried at once). Every further
+/// attempt runs on a detached thread whose reads stop at the cutoff; the
+/// first answer wins, and attempts that answer after the winner was
+/// chosen, or after the wait was abandoned, self-count as wasted work.
+fn escalate(
+    shared: &Arc<RouterShared>,
+    shard: usize,
+    line: &str,
+    started: Instant,
+    cutoff: Instant,
+    hedge_at: Option<Instant>,
+    primary: Result<Attempt, String>,
+) -> Result<ShardOutcome, ShardError> {
+    let endpoint = &shared.endpoints[shard];
     let line: Arc<str> = Arc::from(line);
     let (tx, rx) = mpsc::channel::<(usize, AttemptResult)>();
 
-    let spawn_attempt = |replica_idx: usize, attempt_idx: usize| {
-        shared.obs.shard_rpcs.inc();
+    let spawn_attempt = |replica_idx: usize, attempt_idx: usize, resume: Option<Attempt>| {
         let shared = shared.clone();
         let line = line.clone();
         let thread_tx = tx.clone();
         if let Err(e) = std::thread::Builder::new()
             .name(format!("ipm-rpc-{shard}-{replica_idx}"))
             .spawn(move || {
-                let result = attempt(&shared, shard, replica_idx, &line, cutoff);
+                let replica = &shared.endpoints[shard].replicas[replica_idx];
+                let attempt = match resume {
+                    Some(a) => Ok(a),
+                    None => Attempt::start(replica, &line, cutoff),
+                };
+                let result = match attempt.map(|a| a.advance(replica, &line, cutoff)) {
+                    Ok(Progress::Done(result)) => result,
+                    Ok(Progress::Pending(_)) => {
+                        Err("deadline expired waiting for the shard's response".to_owned())
+                    }
+                    Err(e) => Err(e),
+                };
                 if thread_tx.send((attempt_idx, result)).is_err() {
                     // The winner was chosen (or the wait abandoned)
                     // before this attempt finished: its work is the
@@ -587,43 +657,53 @@ fn rpc(
         }
     };
 
-    spawn_attempt(0, 0);
     let mut next_replica = 1;
     let mut next_attempt = 1;
-    let mut outstanding = 1usize;
+    let mut outstanding = 0usize;
     let mut hedge_attempt: Option<usize> = None;
-    let may_hedge = |hedged: &Option<usize>| {
-        shared.hedge.enabled && hedged.is_none() && endpoint.replicas.len() > 1
-    };
-    let hedge_at = started + hedge_delay(shared, shard);
     let mut last_err = String::new();
+    match primary {
+        Ok(in_flight) => {
+            spawn_attempt(0, 0, Some(in_flight));
+            outstanding = 1;
+        }
+        Err(msg) => last_err = msg,
+    }
 
     loop {
+        if outstanding == 0 {
+            if next_replica < endpoint.replicas.len() && Instant::now() < cutoff {
+                // Failover: a hard failure skips the hedge delay.
+                shared.obs.shard_rpcs.inc();
+                spawn_attempt(next_replica, next_attempt, None);
+                next_replica += 1;
+                next_attempt += 1;
+                outstanding = 1;
+            } else {
+                return Err(ShardError::Unavailable(format!(
+                    "shard {shard}: every replica failed (last error: {last_err})"
+                )));
+            }
+        }
         let now = Instant::now();
-        if may_hedge(&hedge_attempt) && now >= hedge_at && next_replica < endpoint.replicas.len() {
+        let hedge_due =
+            hedge_at.filter(|_| hedge_attempt.is_none() && next_replica < endpoint.replicas.len());
+        if hedge_due.is_some_and(|at| now >= at) {
             shared.obs.hedges_fired.inc();
+            shared.obs.shard_rpcs.inc();
             hedge_attempt = Some(next_attempt);
-            spawn_attempt(next_replica, next_attempt);
+            spawn_attempt(next_replica, next_attempt, None);
             next_replica += 1;
             next_attempt += 1;
             outstanding += 1;
             continue;
         }
         if now >= cutoff {
-            return Err(ShardError::Unavailable(format!(
-                "shard {shard}: no replica answered within {:?}{}",
-                cutoff.saturating_duration_since(started),
-                if last_err.is_empty() {
-                    String::new()
-                } else {
-                    format!(" (last error: {last_err})")
-                }
-            )));
+            return Err(unanswered(shard, started, cutoff, &last_err));
         }
-        let mut wait = cutoff - now;
-        if may_hedge(&hedge_attempt) && next_replica < endpoint.replicas.len() {
-            wait = wait.min(hedge_at.saturating_duration_since(now));
-        }
+        let wait = hedge_due
+            .map_or(cutoff, |at| at.min(cutoff))
+            .saturating_duration_since(now);
         match rx.recv_timeout(wait) {
             Ok((attempt_idx, Ok(out))) => {
                 let elapsed = started.elapsed();
@@ -640,19 +720,6 @@ fn rpc(
                 shared.obs.shard_failures.inc();
                 last_err = msg;
                 outstanding -= 1;
-                if outstanding == 0 {
-                    if next_replica < endpoint.replicas.len() && Instant::now() < cutoff {
-                        // Failover: a hard failure skips the hedge delay.
-                        spawn_attempt(next_replica, next_attempt);
-                        next_replica += 1;
-                        next_attempt += 1;
-                        outstanding += 1;
-                    } else {
-                        return Err(ShardError::Unavailable(format!(
-                            "shard {shard}: every replica failed (last error: {last_err})"
-                        )));
-                    }
-                }
             }
             Err(RecvTimeoutError::Timeout) => {}
             // Unreachable: `tx` lives in this scope, so the channel
@@ -666,41 +733,104 @@ fn rpc(
     }
 }
 
-/// One attempt against one replica: take a pooled connection (or dial),
-/// write the pre-assembled line in a single syscall, read one response
-/// line under the remaining deadline, decode. A *pooled* connection that
-/// turns out stale (EOF / reset on first use) gets exactly one retry on
-/// a fresh dial; a fresh connection's failure is the replica's failure.
-fn attempt(
-    shared: &RouterShared,
-    shard: usize,
-    replica_idx: usize,
-    line: &str,
-    cutoff: Instant,
-) -> AttemptResult {
-    let replica = &shared.endpoints[shard].replicas[replica_idx];
-    let mut from_pool = true;
-    let mut stream = match replica.take() {
-        Some(s) => s,
-        None => {
-            from_pool = false;
-            dial(&replica.addr, cutoff)?
+/// The error for a shard whose replicas were all still silent at the
+/// cutoff.
+fn unanswered(shard: usize, started: Instant, cutoff: Instant, last_err: &str) -> ShardError {
+    ShardError::Unavailable(format!(
+        "shard {shard}: no replica answered within {:?}{}",
+        cutoff.saturating_duration_since(started),
+        if last_err.is_empty() {
+            String::new()
+        } else {
+            format!(" (last error: {last_err})")
         }
-    };
-    loop {
-        match roundtrip(&mut stream, line, cutoff) {
-            Ok(v) => {
-                let out = decode_shard_response(&v)?;
-                replica.put(stream);
-                return Ok(out);
+    ))
+}
+
+/// How far an [`Attempt`] got before its read bound.
+enum Progress {
+    /// It answered (decoded) or failed.
+    Done(AttemptResult),
+    /// The bound passed mid-wait; the attempt can be resumed.
+    Pending(Attempt),
+}
+
+/// One RPC attempt against one replica: the connection it writes to,
+/// whether that connection came from the pool, and the response bytes
+/// read so far. It moves between threads intact, so a read cut short at
+/// the hedge time resumes on another thread where it stopped.
+struct Attempt {
+    stream: TcpStream,
+    from_pool: bool,
+    reader: LineReader,
+    /// The request's cutoff; bounds a redial and every read.
+    cutoff: Instant,
+}
+
+impl Attempt {
+    /// Takes a pooled connection (or dials) and writes the pre-assembled
+    /// line in a single call. A *pooled* connection that turns out stale
+    /// (EOF / reset on first use) gets exactly one retry on a fresh dial;
+    /// a fresh connection's failure is the replica's failure.
+    fn start(replica: &Replica, line: &str, cutoff: Instant) -> Result<Self, String> {
+        let (stream, from_pool) = match replica.take() {
+            Some(stream) => (stream, true),
+            None => (dial(&replica.addr, cutoff)?, false),
+        };
+        let mut attempt = Attempt {
+            stream,
+            from_pool,
+            reader: LineReader::default(),
+            cutoff,
+        };
+        match write_line(&mut attempt.stream, line) {
+            Ok(()) => Ok(attempt),
+            Err(e) => attempt.redial(replica, line, e),
+        }
+    }
+
+    /// The one retry of a stale pooled connection: a fresh dial and the
+    /// line written again. `err` is what the pooled connection failed
+    /// with; it is the attempt's error when the connection was fresh.
+    fn redial(self, replica: &Replica, line: &str, err: String) -> Result<Self, String> {
+        if !self.from_pool {
+            return Err(err);
+        }
+        let stream = dial(&replica.addr, self.cutoff).map_err(|dial_err| {
+            format!("stale pooled connection ({err}); redial failed: {dial_err}")
+        })?;
+        let mut fresh = Attempt {
+            stream,
+            from_pool: false,
+            reader: LineReader::default(),
+            cutoff: self.cutoff,
+        };
+        write_line(&mut fresh.stream, line)?;
+        Ok(fresh)
+    }
+
+    /// Reads on until the response line is complete (decoded; the
+    /// connection goes back to the pool on success) or `until` passes
+    /// (`Pending`, every byte read so far kept).
+    fn advance(mut self, replica: &Replica, line: &str, until: Instant) -> Progress {
+        loop {
+            match self
+                .reader
+                .read_line(&mut self.stream, until.min(self.cutoff))
+            {
+                Ok(Some(v)) => {
+                    let out = decode_shard_response(&v);
+                    if out.is_ok() {
+                        replica.put(self.stream);
+                    }
+                    return Progress::Done(out);
+                }
+                Ok(None) => return Progress::Pending(self),
+                Err(e) => match self.redial(replica, line, e) {
+                    Ok(fresh) => self = fresh,
+                    Err(e) => return Progress::Done(Err(e)),
+                },
             }
-            Err(e) if from_pool => {
-                from_pool = false;
-                stream = dial(&replica.addr, cutoff).map_err(|dial_err| {
-                    format!("stale pooled connection ({e}); redial failed: {dial_err}")
-                })?;
-            }
-            Err(e) => return Err(e),
         }
     }
 }
@@ -721,43 +851,61 @@ fn dial(addr: &str, cutoff: Instant) -> Result<TcpStream, String> {
     Ok(stream)
 }
 
-/// Writes the request line in one call and reads exactly one response
-/// line, with every read bounded by the remaining time to `cutoff`.
-fn roundtrip(stream: &mut TcpStream, line: &str, cutoff: Instant) -> Result<Value, String> {
+fn write_line(stream: &mut TcpStream, line: &str) -> Result<(), String> {
     stream
         .write_all(line.as_bytes())
         .and_then(|()| stream.flush())
-        .map_err(|e| format!("write failed: {e}"))?;
-    let mut pending: Vec<u8> = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        if let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let line = String::from_utf8_lossy(&pending[..pos]);
-            return serde_json::from_str(line.trim())
-                .map_err(|e| format!("bad response line: {e}"));
-        }
-        if pending.len() > MAX_LINE_BYTES {
-            return Err(format!("response line exceeds {MAX_LINE_BYTES} bytes"));
-        }
-        let remaining = cutoff.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err("deadline expired waiting for the shard's response".to_owned());
-        }
-        stream
-            .set_read_timeout(Some(remaining))
-            .map_err(|e| format!("set read timeout failed: {e}"))?;
-        match stream.read(&mut buf) {
-            Ok(0) => return Err("shard closed the connection".to_owned()),
-            Ok(n) => pending.extend_from_slice(&buf[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Err("read timed out waiting for the shard's response".to_owned());
+        .map_err(|e| format!("write failed: {e}"))
+}
+
+/// A response line read in as many calls as it takes: the bytes of an
+/// unfinished line survive a call that stops at its bound, and the next
+/// call completes the same line.
+#[derive(Default)]
+struct LineReader {
+    pending: Vec<u8>,
+}
+
+impl LineReader {
+    /// Reads until one full line is buffered and returns it parsed, or
+    /// returns `Ok(None)` ("not yet") once `until` passes. Every read is
+    /// bounded by the time left to `until`.
+    fn read_line(
+        &mut self,
+        stream: &mut TcpStream,
+        until: Instant,
+    ) -> Result<Option<Value>, String> {
+        let mut buf = [0u8; 4096];
+        loop {
+            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
+                let line = String::from_utf8_lossy(&self.pending[..pos]);
+                return serde_json::from_str(line.trim())
+                    .map(Some)
+                    .map_err(|e| format!("bad response line: {e}"));
             }
-            Err(e) => return Err(format!("read failed: {e}")),
+            if self.pending.len() > MAX_LINE_BYTES {
+                return Err(format!("response line exceeds {MAX_LINE_BYTES} bytes"));
+            }
+            let remaining = until.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Ok(None);
+            }
+            stream
+                .set_read_timeout(Some(remaining))
+                .map_err(|e| format!("set read timeout failed: {e}"))?;
+            match stream.read(&mut buf) {
+                Ok(0) => return Err("shard closed the connection".to_owned()),
+                Ok(n) => self.pending.extend_from_slice(&buf[..n]),
+                // The bound passed mid-read: the loop re-checks the clock.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock
+                            | std::io::ErrorKind::TimedOut
+                            | std::io::ErrorKind::Interrupted
+                    ) => {}
+                Err(e) => return Err(format!("read failed: {e}")),
+            }
         }
     }
 }
@@ -862,6 +1010,26 @@ mod tests {
             drained += 1;
         }
         assert_eq!(drained, POOL_CAP);
+    }
+
+    #[test]
+    fn line_reader_resumes_a_line_split_across_its_bound() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut shard, _) = listener.accept().unwrap();
+        let mut reader = LineReader::default();
+        shard.write_all(br#"{"ok":tr"#).unwrap();
+        let bound = Instant::now() + Duration::from_millis(50);
+        let first = reader.read_line(&mut stream, bound).unwrap();
+        assert!(first.is_none(), "half a line is not yet a line");
+        assert!(Instant::now() >= bound, "\"not yet\" only at the bound");
+        assert_eq!(reader.pending, br#"{"ok":tr"#, "the half is kept");
+        shard.write_all(b"ue}\n").unwrap();
+        let line = reader
+            .read_line(&mut stream, Instant::now() + Duration::from_secs(5))
+            .unwrap()
+            .expect("the next call completes the same line");
+        assert_eq!(line.get("ok").and_then(Value::as_bool), Some(true));
     }
 
     #[test]
