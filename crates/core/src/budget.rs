@@ -10,12 +10,16 @@
 //! scoring chunks) and into every shard of a fanned-out execution.
 //!
 //! Checks are **cooperative**: each algorithm polls [`ShardBudget::check`]
-//! at its natural loop boundary. A check that fails is *sticky* — the
-//! first shard to trip the budget trips it for every shard, so a
-//! fanned-out query winds down as one unit. A budget-stopped run returns
-//! its current top-k (the paper's anytime envelope: NRA's lower-bound
-//! candidates, SMJ/TA's exactly-scored prefix) and the response is marked
-//! [`Completeness::Truncated`].
+//! at its natural loop boundary. A deadline or IO trip is *shared and
+//! sticky* — the first shard to trip it stops every shard, so a
+//! fanned-out query winds down as one unit. The step cap is split
+//! instead: each shard's gauge counts its own checkpoints against
+//! `ceil(cap / fanout)`, and reaching that quota stops only that gauge's
+//! run, so where a step-capped shard stops never depends on how the
+//! shard threads interleave. A budget-stopped run returns its current
+//! top-k (the paper's anytime envelope: NRA's lower-bound candidates,
+//! SMJ/TA's exactly-scored prefix) and the response is marked
+//! [`Completeness::Truncated`] with the first cause that tripped.
 //!
 //! Three independent limits compose:
 //!
@@ -24,13 +28,14 @@
 //! * **IO budget** — a cap on simulated disk page fetches
 //!   (`ipm_storage`'s unit of §5.5 cost); per-shard gauges report each
 //!   shard's pool activity into the shared counter;
-//! * **step budget** — a cap on cooperative checkpoints passed. Wall
-//!   clocks and page counters are environment-dependent; the step cap is
-//!   the *deterministic* throttle, which makes truncation reproducible in
-//!   tests and lets operators bound work on the memory backend too.
+//! * **step budget** — a cap on cooperative checkpoints passed, split
+//!   evenly across a fan-out's shards. Wall clocks and page counters are
+//!   environment-dependent; the step cap is the *deterministic* throttle,
+//!   which makes truncation reproducible in tests at every fanout and
+//!   lets operators bound work on the memory backend too.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::parse::ParseError;
@@ -76,10 +81,11 @@ pub struct Budget {
     step_budget: Option<u64>,
     /// Simulated page fetches reported so far (all shards).
     io_used: AtomicU64,
-    /// Cooperative checkpoints passed so far (all shards).
-    steps_used: AtomicU64,
     /// First cause to trip, sticky (`TRIP_*` codes).
     tripped: AtomicU8,
+    /// Set by a deadline or IO trip, which stops every shard; a step
+    /// trip stops only the gauge that reached its quota.
+    halted: AtomicBool,
 }
 
 impl Budget {
@@ -90,8 +96,8 @@ impl Budget {
             io_budget: None,
             step_budget: None,
             io_used: AtomicU64::new(0),
-            steps_used: AtomicU64::new(0),
             tripped: AtomicU8::new(TRIP_NONE),
+            halted: AtomicBool::new(false),
         }
     }
 
@@ -122,7 +128,8 @@ impl Budget {
     }
 
     /// Caps cooperative checkpoints — the deterministic throttle (each
-    /// [`ShardBudget::check`] consumes one step).
+    /// [`ShardBudget::check`] consumes one step of its gauge's
+    /// `ceil(checks / fanout)` quota).
     pub fn with_step_budget(mut self, checks: u64) -> Self {
         self.step_budget = Some(checks);
         self
@@ -159,10 +166,14 @@ impl Budget {
     }
 
     fn trip(&self, code: u8) {
-        // First cause wins; later checks observe the sticky state.
+        // First cause wins the label; a deadline or IO trip halts every
+        // shard even when a step trip already holds the label.
         let _ = self
             .tripped
             .compare_exchange(TRIP_NONE, code, Ordering::SeqCst, Ordering::SeqCst);
+        if code != TRIP_STEPS {
+            self.halted.store(true, Ordering::SeqCst);
+        }
     }
 
     /// What tripped this budget, if anything did.
@@ -175,19 +186,22 @@ impl Budget {
         }
     }
 
-    /// Whether any limit has tripped (sticky).
+    /// Whether any limit has tripped (sticky): a shared one, or some
+    /// shard's step quota.
     pub fn is_tripped(&self) -> bool {
         self.tripped.load(Ordering::SeqCst) != TRIP_NONE
     }
 
-    /// One cooperative checkpoint: `true` = keep working, `false` = stop
-    /// now (some limit tripped — here or on another shard). Consumes one
-    /// step against the step cap.
-    pub fn check(&self) -> bool {
-        if self.is_unlimited() {
-            return true;
-        }
-        if self.is_tripped() {
+    /// Whether a deadline or IO trip has stopped every shard (sticky).
+    fn is_halted(&self) -> bool {
+        self.halted.load(Ordering::SeqCst)
+    }
+
+    /// The shared half of a checkpoint: `false` once the deadline or the
+    /// IO cap has tripped, here or on another shard. Steps are counted
+    /// per gauge, by [`ShardBudget::check`].
+    fn check_shared(&self) -> bool {
+        if self.is_halted() {
             return false;
         }
         if let Some(deadline) = self.deadline {
@@ -201,13 +215,6 @@ impl Budget {
             // lint-allow: relaxed-ordering — a stale read only delays the trip by one poll; the trip CAS is SeqCst
             if self.io_used.load(Ordering::Relaxed) >= cap {
                 self.trip(TRIP_IO);
-                return false;
-            }
-        }
-        if let Some(cap) = self.step_budget {
-            // lint-allow: relaxed-ordering — step counting tolerates cap overshoot by in-flight increments
-            if self.steps_used.fetch_add(1, Ordering::Relaxed) + 1 >= cap {
-                self.trip(TRIP_STEPS);
                 return false;
             }
         }
@@ -232,10 +239,11 @@ impl Budget {
 
 /// One shard's view of the shared [`Budget`]: carries the closure that
 /// reads *this* shard's simulated-IO fetch counter, so each cooperative
-/// check also reports the shard's IO delta into the shared cap.
+/// check also reports the shard's IO delta into the shared cap, and this
+/// shard's own count of checkpoints against its share of the step cap.
 ///
 /// Created per shard thread (it is deliberately not `Sync` — the IO
-/// watermark is single-threaded state).
+/// watermark and the step count are single-threaded state).
 pub struct ShardBudget<'a> {
     budget: &'a Budget,
     /// Reads this shard's total page fetches (e.g. its buffer pool's
@@ -243,23 +251,32 @@ pub struct ShardBudget<'a> {
     io_now: Option<&'a dyn Fn() -> u64>,
     /// Fetch watermark already reported to the shared budget.
     last_io: Cell<u64>,
+    /// This gauge's share of the step cap, `ceil(cap / fanout)`.
+    step_quota: Option<u64>,
+    /// Checkpoints this gauge has counted against `step_quota`.
+    steps: Cell<u64>,
     /// False for unlimited budgets: checks reduce to one branch.
     active: bool,
 }
 
 impl<'a> ShardBudget<'a> {
-    /// A gauge over `budget` with `io_now` reading the shard's fetch
-    /// counter. The watermark starts at the counter's *current* value:
-    /// pool counters are cumulative per query, and fetches performed
-    /// before this gauge existed (the seed phase, an earlier over-fetch
-    /// round) were already charged by the gauge that watched them —
-    /// re-charging them would trip the cap at a fraction of its value.
-    pub fn new(budget: &'a Budget, io_now: &'a dyn Fn() -> u64) -> Self {
+    /// A gauge over `budget` for one shard of a `fanout`-way execution,
+    /// with `io_now` reading the shard's fetch counter. The watermark
+    /// starts at the counter's *current* value: pool counters are
+    /// cumulative per query, and fetches performed before this gauge
+    /// existed (the seed phase, an earlier over-fetch round) were already
+    /// charged by the gauge that watched them — re-charging them would
+    /// trip the cap at a fraction of its value.
+    pub fn new(budget: &'a Budget, io_now: &'a dyn Fn() -> u64, fanout: usize) -> Self {
         let watching = budget.has_io_budget();
         Self {
             budget,
             io_now: watching.then_some(io_now),
             last_io: Cell::new(if watching { io_now() } else { 0 }),
+            step_quota: budget
+                .step_budget
+                .map(|cap| cap.div_ceil(fanout.max(1) as u64)),
+            steps: Cell::new(0),
             active: !budget.is_unlimited(),
         }
     }
@@ -270,6 +287,8 @@ impl<'a> ShardBudget<'a> {
             budget: Budget::none(),
             io_now: None,
             last_io: Cell::new(0),
+            step_quota: None,
+            steps: Cell::new(0),
             active: false,
         }
     }
@@ -281,7 +300,9 @@ impl<'a> ShardBudget<'a> {
     }
 
     /// One cooperative checkpoint: reports this shard's IO delta, then
-    /// evaluates every limit. `true` = keep working.
+    /// evaluates every limit — the shared deadline and IO cap, then this
+    /// gauge's step quota (the checkpoint that reaches the quota fails,
+    /// as does every later one). `true` = keep working.
     #[inline]
     pub fn check(&self) -> bool {
         if !self.active {
@@ -295,7 +316,24 @@ impl<'a> ShardBudget<'a> {
                 self.last_io.set(now);
             }
         }
-        self.budget.check()
+        if !self.budget.check_shared() {
+            return false;
+        }
+        if let Some(quota) = self.step_quota {
+            let steps = self.steps.get() + 1;
+            self.steps.set(steps);
+            if steps >= quota {
+                self.budget.trip(TRIP_STEPS);
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Whether this gauge's run was stopped: by its own step quota, or by
+    /// a shared trip. A sibling shard's step trip does not count.
+    pub fn stopped(&self) -> bool {
+        self.budget.is_halted() || self.step_quota.is_some_and(|q| self.steps.get() >= q)
     }
 }
 
@@ -410,37 +448,87 @@ impl From<ParseError> for SearchError {
 mod tests {
     use super::*;
 
+    fn no_io() -> u64 {
+        0
+    }
+
+    /// The gauge of an unsharded run over a backend that does no IO.
+    fn gauge(b: &Budget) -> ShardBudget<'_> {
+        ShardBudget::new(b, &no_io, 1)
+    }
+
     #[test]
     fn unlimited_budget_never_trips() {
         let b = Budget::unlimited();
+        let g = gauge(&b);
         for _ in 0..1000 {
-            assert!(b.check());
+            assert!(g.check());
         }
         assert!(!b.is_tripped());
         assert!(b.dead_on_arrival().is_none());
         // The shared unlimited budget must stay pristine even after use.
         assert_eq!(Budget::none().io_used(), 0);
-        assert!(Budget::none().check());
+        assert!(gauge(Budget::none()).check());
     }
 
     #[test]
     fn step_budget_trips_deterministically() {
         let b = Budget::unlimited().with_step_budget(3);
-        assert!(b.check());
-        assert!(b.check());
-        assert!(!b.check(), "third checkpoint exhausts a 3-step budget");
-        assert!(!b.check(), "tripping is sticky");
+        let g = gauge(&b);
+        assert!(g.check());
+        assert!(g.check());
+        assert!(!g.check(), "third checkpoint exhausts a 3-step budget");
+        assert!(!g.check(), "tripping is sticky");
+        assert!(g.stopped());
         assert_eq!(b.trip_cause(), Some(BudgetKind::Steps));
+    }
+
+    #[test]
+    fn step_quota_is_split_by_fanout_and_stops_only_its_own_shard() {
+        let b = Budget::unlimited().with_step_budget(3);
+        let (g0, g1) = (
+            ShardBudget::new(&b, &no_io, 2),
+            ShardBudget::new(&b, &no_io, 2),
+        );
+        assert!(g0.check());
+        assert!(
+            !g0.check(),
+            "ceil(3 / 2) = 2: the second checkpoint reaches the quota"
+        );
+        assert!(g0.stopped());
+        assert_eq!(b.trip_cause(), Some(BudgetKind::Steps));
+        assert!(
+            !g1.stopped(),
+            "a sibling's step trip leaves this shard running"
+        );
+        assert!(g1.check());
+        assert!(
+            !g1.check(),
+            "this shard reaches its own quota at the same step"
+        );
+
+        // A shared trip stops every shard, whatever its step count.
+        let b = Budget::unlimited().with_step_budget(100).with_io_budget(1);
+        let (g0, g1) = (
+            ShardBudget::new(&b, &no_io, 2),
+            ShardBudget::new(&b, &no_io, 2),
+        );
+        b.charge_io(1);
+        assert!(!g0.check());
+        assert!(g1.stopped());
+        assert!(!g1.check());
+        assert_eq!(b.trip_cause(), Some(BudgetKind::Io));
     }
 
     #[test]
     fn io_budget_trips_after_reported_fetches() {
         let b = Budget::unlimited().with_io_budget(10);
-        assert!(b.check());
+        let g = gauge(&b);
+        assert!(g.check());
         b.charge_io(4);
-        assert!(b.check());
+        assert!(g.check());
         b.charge_io(6);
-        assert!(!b.check(), "10 fetches meet a 10-fetch cap");
+        assert!(!g.check(), "10 fetches meet a 10-fetch cap");
         assert_eq!(b.trip_cause(), Some(BudgetKind::Io));
         assert_eq!(b.io_used(), 10);
     }
@@ -449,19 +537,23 @@ mod tests {
     fn deadline_trips_and_is_dead_on_arrival_when_past() {
         let b = Budget::unlimited().with_deadline(Instant::now() - Duration::from_millis(1));
         assert_eq!(b.dead_on_arrival(), Some(SearchError::DeadlineExceeded));
-        assert!(!b.check());
+        assert!(!gauge(&b).check());
         assert_eq!(b.trip_cause(), Some(BudgetKind::Deadline));
         let future = Budget::unlimited().deadline_in(Duration::from_secs(3600));
         assert!(future.dead_on_arrival().is_none());
-        assert!(future.check());
+        assert!(gauge(&future).check());
     }
 
     #[test]
     fn first_trip_wins() {
         let b = Budget::unlimited().with_step_budget(1).with_io_budget(1);
-        assert!(!b.check(), "1-step budget trips on the first checkpoint");
+        let (g0, g1) = (
+            ShardBudget::new(&b, &no_io, 1),
+            ShardBudget::new(&b, &no_io, 1),
+        );
+        assert!(!g0.check(), "1-step budget trips on the first checkpoint");
         b.charge_io(1);
-        assert!(!b.check());
+        assert!(!g1.check(), "the IO trip still stops every shard");
         assert_eq!(
             b.trip_cause(),
             Some(BudgetKind::Steps),
@@ -474,7 +566,7 @@ mod tests {
         let b = Budget::unlimited().with_io_budget(100);
         let counter = Cell::new(0u64);
         let read = || counter.get();
-        let gauge = ShardBudget::new(&b, &read);
+        let gauge = ShardBudget::new(&b, &read, 1);
         assert!(gauge.active());
         counter.set(30);
         assert!(gauge.check());
@@ -499,13 +591,13 @@ mod tests {
         let counter = Cell::new(0u64);
         let read = || counter.get();
         {
-            let seed_gauge = ShardBudget::new(&b, &read);
+            let seed_gauge = ShardBudget::new(&b, &read, 1);
             counter.set(40);
             assert!(seed_gauge.check());
         }
         assert_eq!(b.io_used(), 40);
         // A fresh gauge over the same counter: watermark starts at 40.
-        let shard_gauge = ShardBudget::new(&b, &read);
+        let shard_gauge = ShardBudget::new(&b, &read, 1);
         assert!(shard_gauge.check());
         assert_eq!(b.io_used(), 40, "the seed fetches must not be re-charged");
         counter.set(70);

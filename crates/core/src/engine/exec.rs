@@ -518,6 +518,7 @@ impl QueryEngine {
                 options,
                 delta,
                 budget,
+                fanout: plan.shards,
                 tracer,
             },
         })

@@ -224,6 +224,9 @@ pub(crate) struct ExecContext<'a> {
     /// The request's execution budget, shared across every shard thread
     /// (unlimited for unbudgeted requests — checks then cost one branch).
     pub budget: &'a Budget,
+    /// The planned shard fanout: each shard's gauge gets
+    /// `ceil(step cap / fanout)` of the budget's step cap.
+    pub fanout: usize,
     /// The request's trace collector (disabled for untraced queries —
     /// every span call is then a single branch).
     pub tracer: Tracer,
@@ -360,7 +363,7 @@ pub(crate) fn seed_floor<B: ListBackend>(
         ipm_corpus::hash::FxHashMap::default();
     for b in backends {
         let io_now = || b.io_fetches();
-        let gauge = ShardBudget::new(ctx.budget, &io_now);
+        let gauge = ShardBudget::new(ctx.budget, &io_now, ctx.fanout);
         for (i, &f) in query.features.iter().enumerate() {
             let mut cur = b.score_cursor(f, 1.0);
             for _ in 0..prefix {
@@ -712,13 +715,20 @@ pub(crate) fn run_one_shard<B: ListBackend>(
     subset: Option<&ipm_index::postings::Postings>,
 ) -> ShardOutcome {
     let io_before = backend.io_fetches();
-    let (mut hits, mut stats) = run_shard_with(ctx, backend, query, fetch, tuning, subset);
+    // This shard's budget gauge: every cooperative check also reports the
+    // backend's simulated-IO fetch delta into the shared cap (a delta
+    // overlay delegates `io_fetches` to the wrapped backend) and counts
+    // against this shard's step quota.
+    let io_now = || backend.io_fetches();
+    let gauge = ShardBudget::new(ctx.budget, &io_now, ctx.fanout);
+    let (mut hits, mut stats) = run_shard_with(ctx, backend, query, fetch, tuning, subset, &gauge);
     let raw_candidates = hits.len();
-    if ctx.exact_nra_path() && !ctx.budget.is_tripped() {
+    if ctx.exact_nra_path() && !gauge.stopped() {
         // Budget-stopped runs skip probe resolution: the probes would
         // charge further (random, 10×-priced) IO after the budget said
         // stop, and a truncated response keeps anytime bound semantics
-        // anyway.
+        // anyway. A sibling's step trip does not stop this shard, so it
+        // does not skip this shard's resolution either.
         stats.random_probes += resolve_shard_hits(backend, query, &mut hits);
     }
     ShardOutcome {
@@ -746,13 +756,14 @@ fn run_shard_with<B: ListBackend>(
     fetch: usize,
     tuning: NraTuning,
     subset: Option<&ipm_index::postings::Postings>,
+    budget: &ShardBudget<'_>,
 ) -> (Vec<PhraseHit>, ExecStats) {
     match ctx.delta.as_deref() {
         Some(d) => {
             let overlay = DeltaOverlay::new(backend, d, ctx.miner.index());
-            run_shard_backend(ctx, &overlay, query, fetch, tuning, subset)
+            run_shard_backend(ctx, &overlay, query, fetch, tuning, subset, budget)
         }
-        None => run_shard_backend(ctx, backend, query, fetch, tuning, subset),
+        None => run_shard_backend(ctx, backend, query, fetch, tuning, subset, budget),
     }
 }
 
@@ -767,12 +778,8 @@ fn run_shard_backend<B: ListBackend>(
     fetch: usize,
     tuning: NraTuning,
     subset: Option<&ipm_index::postings::Postings>,
+    budget: &ShardBudget<'_>,
 ) -> (Vec<PhraseHit>, ExecStats) {
-    // This shard's budget gauge: every cooperative check also reports the
-    // backend's simulated-IO fetch delta into the shared cap (the overlay
-    // delegates `io_fetches` to the wrapped backend).
-    let io_now = || backend.io_fetches();
-    let budget = ShardBudget::new(ctx.budget, &io_now);
     let fraction = ctx.options.nra_fraction.unwrap_or(1.0);
     match ctx.options.algorithm {
         Algorithm::Nra => {
@@ -791,7 +798,7 @@ fn run_shard_backend<B: ListBackend>(
                 .iter()
                 .map(|&f| backend.score_cursor(f, fraction))
                 .collect();
-            let out = run_nra_with(cursors, query.op, &cfg, &budget);
+            let out = run_nra_with(cursors, query.op, &cfg, budget);
             let stats = ExecStats {
                 sorted_accesses: out.stats.entries_read.iter().map(|&n| n as u64).sum(),
                 random_probes: 0,
@@ -800,7 +807,7 @@ fn run_shard_backend<B: ListBackend>(
             (out.hits, stats)
         }
         Algorithm::Smj => {
-            let (hits, smj) = run_smj_backend_counted(backend, query, fetch, &budget);
+            let (hits, smj) = run_smj_backend_counted(backend, query, fetch, budget);
             let stats = ExecStats {
                 sorted_accesses: smj.entries_read,
                 random_probes: 0,
@@ -812,7 +819,7 @@ fn run_shard_backend<B: ListBackend>(
         // not monotone, so under a delta the scan runs to exhaustion and
         // stays exact (see `run_ta_backend_scan`).
         Algorithm::Ta => {
-            let out = run_ta_backend_scan(backend, query, fetch, &budget, ctx.delta.is_none());
+            let out = run_ta_backend_scan(backend, query, fetch, budget, ctx.delta.is_none());
             let stats = ExecStats {
                 sorted_accesses: out.stats.sorted_accesses.iter().map(|&n| n as u64).sum(),
                 random_probes: out.stats.random_accesses as u64,
@@ -836,7 +843,7 @@ fn run_shard_backend<B: ListBackend>(
                 ctx.delta.as_deref(),
                 fetch,
                 backend.phrase_range(),
-                &budget,
+                budget,
             );
             (hits, ExecStats::default())
         }

@@ -1196,17 +1196,32 @@ proptest! {
     }
 }
 
+/// The uncached engine the golden cases run on.
+fn golden_engine() -> QueryEngine {
+    QueryEngine::with_config(
+        miner(),
+        EngineConfig {
+            cache: None,
+            ..Default::default()
+        },
+    )
+}
+
+/// The golden's delta: 3 ingests and 2 deletes.
+fn apply_golden_delta(engine: &QueryEngine) {
+    let m = engine.miner();
+    for doc in [1u32, 2, 3] {
+        let d = m.corpus().doc(ipm_corpus::DocId(doc)).unwrap();
+        engine.ingest_document(&d.tokens, &d.facets);
+    }
+    for doc in [4u32, 7] {
+        assert!(engine.delete_document(ipm_corpus::DocId(doc)));
+    }
+}
+
 /// One golden line per case: its key, the completeness label and every
 /// hit's phrase id, score/lower/upper bit patterns and text.
-/// Sharded runs under a step cap race for the shared counter, so their
-/// hits are nondeterministic and only the label is pinned.
-fn golden_line(key: &str, resp: &SearchResponse, pin_hits: bool) -> String {
-    if !pin_hits {
-        return format!(
-            "{key} | {} | (hits race for the shared step cap)",
-            resp.completeness
-        );
-    }
+fn golden_line(key: &str, resp: &SearchResponse) -> String {
     let hits: Vec<String> = resp
         .hits
         .iter()
@@ -1230,29 +1245,17 @@ fn engine_answers_match_the_golden() {
     // operator, query, algorithm and fanout, with and without a §4.5.1
     // delta (3 ingests and 2 deletes, queried with `use_delta`), and
     // unbudgeted or under a 2-step budget, the hits' bits and texts and
-    // the completeness label (see `golden_line` for the one exception).
+    // the completeness label.
     // A mismatch prints the first differing lines; `IPM_BLESS=1`
     // rewrites the file.
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/engine_answers.txt");
-    let engine = QueryEngine::with_config(
-        miner(),
-        EngineConfig {
-            cache: None,
-            ..Default::default()
-        },
-    );
+    let engine = golden_engine();
     let m = engine.miner();
     let mut lines = Vec::new();
     for delta in [false, true] {
         if delta {
-            for doc in [1u32, 2, 3] {
-                let d = m.corpus().doc(ipm_corpus::DocId(doc)).unwrap();
-                engine.ingest_document(&d.tokens, &d.facets);
-            }
-            for doc in [4u32, 7] {
-                assert!(engine.delete_document(ipm_corpus::DocId(doc)));
-            }
+            apply_golden_delta(&engine);
         }
         for op in [Op::And, Op::Or] {
             for (i, q) in queries(&m, op).into_iter().enumerate() {
@@ -1285,7 +1288,7 @@ fn engine_answers_match_the_golden() {
                                     "unbudgeted"
                                 }
                             );
-                            lines.push(golden_line(&key, &resp, n == 1 || steps.is_none()));
+                            lines.push(golden_line(&key, &resp));
                         }
                     }
                 }
@@ -1326,5 +1329,51 @@ fn engine_answers_match_the_golden() {
             got_lines.len(),
             want_lines.len()
         );
+    }
+}
+
+/// The step cap is the deterministic throttle at every fanout: each
+/// shard counts its own checkpoints against its share of the cap, so a
+/// sharded step-capped query stops at the same place, with the same
+/// hits, however its shard threads interleave.
+#[test]
+fn sharded_step_capped_runs_are_reproducible() {
+    let engine = golden_engine();
+    let m = engine.miner();
+    for delta in [false, true] {
+        if delta {
+            apply_golden_delta(&engine);
+        }
+        for op in [Op::And, Op::Or] {
+            for (i, q) in queries(&m, op).into_iter().enumerate() {
+                for algorithm in [
+                    Algorithm::Nra,
+                    Algorithm::Smj,
+                    Algorithm::Ta,
+                    Algorithm::Exact,
+                ] {
+                    for n in [2usize, 4] {
+                        let key = format!("{op} q{i:02} {algorithm:?} @{n} delta={delta}");
+                        let run = || {
+                            let resp = engine
+                                .request_query(q.clone())
+                                .k(5)
+                                .algorithm(algorithm)
+                                .shards(n)
+                                .use_delta(delta)
+                                .step_budget(2)
+                                .run()
+                                .unwrap();
+                            assert!(resp.completeness.is_truncated(), "{key}");
+                            golden_line(&key, &resp)
+                        };
+                        let first = run();
+                        for _ in 1..20 {
+                            assert_eq!(run(), first, "a step-capped run changed its answer");
+                        }
+                    }
+                }
+            }
+        }
     }
 }
