@@ -36,15 +36,17 @@
 //!    partitions, honest about the absent ones.
 //!
 //! The primary attempt runs on the thread that scatters the leg: it
-//! writes the request and reads the answer with the socket read timeout
-//! set to the hedge time (or the cutoff when no hedge can fire), so an
-//! armed hedge that never fires costs nothing but that timeout. Only a
-//! primary that misses the hedge time or fails outright escalates: a
-//! detached thread takes over its connection and the bytes already read,
-//! the hedge or failover attempt gets a detached thread of its own, and
-//! the first answer wins. Every read is bounded by the query's remaining
-//! deadline, so the router never blocks past it — abandoned attempts
-//! drain in the background and self-report as wasted work.
+//! connects, writes the request and reads the answer with the socket
+//! timeouts set to the hedge time (or the cutoff when no hedge can fire),
+//! so an armed hedge that never fires costs nothing but that timeout.
+//! Only a primary that misses the hedge time or fails outright escalates:
+//! a detached thread takes the attempt over where it stopped (its
+//! connection and the bytes already read, or the dial if it had not yet
+//! connected), the hedge or failover attempt gets a detached thread of
+//! its own, and the first answer wins. Every read is bounded by the
+//! query's remaining deadline, so the router never blocks past it —
+//! abandoned attempts drain in the background and self-report as wasted
+//! work.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -558,11 +560,11 @@ fn record_winning_leg(shard_latency: &Histogram, hedged: bool, elapsed: Duration
 /// failed or the deadline/timeout cut the wait short. Never blocks past
 /// `min(deadline, now + rpc_timeout)`.
 ///
-/// The primary attempt runs on the calling thread, its read bounded by
-/// the hedge time when a hedge can fire (hedging on, a second replica)
-/// and by the cutoff otherwise — so an armed hedge costs one read
-/// timeout, and a primary that answers in time costs no thread at all.
-/// Only a primary that misses the hedge time or fails outright
+/// The primary attempt runs on the calling thread, its connect and read
+/// bounded by the hedge time when a hedge can fire (hedging on, a second
+/// replica) and by the cutoff otherwise — so an armed hedge costs one
+/// socket timeout, and a primary that answers in time costs no thread at
+/// all. Only a primary that misses the hedge time or fails outright
 /// escalates to [`escalate`]'s threaded race.
 fn rpc(
     shared: &Arc<RouterShared>,
@@ -578,10 +580,8 @@ fn rpc(
         .then(|| started + hedge_delay(shared, shard));
     let primary = &endpoint.replicas[0];
     shared.obs.shard_rpcs.inc();
-    let progress = match Attempt::start(primary, line, cutoff) {
-        Ok(a) => a.advance(primary, line, hedge_at.unwrap_or(cutoff)),
-        Err(e) => Progress::Done(Err(e)),
-    };
+    let progress =
+        Attempt::start(primary, line, cutoff).advance(primary, line, hedge_at.unwrap_or(cutoff));
     let in_flight = match progress {
         Progress::Done(Ok(out)) => {
             let elapsed = started.elapsed();
@@ -605,11 +605,12 @@ fn rpc(
 
 /// The threaded race behind [`rpc`], entered when the primary missed the
 /// hedge time (`primary` is its in-flight attempt, which a thread takes
-/// over with the bytes already read) or failed outright (`primary` is
-/// its error, and the next replica is tried at once). Every further
-/// attempt runs on a detached thread whose reads stop at the cutoff; the
-/// first answer wins, and attempts that answer after the winner was
-/// chosen, or after the wait was abandoned, self-count as wasted work.
+/// over mid-connect or with the bytes already read) or failed outright
+/// (`primary` is its error, and the next replica is tried at once).
+/// Every further attempt runs on a detached thread whose reads stop at
+/// the cutoff; the first answer wins, and attempts that answer after the
+/// winner was chosen, or after the wait was abandoned, self-count as
+/// wasted work.
 fn escalate(
     shared: &Arc<RouterShared>,
     shard: usize,
@@ -631,16 +632,12 @@ fn escalate(
             .name(format!("ipm-rpc-{shard}-{replica_idx}"))
             .spawn(move || {
                 let replica = &shared.endpoints[shard].replicas[replica_idx];
-                let attempt = match resume {
-                    Some(a) => Ok(a),
-                    None => Attempt::start(replica, &line, cutoff),
-                };
-                let result = match attempt.map(|a| a.advance(replica, &line, cutoff)) {
-                    Ok(Progress::Done(result)) => result,
-                    Ok(Progress::Pending(_)) => {
+                let attempt = resume.unwrap_or_else(|| Attempt::start(replica, &line, cutoff));
+                let result = match attempt.advance(replica, &line, cutoff) {
+                    Progress::Done(result) => result,
+                    Progress::Pending(_) => {
                         Err("deadline expired waiting for the shard's response".to_owned())
                     }
-                    Err(e) => Err(e),
                 };
                 if thread_tx.send((attempt_idx, result)).is_err() {
                     // The winner was chosen (or the wait abandoned)
@@ -747,108 +744,126 @@ fn unanswered(shard: usize, started: Instant, cutoff: Instant, last_err: &str) -
     ))
 }
 
-/// How far an [`Attempt`] got before its read bound.
+/// How far an [`Attempt`] got before its bound.
 enum Progress {
     /// It answered (decoded) or failed.
     Done(AttemptResult),
-    /// The bound passed mid-wait; the attempt can be resumed.
+    /// The bound passed while it was still connecting or waiting for the
+    /// response; the attempt can be resumed.
     Pending(Attempt),
 }
 
-/// One RPC attempt against one replica: the connection it writes to,
-/// whether that connection came from the pool, and the response bytes
-/// read so far. It moves between threads intact, so a read cut short at
-/// the hedge time resumes on another thread where it stopped.
+/// One RPC attempt against one replica: the connection the request line
+/// was written to (none while a fresh dial is still to connect), whether
+/// that connection came from the pool, and the response bytes read so
+/// far. It moves between threads intact, so an attempt cut short at the
+/// hedge time, mid-connect or mid-response, resumes on another thread
+/// where it stopped.
 struct Attempt {
-    stream: TcpStream,
+    stream: Option<TcpStream>,
     from_pool: bool,
+    /// Why a pooled connection proved stale; reported if the redial
+    /// fails too.
+    stale: Option<String>,
     reader: LineReader,
-    /// The request's cutoff; bounds a redial and every read.
+    /// The request's cutoff; bounds every dial and every read.
     cutoff: Instant,
 }
 
 impl Attempt {
-    /// Takes a pooled connection (or dials) and writes the pre-assembled
-    /// line in a single call. A *pooled* connection that turns out stale
-    /// (EOF / reset on first use) gets exactly one retry on a fresh dial;
-    /// a fresh connection's failure is the replica's failure.
-    fn start(replica: &Replica, line: &str, cutoff: Instant) -> Result<Self, String> {
-        let (stream, from_pool) = match replica.take() {
-            Some(stream) => (stream, true),
-            None => (dial(&replica.addr, cutoff)?, false),
-        };
+    /// Takes a pooled connection and writes the pre-assembled line on it
+    /// in a single call. Without a pooled connection the attempt starts
+    /// unconnected and [`Attempt::advance`] dials.
+    fn start(replica: &Replica, line: &str, cutoff: Instant) -> Self {
         let mut attempt = Attempt {
-            stream,
-            from_pool,
+            stream: None,
+            from_pool: false,
+            stale: None,
             reader: LineReader::default(),
             cutoff,
         };
-        match write_line(&mut attempt.stream, line) {
-            Ok(()) => Ok(attempt),
-            Err(e) => attempt.redial(replica, line, e),
+        if let Some(mut stream) = replica.take() {
+            match write_line(&mut stream, line) {
+                Ok(()) => {
+                    attempt.stream = Some(stream);
+                    attempt.from_pool = true;
+                }
+                Err(e) => attempt.stale = Some(e),
+            }
         }
+        attempt
     }
 
-    /// The one retry of a stale pooled connection: a fresh dial and the
-    /// line written again. `err` is what the pooled connection failed
-    /// with; it is the attempt's error when the connection was fresh.
-    fn redial(self, replica: &Replica, line: &str, err: String) -> Result<Self, String> {
-        if !self.from_pool {
-            return Err(err);
-        }
-        let stream = dial(&replica.addr, self.cutoff).map_err(|dial_err| {
-            format!("stale pooled connection ({err}); redial failed: {dial_err}")
-        })?;
-        let mut fresh = Attempt {
-            stream,
-            from_pool: false,
-            reader: LineReader::default(),
-            cutoff: self.cutoff,
-        };
-        write_line(&mut fresh.stream, line)?;
-        Ok(fresh)
-    }
-
-    /// Reads on until the response line is complete (decoded; the
-    /// connection goes back to the pool on success) or `until` passes
-    /// (`Pending`, every byte read so far kept).
+    /// Connects and writes the line if that is still to do, then reads
+    /// until the response line is complete (decoded; the connection goes
+    /// back to the pool on success) or `until` passes (`Pending`, every
+    /// byte read so far kept). A *pooled* connection that turns out stale
+    /// (EOF / reset) gets exactly one retry on a fresh dial; a fresh
+    /// connection's failure is the replica's failure.
     fn advance(mut self, replica: &Replica, line: &str, until: Instant) -> Progress {
+        let until = until.min(self.cutoff);
         loop {
-            match self
-                .reader
-                .read_line(&mut self.stream, until.min(self.cutoff))
-            {
+            let Some(stream) = self.stream.as_mut() else {
+                match dial(&replica.addr, until) {
+                    Ok(Some(mut stream)) => match write_line(&mut stream, line) {
+                        Ok(()) => self.stream = Some(stream),
+                        Err(e) => return Progress::Done(Err(e)),
+                    },
+                    Ok(None) => return Progress::Pending(self),
+                    Err(e) => {
+                        return Progress::Done(Err(match self.stale {
+                            Some(stale) => {
+                                format!("stale pooled connection ({stale}); redial failed: {e}")
+                            }
+                            None => e,
+                        }))
+                    }
+                }
+                continue;
+            };
+            match self.reader.read_line(stream, until) {
                 Ok(Some(v)) => {
                     let out = decode_shard_response(&v);
                     if out.is_ok() {
-                        replica.put(self.stream);
+                        if let Some(stream) = self.stream.take() {
+                            replica.put(stream);
+                        }
                     }
                     return Progress::Done(out);
                 }
                 Ok(None) => return Progress::Pending(self),
-                Err(e) => match self.redial(replica, line, e) {
-                    Ok(fresh) => self = fresh,
-                    Err(e) => return Progress::Done(Err(e)),
-                },
+                Err(e) if self.from_pool => {
+                    self.stream = None;
+                    self.from_pool = false;
+                    self.stale = Some(e);
+                    self.reader = LineReader::default();
+                }
+                Err(e) => return Progress::Done(Err(e)),
             }
         }
     }
 }
 
-fn dial(addr: &str, cutoff: Instant) -> Result<TcpStream, String> {
-    let remaining = cutoff.saturating_duration_since(Instant::now());
+/// Dials `addr`, giving up at `until`: `Ok(None)` when the connect is
+/// still pending then (or `until` has already passed).
+fn dial(addr: &str, until: Instant) -> Result<Option<TcpStream>, String> {
+    let remaining = until.saturating_duration_since(Instant::now());
     if remaining.is_zero() {
-        return Err(format!("deadline expired before dialing {addr}"));
+        return Ok(None);
     }
     let sock: SocketAddr = addr
         .to_socket_addrs()
         .map_err(|e| format!("cannot resolve {addr}: {e}"))?
         .next()
         .ok_or_else(|| format!("cannot resolve {addr}: no addresses"))?;
-    let stream = TcpStream::connect_timeout(&sock, remaining)
-        .map_err(|e| format!("connect to {addr} failed: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    Ok(stream)
+    match TcpStream::connect_timeout(&sock, remaining) {
+        Ok(stream) => {
+            let _ = stream.set_nodelay(true);
+            Ok(Some(stream))
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::TimedOut => Ok(None),
+        Err(e) => Err(format!("connect to {addr} failed: {e}")),
+    }
 }
 
 fn write_line(stream: &mut TcpStream, line: &str) -> Result<(), String> {
@@ -1030,6 +1045,68 @@ mod tests {
             .unwrap()
             .expect("the next call completes the same line");
         assert_eq!(line.get("ok").and_then(Value::as_bool), Some(true));
+    }
+
+    const SHED: &[u8] =
+        b"{\"ok\":false,\"error\":{\"kind\":\"overloaded\",\"message\":\"shed\"}}\n";
+
+    /// A one-shot shard: accepts one connection, reads one request line,
+    /// answers [`SHED`] and hands back the line it read.
+    fn shed_once(listener: TcpListener) -> std::thread::JoinHandle<String> {
+        std::thread::spawn(move || {
+            let (conn, _) = listener.accept().unwrap();
+            let mut request = String::new();
+            std::io::BufRead::read_line(&mut std::io::BufReader::new(&conn), &mut request).unwrap();
+            (&conn).write_all(SHED).unwrap();
+            request
+        })
+    }
+
+    /// Runs `attempt` to completion and requires the [`SHED`] answer.
+    fn expect_shed(attempt: Attempt, replica: &Replica, line: &str, cutoff: Instant) {
+        match attempt.advance(replica, line, cutoff) {
+            Progress::Done(Err(e)) => assert!(e.contains("overloaded"), "{e}"),
+            Progress::Done(Ok(_)) => panic!("the shard answered with an error"),
+            Progress::Pending(_) => panic!("the attempt stopped before its cutoff"),
+        }
+    }
+
+    #[test]
+    fn attempt_cut_short_before_connecting_resumes_with_the_dial() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let replica = Replica::new(listener.local_addr().unwrap().to_string());
+        let line = "{\"cmd\":\"shard_exec\"}\n";
+        let cutoff = Instant::now() + Duration::from_secs(5);
+        let attempt =
+            match Attempt::start(&replica, line, cutoff).advance(&replica, line, Instant::now()) {
+                Progress::Pending(a) => a,
+                Progress::Done(r) => panic!("the bound had passed, yet: {r:?}"),
+            };
+        assert!(attempt.stream.is_none(), "no connect before the bound");
+        let shard = shed_once(listener);
+        expect_shed(attempt, &replica, line, cutoff);
+        assert_eq!(
+            shard.join().unwrap(),
+            line,
+            "the resumed dial wrote the line"
+        );
+    }
+
+    #[test]
+    fn stale_pooled_connection_gets_one_redial() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let replica = Replica::new(addr.to_string());
+        replica.put(TcpStream::connect(addr).unwrap());
+        // The shard closes the idle pooled connection.
+        drop(listener.accept().unwrap());
+        let shard = shed_once(listener);
+        let line = "{\"cmd\":\"shard_exec\"}\n";
+        let cutoff = Instant::now() + Duration::from_secs(5);
+        let attempt = Attempt::start(&replica, line, cutoff);
+        assert!(attempt.from_pool, "the pooled connection is tried first");
+        expect_shed(attempt, &replica, line, cutoff);
+        assert_eq!(shard.join().unwrap(), line, "the redial wrote the line");
     }
 
     #[test]
