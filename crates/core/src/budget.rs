@@ -29,10 +29,15 @@
 //!   (`ipm_storage`'s unit of §5.5 cost); per-shard gauges report each
 //!   shard's pool activity into the shared counter;
 //! * **step budget** — a cap on cooperative checkpoints passed, split
-//!   evenly across a fan-out's shards. Wall clocks and page counters are
-//!   environment-dependent; the step cap is the *deterministic* throttle,
-//!   which makes truncation reproducible in tests at every fanout and
-//!   lets operators bound work on the memory backend too.
+//!   evenly across a fan-out's shards. A gauge lives for one pass over
+//!   one shard (the NRA floor seeding and each redundancy over-fetch
+//!   round get fresh gauges), so the quota bounds each pass, not the
+//!   request's sum; a step trip ends the over-fetch loop, so a later
+//!   round only runs when no quota was reached. Wall clocks and page
+//!   counters are environment-dependent; the step cap is the
+//!   *deterministic* throttle, which makes truncation reproducible in
+//!   tests at every fanout and lets operators bound work on the memory
+//!   backend too.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};

@@ -359,7 +359,7 @@ impl QueryEngine {
     /// carves shard `params.shard` out of its own fanout-wide layout
     /// (deterministic equal-width phrase-id ranges, so every node serving
     /// the same corpus build derives the same partition) and runs the
-    /// same per-shard unit a local scoped thread runs: algorithm dispatch
+    /// same per-shard unit a local shard runs: algorithm dispatch
     /// plus, on NRA's exact path, resolution of the shard's own hits.
     ///
     /// Disk- and block-backed calls go through the same list lease as

@@ -19,8 +19,9 @@
 //! * **partitioned intra-query execution**: requests are resolved by a
 //!   planner ([`crate::plan::QueryPlan`]) into an algorithm, a backend and
 //!   a shard fanout; the executor runs the algorithm per phrase-id shard
-//!   (shard 0 on the calling thread, the rest on scoped threads) and merges the local top-k under the deterministic
-//!   result order (see [`crate::plan`] for why the merge is exact).
+//!   (shard 0 on the calling thread, the rest on scoped threads) and
+//!   merges the local top-k under the deterministic result order (see
+//!   [`crate::plan`] for why the merge is exact).
 //!   Sharded index layouts (memory and disk) are built lazily per fanout
 //!   and cached.
 //!
@@ -178,8 +179,8 @@ pub struct EngineConfig {
     /// [`SearchOptions::shards`] unset. `1` (the default) executes
     /// unsharded on the calling thread; `N > 1` splits every list by
     /// phrase-id range into `N` partitions, one served on the calling
-    /// thread and `N − 1` on scoped threads,
-    /// turning per-query latency into a function of core count.
+    /// thread and `N − 1` on scoped threads, turning per-query latency
+    /// into a function of core count.
     pub shards: usize,
     /// Buffer-pool geometry of the lazily built disk image(s) — page
     /// size, capacity, lookahead (the paper's §5.5 defaults). Smaller

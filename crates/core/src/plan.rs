@@ -7,9 +7,9 @@
 //!   and shard fanout;
 //! * the **executor** (`run_query`) runs that plan over one backend per
 //!   shard: each shard executes the chosen algorithm over its disjoint
-//!   phrase-id partition on its own thread (shard 0 on the calling
-//!   thread, the rest on std scoped threads), and the
-//!   per-shard top-k are merged under the result total order — score
+//!   phrase-id partition (shard 0 on the calling thread, the rest on std
+//!   scoped threads), and the per-shard top-k are merged under the
+//!   result total order — score
 //!   descending, ties by ascending phrase id ([`sort_hits`]) — so output
 //!   is byte-identical regardless of shard count or thread interleaving.
 //!
@@ -71,8 +71,8 @@ use ipm_index::cursor::ScoredListCursor;
 use ipm_obs::{ShardStats, StageKind, Tracer};
 
 /// Hard ceiling on a request's shard fanout (a safety clamp: each shard
-/// costs one thread per query; past the core count extra shards only add
-/// overhead).
+/// past the first costs one thread per fetch round; past the core count
+/// extra shards only add overhead).
 pub const MAX_SHARDS: usize = 64;
 
 /// A resolved execution plan: every choice the executor needs, made
@@ -415,8 +415,8 @@ impl std::fmt::Display for ShardError {
 }
 
 /// What one shard returns from one fetch depth: the seam's unit of
-/// exchange, identical for a local scoped thread and a remote `ipm serve`
-/// node (wire-v5 `shard_exec`).
+/// exchange, identical for a local shard and a remote `ipm serve` node
+/// (wire-v5 `shard_exec`).
 #[derive(Debug, Clone, Default)]
 pub struct ShardOutcome {
     /// The shard's top-`fetch` hits. On NRA's exact path they are already
@@ -439,7 +439,7 @@ pub struct ShardOutcome {
 }
 
 /// The per-shard execution seam: one implementor per shard of a fan-out.
-/// `run_query_on` is generic over it, so a local scoped thread
+/// `run_query_on` is generic over it, so a local shard
 /// (`LocalShard`) and a remote `ipm serve` node speaking the wire-v5
 /// `shard_exec` verb are interchangeable — the scatter/gather, seeding
 /// and merge logic is written exactly once.
@@ -703,7 +703,7 @@ fn fan_out<E: ShardExecutor + ?Sized>(
 /// One shard's complete unit of work — algorithm dispatch plus, on NRA's
 /// exact path, resolution of this shard's own hits to true aggregates.
 /// This is exactly what the wire-v5 `shard_exec` verb executes on a
-/// remote node, and what [`LocalShard`] runs on a scoped thread; keeping
+/// remote node, and what [`LocalShard`] runs in process; keeping
 /// them one function is what makes the router's merge bit-identical to
 /// the single-process sharded merge.
 pub(crate) fn run_one_shard<B: ListBackend>(

@@ -158,8 +158,9 @@ impl<'e> SearchRequest<'e> {
     }
 
     /// Cap on cooperative checkpoints — the *deterministic* budget (no
-    /// clock, no device): useful for reproducible truncation in tests
-    /// and for bounding work on the memory backend.
+    /// clock, no device; each shard of a fan-out gets `ceil(checks /
+    /// fanout)` of it): useful for reproducible truncation in tests and
+    /// for bounding work on the memory backend.
     pub fn step_budget(mut self, checks: u64) -> Self {
         self.step_budget = Some(checks);
         self
